@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import datetime
 import json
-from dataclasses import asdict
+import os
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +14,7 @@ from . import neuralnet
 from .classifiers import StandardizationStats, SvmModel
 from .dsp import SpectrogramParams
 from .fusion import FusionWeights
+from .pipeline import METHODS
 
 FORMAT_VERSION = 1
 
@@ -21,21 +23,54 @@ class BundleError(ValueError):
     pass
 
 
-def _arrays_to_lists(arrays):
-    return [a.tolist() for a in arrays]
+def _cnn(build, shape_key: str, shape_of):
+    """Codec of a CNN: its input shape under shape_key, plus its parameter tensors."""
+
+    def encode(model) -> dict:
+        params = [a.tolist() for a in model.parameters()]
+        return {shape_key: shape_of(model.input_shape), "params": params}
+
+    def decode(section: dict, doc: dict):
+        model = build(section[shape_key], feature_dim=doc["feature_dim"], seed=doc["seed"])
+        params, stored = model.parameters(), section["params"]
+        if len(params) != len(stored):
+            raise BundleError(f"expected {len(params)} parameter tensors, found {len(stored)}")
+        for p, values in zip(params, stored):
+            arr = np.asarray(values, dtype=np.float64)
+            if arr.shape != p.shape:
+                raise BundleError(f"parameter shape {arr.shape} does not match model {p.shape}")
+            p[...] = arr
+        return model
+
+    return encode, decode
 
 
-def _load_model_params(model, param_lists):
-    params = model.parameters()
-    if len(params) != len(param_lists):
-        raise BundleError(
-            f"expected {len(params)} parameter tensors, found {len(param_lists)}"
-        )
-    for p, stored in zip(params, param_lists):
-        arr = np.asarray(stored, dtype=np.float64)
-        if arr.shape != p.shape:
-            raise BundleError(f"parameter shape {arr.shape} does not match model {p.shape}")
-        p[...] = arr
+def _record(cls):
+    """Codec of a dataclass (or dict) of scalars and arrays; arrays are stored as lists."""
+
+    def encode(value) -> dict:
+        if not isinstance(value, dict):
+            value = {f.name: getattr(value, f.name) for f in fields(value)}
+        return {k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in value.items()}
+
+    def decode(section: dict, doc: dict):
+        return cls(**{k: np.asarray(v) if isinstance(v, list) else v for k, v in section.items()})
+
+    return encode, decode
+
+
+# Component key -> (encode(component), decode(section, doc)). A bundle holds one
+# section per component, under the component's key and in this order.
+CODECS = {
+    "cnn1d": _cnn(neuralnet.build_cnn1d, "input_len", lambda shape: shape[1]),
+    "cnn2d": _cnn(neuralnet.build_cnn2d, "input_shape", lambda shape: list(shape[1:])),
+    "fusion_weights": _record(FusionWeights),
+    "stats": _record(StandardizationStats),
+    "svm": _record(SvmModel),
+    "knn": _record(dict),
+}
+
+HEADER_KEYS = ("method", "window_seconds", "sample_rate_hz", "feature_dim", "spectrogram", "seed")
 
 
 def save_bundle(
@@ -48,6 +83,7 @@ def save_bundle(
     spectrogram: SpectrogramParams,
     seed: int,
 ) -> None:
+    """Write the bundle through a temporary file, so a failed save leaves `path` as it was."""
     doc = {
         "format_version": FORMAT_VERSION,
         "method": method,
@@ -58,52 +94,17 @@ def save_bundle(
         "seed": seed,
         "created": datetime.datetime.now(datetime.timezone.utc).isoformat(),
     }
-    if "cnn1d" in components:
-        m = components["cnn1d"]
-        doc["cnn1d"] = {
-            "input_len": m.input_shape[1],
-            "params": _arrays_to_lists(m.parameters()),
-        }
-    if "cnn2d" in components:
-        m = components["cnn2d"]
-        doc["cnn2d"] = {
-            "input_shape": list(m.input_shape[1:]),
-            "params": _arrays_to_lists(m.parameters()),
-        }
-    if "cnn" in components:
-        m = components["cnn"]
-        key = "cnn1d" if len(m.input_shape) == 2 else "cnn2d"
-        if key == "cnn1d":
-            doc[key] = {"input_len": m.input_shape[1], "params": _arrays_to_lists(m.parameters())}
-        else:
-            doc[key] = {
-                "input_shape": list(m.input_shape[1:]),
-                "params": _arrays_to_lists(m.parameters()),
-            }
-    if components.get("fusion_weights") is not None:
-        w = components["fusion_weights"]
-        doc["fusion_weights"] = {
-            "w1": w.w1.tolist(),
-            "w2": w.w2.tolist(),
-            "sign_convention": w.sign_convention,
-        }
-    if "stats" in components:
-        s = components["stats"]
-        doc["stats"] = {"mean": s.mean.tolist(), "std": s.std.tolist()}
-    if "svm" in components:
-        svm = components["svm"]
-        doc["svm"] = {
-            "weights": svm.weights.tolist(),
-            "biases": svm.biases.tolist(),
-            "lam": svm.lam,
-        }
-    if "train_X" in components:
-        doc["knn"] = {
-            "train_X": components["train_X"].tolist(),
-            "train_y": components["train_y"].tolist(),
-            "k": components["k"],
-        }
-    Path(path).write_text(json.dumps(doc))
+    for key, (encode, _) in CODECS.items():
+        if components.get(key) is not None:
+            doc[key] = encode(components[key])
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w") as fh:
+            fh.write(json.dumps(doc))
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def load_bundle(path) -> dict:
@@ -112,56 +113,36 @@ def load_bundle(path) -> dict:
         doc = json.loads(Path(path).read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise BundleError(f"cannot read bundle {path}: {exc}") from exc
-    version = doc.get("format_version")
+    version = doc.get("format_version") if isinstance(doc, dict) else None
     if version != FORMAT_VERSION:
         raise BundleError(f"unrecognized bundle format_version {version!r}")
-    feature_dim = doc["feature_dim"]
-    seed = doc["seed"]
-    components = {}
-    if "cnn1d" in doc:
-        model = neuralnet.build_cnn1d(
-            input_len=doc["cnn1d"]["input_len"], feature_dim=feature_dim, seed=seed
-        )
-        _load_model_params(model, doc["cnn1d"]["params"])
-        components["cnn1d"] = model
-    if "cnn2d" in doc:
-        model = neuralnet.build_cnn2d(
-            input_shape=tuple(doc["cnn2d"]["input_shape"]), feature_dim=feature_dim, seed=seed
-        )
-        _load_model_params(model, doc["cnn2d"]["params"])
-        components["cnn2d"] = model
-    if "fusion_weights" in doc:
-        components["fusion_weights"] = FusionWeights(
-            w1=np.asarray(doc["fusion_weights"]["w1"]),
-            w2=np.asarray(doc["fusion_weights"]["w2"]),
-            sign_convention=doc["fusion_weights"]["sign_convention"],
-        )
-    else:
-        components["fusion_weights"] = None
-    if "stats" in doc:
-        components["stats"] = StandardizationStats(
-            mean=np.asarray(doc["stats"]["mean"]), std=np.asarray(doc["stats"]["std"])
-        )
-    if "svm" in doc:
-        svm = SvmModel(
-            weights=np.asarray(doc["svm"]["weights"]),
-            biases=np.asarray(doc["svm"]["biases"]),
-            lam=doc["svm"]["lam"],
-        )
-        if "stats" in components and svm.weights.shape[1] != len(components["stats"].mean):
-            raise BundleError("SVM feature dimension does not match standardization stats")
-        components["svm"] = svm
-    if "knn" in doc:
-        components["train_X"] = np.asarray(doc["knn"]["train_X"])
-        components["train_y"] = np.asarray(doc["knn"]["train_y"], dtype=np.int64)
-        components["k"] = doc["knn"]["k"]
+    missing = [key for key in HEADER_KEYS if key not in doc]
+    if missing:
+        raise BundleError(f"bundle lacks {', '.join(missing)}")
+    method = doc["method"]
+    if method not in METHODS:
+        raise BundleError(f"unknown method {method!r} in bundle")
+    needed = METHODS[method].components
+    missing = [key for key in needed if key not in doc]
+    if missing:
+        raise BundleError(f"{method} bundle lacks {', '.join(missing)}")
+    try:
+        components = {key: CODECS[key][1](doc[key], doc) for key in needed}
+        spectrogram = SpectrogramParams(**doc["spectrogram"])
+    except BundleError:
+        raise
+    except (KeyError, TypeError, ValueError) as exc:
+        raise BundleError(f"malformed bundle {path}: {exc!r}") from exc
+    stats, svm = components.get("stats"), components.get("svm")
+    if stats is not None and svm is not None and svm.weights.shape[1] != len(stats.mean):
+        raise BundleError("SVM feature dimension does not match standardization stats")
     return {
-        "method": doc["method"],
+        "method": method,
         "window_seconds": doc["window_seconds"],
         "sample_rate_hz": doc["sample_rate_hz"],
-        "feature_dim": feature_dim,
-        "spectrogram": SpectrogramParams(**doc["spectrogram"]),
-        "seed": seed,
+        "feature_dim": doc["feature_dim"],
+        "spectrogram": spectrogram,
+        "seed": doc["seed"],
         "created": doc.get("created"),
         "components": components,
     }

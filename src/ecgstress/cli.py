@@ -6,13 +6,14 @@ import argparse
 import csv
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from . import bundle as bundle_io
-from . import classifiers, neuralnet, pipeline
-from .dsp import SpectrogramParams, normalize_spectrogram, stft_spectrogram
+from . import pipeline
+from .dsp import SpectrogramParams, stft_spectrogram
 from .evaluation import (
     Fold,
     RunResult,
@@ -20,11 +21,12 @@ from .evaluation import (
     krippendorff_alpha,
     render_report,
 )
-from .pipeline import PipelineConfig, PipelineError
+from .pipeline import PipelineConfig
 from .signal_core import (
-    AlignmentError,
     Dataset,
     IngestionError,
+    LabelSegment,
+    LabelTrack,
     consensus_labels,
     load_label_track,
     load_recording,
@@ -35,24 +37,44 @@ from .signal_core import (
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_RUNTIME = 3
+NO_PREDICTION = -1  # level of a predict row whose window yields no prediction
 
-CONFIG_KEYS = {
-    "method": str,
-    "window_seconds": float,
-    "hrv_window_seconds": float,
-    "feature_dim": int,
-    "epochs": int,
-    "learning_rate": float,
-    "momentum": float,
-    "batch_size": int,
-    "seed": int,
-    "jobs": int,
-    "svm_lambda_grid": str,
-    "knn_k_grid": str,
-    "spectrogram_window_len": int,
-    "spectrogram_hop": int,
-    "corrupt_modality": str,
-    "corrupt_noise_std": float,
+
+def _grid(conv):
+    def parse(text: str) -> tuple:
+        values = tuple(conv(part) for part in text.split(",") if part.strip())
+        if not values:
+            raise ValueError(f"empty list '{text}'")
+        return values
+
+    parse.__name__ = f"{conv.__name__}_list"
+    return parse
+
+
+def _modality(text: str):
+    return None if text in ("", "none") else text
+
+
+# Key -> (parser for config files and flags, where the value lands in
+# PipelineConfig). Each key is also the flag `--key-with-dashes`; flags are
+# added in this order.
+SETTINGS = {
+    "seed": (int, ("seed", "cnn_train.seed")),
+    "jobs": (int, ()),
+    "method": (str, ("method",)),
+    "window_seconds": (float, ("window_seconds",)),
+    "hrv_window_seconds": (float, ("hrv_window_seconds",)),
+    "feature_dim": (int, ("feature_dim",)),
+    "epochs": (int, ("cnn_train.epochs",)),
+    "learning_rate": (float, ("cnn_train.learning_rate",)),
+    "momentum": (float, ("cnn_train.momentum",)),
+    "batch_size": (int, ("cnn_train.batch_size",)),
+    "svm_lambda_grid": (_grid(float), ("svm_lambda_grid",)),
+    "knn_k_grid": (_grid(int), ("knn_k_grid",)),
+    "spectrogram_window_len": (int, ("spectrogram.window_len",)),
+    "spectrogram_hop": (int, ("spectrogram.hop",)),
+    "corrupt_modality": (_modality, ("corrupt_modality",)),
+    "corrupt_noise_std": (float, ("corrupt_noise_std",)),
 }
 
 
@@ -66,53 +88,35 @@ def load_config_file(path) -> dict:
         if "=" not in line:
             raise ValueError(f"{path} line {line_num}: expected key=value")
         key, value = (part.strip() for part in line.split("=", 1))
-        if key not in CONFIG_KEYS:
+        if key not in SETTINGS:
             raise ValueError(f"{path} line {line_num}: unknown key '{key}'")
-        out[key] = CONFIG_KEYS[key](value)
+        out[key] = SETTINGS[key][0](value)
     return out
 
 
-def _parse_grid(text, conv):
-    return tuple(conv(part) for part in text.split(",") if part.strip())
-
-
 def build_pipeline_config(settings: dict) -> PipelineConfig:
+    """PipelineConfig from parsed settings; a value still given as text is parsed first."""
+    fields = {"": {}, "cnn_train": {}, "spectrogram": {}}
+    for key, (parse, destinations) in SETTINGS.items():
+        if key in settings:
+            value = settings[key]
+            value = parse(value) if isinstance(value, str) else value
+            for dest in destinations:
+                group, _, name = dest.rpartition(".")
+                fields[group][name] = value
     cfg = PipelineConfig()
-    cfg.method = settings.get("method", cfg.method)
-    cfg.window_seconds = settings.get("window_seconds", cfg.window_seconds)
-    cfg.hrv_window_seconds = settings.get("hrv_window_seconds", cfg.hrv_window_seconds)
-    cfg.feature_dim = settings.get("feature_dim", cfg.feature_dim)
-    cfg.seed = settings.get("seed", cfg.seed)
-    cfg.spectrogram = SpectrogramParams(
-        window_len=settings.get("spectrogram_window_len", cfg.spectrogram.window_len),
-        hop=settings.get("spectrogram_hop", cfg.spectrogram.hop),
+    return replace(
+        cfg,
+        **fields[""],
+        cnn_train=replace(cfg.cnn_train, **fields["cnn_train"]),
+        spectrogram=replace(cfg.spectrogram, **fields["spectrogram"]),
     )
-    cfg.cnn_train = neuralnet.TrainConfig(
-        learning_rate=settings.get("learning_rate", cfg.cnn_train.learning_rate),
-        momentum=settings.get("momentum", cfg.cnn_train.momentum),
-        epochs=settings.get("epochs", cfg.cnn_train.epochs),
-        batch_size=settings.get("batch_size", cfg.cnn_train.batch_size),
-        seed=settings.get("seed", cfg.cnn_train.seed),
-    )
-    if "svm_lambda_grid" in settings:
-        cfg.svm_lambda_grid = _parse_grid(settings["svm_lambda_grid"], float)
-    if "knn_k_grid" in settings:
-        cfg.knn_k_grid = _parse_grid(settings["knn_k_grid"], int)
-    corrupt = settings.get("corrupt_modality")
-    if corrupt:
-        cfg.corrupt_modality = None if corrupt == "none" else corrupt
-    cfg.corrupt_noise_std = settings.get("corrupt_noise_std", cfg.corrupt_noise_std)
-    return cfg
 
 
 def merge_settings(args) -> dict:
-    settings = {}
-    if getattr(args, "config", None):
-        settings.update(load_config_file(args.config))
-    for key in CONFIG_KEYS:
-        value = getattr(args, key, None)
-        if value is not None:
-            settings[key] = value
+    """Config file settings, overridden by the flags given on the command line."""
+    settings = load_config_file(args.config) if args.config else {}
+    settings.update((key, value) for key, value in vars(args).items() if key in SETTINGS)
     return settings
 
 
@@ -187,12 +191,17 @@ def _guard_overwrite(path, force: bool) -> None:
         raise FileExistsError(f"{path} exists; pass --force to overwrite")
 
 
-def cmd_train(args) -> int:
+def _config_and_data(args):
+    """Settings, their PipelineConfig, and the data cut into the method's windows."""
     settings = merge_settings(args)
     cfg = build_pipeline_config(settings)
+    window_s = pipeline.method_spec(cfg.method).window_seconds(cfg)
+    return settings, cfg, window_s, *load_data_dir(args.data, window_s)
+
+
+def cmd_train(args) -> int:
     _guard_overwrite(args.out, args.force)
-    window_s = cfg.hrv_window_seconds if cfg.method in ("svm_hrv", "knn_hrv") else cfg.window_seconds
-    data, fs = load_data_dir(args.data, window_s)
+    _, cfg, window_s, data, fs = _config_and_data(args)
     # Deployment mode: train on every provided subject (no held-out fold)
     fold = Fold(test_subject="", train_windows=data.windows, test_windows=())
     components = pipeline.train_fold_components(fold, cfg, fs)
@@ -211,10 +220,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    settings = merge_settings(args)
-    cfg = build_pipeline_config(settings)
-    window_s = cfg.hrv_window_seconds if cfg.method in ("svm_hrv", "knn_hrv") else cfg.window_seconds
-    data, fs = load_data_dir(args.data, window_s)
+    settings, cfg, _, data, fs = _config_and_data(args)
     result = pipeline.evaluate_loso(data, cfg, fs, jobs=settings.get("jobs", 1))
     if args.out:
         _guard_overwrite(args.out, args.force)
@@ -228,7 +234,11 @@ def cmd_evaluate(args) -> int:
 
 
 def predict_stream(loaded: dict, rec) -> list[tuple]:
-    """Per-window predictions: (start_s, level, p0, p1, p2) rows."""
+    """Per-window predictions: (start_s, level, p0, p1, p2) rows, one per window.
+
+    A window that yields no prediction (an HRV window without enough beats)
+    gives (start_s, -1, None, None, None).
+    """
     window_s = loaded["window_seconds"]
     fs = loaded["sample_rate_hz"]
     if rec.sample_rate_hz != fs:
@@ -236,60 +246,26 @@ def predict_stream(loaded: dict, rec) -> list[tuple]:
             f"recording sample rate {rec.sample_rate_hz} does not match bundle rate {fs} "
             "(no implicit resampling)"
         )
-    wlen = round(window_s * fs)
-    n_windows = len(rec.samples) // wlen
-    if n_windows == 0:
+    # One labeled segment over the whole recording; predictions ignore the label
+    whole = LabelTrack(rater_id="", segments=(LabelSegment(0.0, rec.duration_s, 0),))
+    windows = segment_windows(rec, whole, window_s)
+    if not windows:
         raise ValueError(f"recording shorter than one {window_s} s window")
-    from .signal_core import Window
-
-    method = loaded["method"]
     cfg = PipelineConfig(
-        method=method,
+        method=loaded["method"],
         window_seconds=window_s,
         feature_dim=loaded["feature_dim"],
         spectrogram=loaded["spectrogram"],
         seed=loaded["seed"],
     )
-    windows = [
-        Window(
-            subject_id=rec.subject_id,
-            start_sample=i * wlen,
-            length_samples=wlen,
-            label=0,  # placeholder; predictions ignore it
-            samples=rec.samples[i * wlen : (i + 1) * wlen],
-        )
-        for i in range(n_windows)
+    predict = pipeline.method_spec(cfg.method).predict
+    proba, valid = predict(loaded["components"], windows, cfg, fs)
+    return [
+        (i * window_s, int(np.argmax(p)), *(float(v) for v in p))
+        if ok
+        else (i * window_s, NO_PREDICTION, None, None, None)
+        for i, (p, ok) in enumerate(zip(proba, valid))
     ]
-    components = loaded["components"]
-    rows = []
-    if method in ("fusion_weighted", "fusion_avg"):
-        preds = pipeline.fusion_predict(components, windows, cfg)
-        for i, level in enumerate(preds):
-            onehot = [1.0 if c == level else 0.0 for c in range(3)]
-            rows.append((i * window_s, int(level), *onehot))
-    elif method in ("cnn1d", "cnn2d"):
-        model = components["cnn1d" if method == "cnn1d" else "cnn2d"]
-        x = (
-            pipeline.windows_to_snippets(windows, cfg)
-            if method == "cnn1d"
-            else pipeline.windows_to_images(windows, cfg)
-        )
-        probs = neuralnet.predict_proba(model, x)
-        for i, p in enumerate(probs):
-            rows.append((i * window_s, int(np.argmax(p)), *(float(v) for v in p)))
-    else:
-        X, _ = pipeline.hrv_matrix(windows, fs)
-        X_std = components["stats"].transform(X)
-        if method == "svm_hrv":
-            preds = classifiers.svm_predict(components["svm"], X_std)
-        else:
-            preds = classifiers.knn_predict_batch(
-                components["train_X"], components["train_y"], X_std, components["k"]
-            )
-        for i, level in enumerate(preds):
-            onehot = [1.0 if c == level else 0.0 for c in range(3)]
-            rows.append((i * window_s, int(level), *onehot))
-    return rows
 
 
 def cmd_predict(args) -> int:
@@ -320,26 +296,11 @@ def cmd_report(args) -> int:
     return EXIT_OK
 
 
-def _add_common(parser):
+def _add_settings(parser):
     parser.add_argument("--config", help="flat key=value config file")
-    parser.add_argument("--seed", type=int, default=None)
-    parser.add_argument("--jobs", type=int, default=None)
-    parser.add_argument("--method", default=None)
-    parser.add_argument("--window-seconds", dest="window_seconds", type=float, default=None)
-    parser.add_argument("--hrv-window-seconds", dest="hrv_window_seconds", type=float, default=None)
-    parser.add_argument("--feature-dim", dest="feature_dim", type=int, default=None)
-    parser.add_argument("--epochs", type=int, default=None)
-    parser.add_argument("--learning-rate", dest="learning_rate", type=float, default=None)
-    parser.add_argument("--momentum", type=float, default=None)
-    parser.add_argument("--batch-size", dest="batch_size", type=int, default=None)
-    parser.add_argument("--svm-lambda-grid", dest="svm_lambda_grid", default=None)
-    parser.add_argument("--knn-k-grid", dest="knn_k_grid", default=None)
-    parser.add_argument(
-        "--spectrogram-window-len", dest="spectrogram_window_len", type=int, default=None
-    )
-    parser.add_argument("--spectrogram-hop", dest="spectrogram_hop", type=int, default=None)
-    parser.add_argument("--corrupt-modality", dest="corrupt_modality", default=None)
-    parser.add_argument("--corrupt-noise-std", dest="corrupt_noise_std", type=float, default=None)
+    for key, (parse, _) in SETTINGS.items():
+        flag = "--" + key.replace("_", "-")
+        parser.add_argument(flag, dest=key, type=parse, default=argparse.SUPPRESS)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -363,7 +324,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--force", action="store_true")
-    _add_common(p)
+    _add_settings(p)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("evaluate", help="LOSO evaluation with a markdown report")
@@ -371,7 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None, help="write RunResult JSON here")
     p.add_argument("--report-out", dest="report_out", default=None)
     p.add_argument("--force", action="store_true")
-    _add_common(p)
+    _add_settings(p)
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("predict", help="per-window stress stream from a trained bundle")
@@ -394,17 +355,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (
-        IngestionError,
-        AlignmentError,
-        FileNotFoundError,
-        FileExistsError,
-        bundle_io.BundleError,
-        ValueError,
-    ) as exc:
+    # Ingestion, alignment and bundle errors are ValueErrors; PipelineError is a RuntimeError
+    except (FileNotFoundError, FileExistsError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (PipelineError, ArithmeticError, RuntimeError) as exc:
+    except (ArithmeticError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
 

@@ -60,8 +60,6 @@ class Metrics:
         )
 
 
-METHOD_TAGS = ("cnn1d", "cnn2d", "fusion_avg", "fusion_weighted", "svm_hrv", "knn_hrv")
-
 METHOD_DISPLAY = {
     "cnn1d": "Raw ECG (1D CNN)",
     "cnn2d": "Spectrogram CNN",
@@ -81,7 +79,7 @@ class RunResult:
     config_snapshot: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.method not in METHOD_TAGS:
+        if self.method not in METHOD_DISPLAY:
             raise ValueError(f"unknown method tag '{self.method}'")
         object.__setattr__(self, "per_fold", tuple(self.per_fold))
 

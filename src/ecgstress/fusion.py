@@ -12,9 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-_JACOBI_TOL = 1e-12
-_MAX_SWEEPS = 100
-
 
 @dataclass(frozen=True)
 class FusionWeights:
@@ -51,7 +48,7 @@ def _fix_sign(v: np.ndarray) -> np.ndarray:
 
 
 def eig_sym(A) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a symmetric matrix by cyclic Jacobi rotations.
+    """Eigendecomposition of a symmetric matrix (LAPACK, via np.linalg.eigh).
 
     Returns eigenvalues in descending order and the matching orthonormal
     eigenvector columns, each sign-fixed so its first nonzero component is
@@ -63,41 +60,11 @@ def eig_sym(A) -> tuple[np.ndarray, np.ndarray]:
     scale = max(1.0, np.abs(A).max())
     if np.abs(A - A.T).max() > 1e-10 * scale:
         raise ValueError("matrix must be symmetric")
-    n = A.shape[0]
-    a = (A + A.T) / 2.0
-    v = np.eye(n)
-    for _ in range(_MAX_SWEEPS):
-        off = np.sqrt(np.sum(np.triu(a, 1) ** 2) * 2)
-        if off < _JACOBI_TOL * max(1.0, np.linalg.norm(a)):
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if abs(apq) < 1e-300:
-                    continue
-                theta = (a[q, q] - a[p, p]) / (2.0 * apq)
-                t = np.sign(theta) / (abs(theta) + np.sqrt(theta * theta + 1.0))
-                if theta == 0.0:
-                    t = 1.0
-                c = 1.0 / np.sqrt(t * t + 1.0)
-                s = t * c
-                rows = np.array([p, q])
-                g = a[rows, :].copy()
-                a[p, :] = c * g[0] - s * g[1]
-                a[q, :] = s * g[0] + c * g[1]
-                g = a[:, rows].copy()
-                a[:, p] = c * g[:, 0] - s * g[:, 1]
-                a[:, q] = s * g[:, 0] + c * g[:, 1]
-                g = v[:, rows].copy()
-                v[:, p] = c * g[:, 0] - s * g[:, 1]
-                v[:, q] = s * g[:, 0] + c * g[:, 1]
-    eigenvalues = np.diag(a).copy()
-    order = np.argsort(-eigenvalues, kind="stable")
-    eigenvalues = eigenvalues[order]
-    vectors = v[:, order]
-    for j in range(n):
+    eigenvalues, vectors = np.linalg.eigh((A + A.T) / 2.0)
+    vectors = vectors[:, ::-1]
+    for j in range(vectors.shape[1]):
         vectors[:, j] = _fix_sign(vectors[:, j])
-    return eigenvalues, vectors
+    return eigenvalues[::-1].copy(), vectors
 
 
 def principal_weights(F) -> np.ndarray:

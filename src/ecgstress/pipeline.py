@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import zlib
+from collections.abc import Callable
 from dataclasses import dataclass, field, asdict
+from typing import NamedTuple
 
 import numpy as np
 
@@ -12,7 +14,7 @@ from .dsp import SpectrogramParams, normalize_spectrogram, stft_spectrogram
 from .evaluation import Fold, Metrics, RunResult, compute_metrics, loso_split, mean_metrics
 from .hrv import hrv_vector
 from .neuralnet import TrainConfig
-from .signal_core import Dataset, Window
+from .signal_core import Dataset
 
 
 class PipelineError(RuntimeError):
@@ -95,7 +97,7 @@ def _inner_split(n: int, seed: int):
     return order[:cut], order[cut:]
 
 
-def _grid_search_svm(X, y, cfg: PipelineConfig, seed: int):
+def _fit_svm(X, y, cfg: PipelineConfig, seed: int) -> dict:
     """Pick the hinge regularizer from the grid on an inner 80/20 split."""
     tr, va = _inner_split(len(X), seed)
     best_lam, best_acc = cfg.svm_lambda_grid[0], -1.0
@@ -108,10 +110,10 @@ def _grid_search_svm(X, y, cfg: PipelineConfig, seed: int):
             if acc > best_acc:
                 best_lam, best_acc = lam, acc
     model = classifiers.train_linear_svm(X, y, lam=best_lam, epochs=cfg.svm_epochs, seed=seed)
-    return model, best_lam
+    return {"svm": model, "svm_lambda": best_lam}
 
 
-def _grid_search_knn(X, y, cfg: PipelineConfig, seed: int) -> int:
+def _fit_knn(X, y, cfg: PipelineConfig, seed: int) -> dict:
     tr, va = _inner_split(len(X), seed)
     best_k, best_acc = cfg.knn_k_grid[0], -1.0
     for k in cfg.knn_k_grid:
@@ -121,130 +123,158 @@ def _grid_search_knn(X, y, cfg: PipelineConfig, seed: int) -> int:
         acc = float(np.mean(preds == y[va]))
         if acc > best_acc:
             best_k, best_acc = k, acc
-    return best_k
+    # Keyed by the argument names of classifiers.knn_predict_batch
+    return {"knn": {"train_X": X, "train_y": y, "k": best_k}}
 
 
-def train_fusion_components(train_windows, cfg: PipelineConfig, seed: int) -> dict:
-    """Train both CNN extractors, fusion weights, stats and the SVM.
-
-    Everything here sees training-fold windows only; the returned components
-    are frozen for test-time application.
-    """
-    y = labels_of(train_windows)
-    snippets = windows_to_snippets(train_windows, cfg)
-    images = windows_to_images(train_windows, cfg)
-
-    cnn1d = neuralnet.build_cnn1d(
-        input_len=snippets.shape[2], feature_dim=cfg.feature_dim, seed=seed
-    )
-    cnn2d = neuralnet.build_cnn2d(
-        input_shape=images.shape[2:], feature_dim=cfg.feature_dim, seed=seed
-    )
-    train_cfg = TrainConfig(**{**asdict(cfg.cnn_train), "seed": seed})
+def _train_cnn(kind: str, x, y, cfg: PipelineConfig, seed: int) -> neuralnet.Model:
+    """Build the 1D or 2D CNN for input tensor x and train it on labels y."""
+    if kind == "cnn1d":
+        model = neuralnet.build_cnn1d(input_len=x.shape[2], feature_dim=cfg.feature_dim, seed=seed)
+    else:
+        model = neuralnet.build_cnn2d(
+            input_shape=x.shape[2:], feature_dim=cfg.feature_dim, seed=seed
+        )
     try:
-        neuralnet.train(cnn1d, snippets, y, train_cfg)
-        neuralnet.train(cnn2d, images, y, train_cfg)
+        neuralnet.train(model, x, y, TrainConfig(**{**asdict(cfg.cnn_train), "seed": seed}))
     except neuralnet.TrainingError as exc:
         raise PipelineError("cnn-training", exc) from exc
+    return model
 
-    f1 = neuralnet.extract_features(cnn1d, snippets)
-    f2 = neuralnet.extract_features(cnn2d, images)
-    if cfg.method == "fusion_weighted":
-        weights = fusion.compute_fusion_weights(f1, f2)
-        fused = fusion.weighted_fuse(f1, f2, weights)
-    else:
-        weights = None
-        fused = fusion.average_fuse(f1, f2)
-    fused_std, stats = classifiers.standardize_fit(fused)
-    svm, lam = _grid_search_svm(fused_std, y, cfg, seed)
-    return {
-        "cnn1d": cnn1d,
-        "cnn2d": cnn2d,
-        "fusion_weights": weights,
-        "stats": stats,
-        "svm": svm,
-        "svm_lambda": lam,
-    }
+
+def _one_hot(labels, class_count: int) -> np.ndarray:
+    return np.eye(class_count)[labels]
+
+
+def _fuse(f1, f2, weights) -> np.ndarray:
+    return fusion.average_fuse(f1, f2) if weights is None else fusion.weighted_fuse(f1, f2, weights)
 
 
 def fusion_predict(components: dict, windows, cfg: PipelineConfig) -> np.ndarray:
     f1 = neuralnet.extract_features(components["cnn1d"], windows_to_snippets(windows, cfg))
     f2 = neuralnet.extract_features(components["cnn2d"], windows_to_images(windows, cfg))
-    if components["fusion_weights"] is not None:
-        fused = fusion.weighted_fuse(f1, f2, components["fusion_weights"])
-    else:
-        fused = fusion.average_fuse(f1, f2)
+    fused = _fuse(f1, f2, components.get("fusion_weights"))
     return classifiers.svm_predict(components["svm"], components["stats"].transform(fused))
+
+
+def _hrv_vectors(windows, fs: float):
+    """HRV vectors of the windows that yield one (None if none does), and their mask."""
+    vectors = [hrv_vector(w, fs) for w in windows]
+    valid = np.array([v is not None for v in vectors], dtype=bool)
+    rows = [v for v in vectors if v is not None]
+    return (np.stack(rows) if rows else None), valid
 
 
 def hrv_matrix(windows, fs: float):
     """HRV feature matrix plus the labels of the windows that produced one."""
-    rows, labels = [], []
-    for w in windows:
-        vec = hrv_vector(w, fs)
-        if vec is not None:
-            rows.append(vec)
-            labels.append(w.label)
-    if not rows:
+    X, valid = _hrv_vectors(windows, fs)
+    if X is None:
         raise PipelineError("hrv-features", ValueError("no window yielded enough beats"))
-    return np.stack(rows), np.array(labels, dtype=np.int64)
+    return X, labels_of(windows)[valid]
+
+
+class Method(NamedTuple):
+    """How one method trains, predicts and persists.
+
+    fit(train_windows, cfg, seed, fs) -> components, fitted on those windows only.
+    predict(components, windows, cfg, fs) -> (proba[N, classes], valid[N]); a row
+    with valid False (an HRV window without enough beats) holds no prediction.
+    `components` are the keys predict reads, i.e. what a bundle must hold.
+    """
+
+    window: str  # the PipelineConfig field holding this method's window length
+    components: tuple
+    fit: Callable
+    predict: Callable
+
+    def window_seconds(self, cfg: PipelineConfig) -> float:
+        return getattr(cfg, self.window)
+
+
+def _cnn_method(kind: str, to_tensor) -> Method:
+    def fit(windows, cfg, seed, fs):
+        return {kind: _train_cnn(kind, to_tensor(windows, cfg), labels_of(windows), cfg, seed)}
+
+    def predict(components, windows, cfg, fs):
+        proba = neuralnet.predict_proba(components[kind], to_tensor(windows, cfg))
+        return proba, np.ones(len(windows), dtype=bool)
+
+    return Method("window_seconds", (kind,), fit, predict)
+
+
+def _fusion_method(weighted: bool) -> Method:
+    def fit(windows, cfg, seed, fs):
+        y = labels_of(windows)
+        snippets = windows_to_snippets(windows, cfg)
+        images = windows_to_images(windows, cfg)
+        cnn1d = _train_cnn("cnn1d", snippets, y, cfg, seed)
+        cnn2d = _train_cnn("cnn2d", images, y, cfg, seed)
+        f1 = neuralnet.extract_features(cnn1d, snippets)
+        f2 = neuralnet.extract_features(cnn2d, images)
+        weights = fusion.compute_fusion_weights(f1, f2) if weighted else None
+        fused_std, stats = classifiers.standardize_fit(_fuse(f1, f2, weights))
+        parts = {"cnn1d": cnn1d, "cnn2d": cnn2d, "fusion_weights": weights, "stats": stats}
+        return {**parts, **_fit_svm(fused_std, y, cfg, seed)}
+
+    def predict(components, windows, cfg, fs):
+        labels = fusion_predict(components, windows, cfg)
+        return _one_hot(labels, cfg.class_count), np.ones(len(windows), dtype=bool)
+
+    weights = ("fusion_weights",) if weighted else ()
+    return Method("window_seconds", ("cnn1d", "cnn2d", *weights, "stats", "svm"), fit, predict)
+
+
+def _hrv_method(key: str, fit_classifier, classify) -> Method:
+    def fit(windows, cfg, seed, fs):
+        X, y = hrv_matrix(windows, fs)
+        X_std, stats = classifiers.standardize_fit(X)
+        return {"stats": stats, **fit_classifier(X_std, y, cfg, seed)}
+
+    def predict(components, windows, cfg, fs):
+        X, valid = _hrv_vectors(windows, fs)
+        proba = np.zeros((len(windows), cfg.class_count))
+        if X is not None:
+            labels = classify(components[key], components["stats"].transform(X))
+            proba[valid] = _one_hot(labels, cfg.class_count)
+        return proba, valid
+
+    return Method("hrv_window_seconds", ("stats", key), fit, predict)
+
+
+# Functions are looked up by module attribute at call time, so wrappers put
+# on those attributes (as tracing does) see every call made through the table.
+METHODS = {
+    "cnn1d": _cnn_method("cnn1d", lambda windows, cfg: windows_to_snippets(windows, cfg)),
+    "cnn2d": _cnn_method("cnn2d", lambda windows, cfg: windows_to_images(windows, cfg)),
+    "fusion_weighted": _fusion_method(weighted=True),
+    "fusion_avg": _fusion_method(weighted=False),
+    "svm_hrv": _hrv_method("svm", _fit_svm, lambda svm, X: classifiers.svm_predict(svm, X)),
+    "knn_hrv": _hrv_method(
+        "knn", _fit_knn, lambda knn, X: classifiers.knn_predict_batch(X=X, **knn)
+    ),
+}
+
+
+def method_spec(method: str) -> Method:
+    if method not in METHODS:
+        raise ValueError(f"unknown method '{method}'")
+    return METHODS[method]
 
 
 def train_fold_components(fold: Fold, cfg: PipelineConfig, fs: float) -> dict:
     """Train every component of the configured method on the training fold only."""
-    seed = fold_seed(cfg.seed, fold.test_subject)
-    method = cfg.method
-    if method in ("fusion_weighted", "fusion_avg"):
-        return train_fusion_components(fold.train_windows, cfg, seed)
-    if method in ("cnn1d", "cnn2d"):
-        y = labels_of(fold.train_windows)
-        if method == "cnn1d":
-            x = windows_to_snippets(fold.train_windows, cfg)
-            model = neuralnet.build_cnn1d(
-                input_len=x.shape[2], feature_dim=cfg.feature_dim, seed=seed
-            )
-        else:
-            x = windows_to_images(fold.train_windows, cfg)
-            model = neuralnet.build_cnn2d(
-                input_shape=x.shape[2:], feature_dim=cfg.feature_dim, seed=seed
-            )
-        train_cfg = TrainConfig(**{**asdict(cfg.cnn_train), "seed": seed})
-        neuralnet.train(model, x, y, train_cfg)
-        return {"cnn": model}
-    if method in ("svm_hrv", "knn_hrv"):
-        X, y = hrv_matrix(fold.train_windows, fs)
-        X_std, stats = classifiers.standardize_fit(X)
-        if method == "svm_hrv":
-            svm, lam = _grid_search_svm(X_std, y, cfg, seed)
-            return {"stats": stats, "svm": svm, "svm_lambda": lam}
-        k = _grid_search_knn(X_std, y, cfg, seed)
-        return {"stats": stats, "train_X": X_std, "train_y": y, "k": k}
-    raise ValueError(f"unknown method '{method}'")
+    fit = method_spec(cfg.method).fit
+    return fit(fold.train_windows, cfg, fold_seed(cfg.seed, fold.test_subject), fs)
 
 
 def run_pipeline(fold: Fold, cfg: PipelineConfig, fs: float) -> Metrics:
     """Train on the fold's training windows; report metrics on the test subject."""
     components = train_fold_components(fold, cfg, fs)
-    method = cfg.method
-    if method in ("fusion_weighted", "fusion_avg"):
-        preds = fusion_predict(components, fold.test_windows, cfg)
-        truth = labels_of(fold.test_windows)
-    elif method == "cnn1d":
-        preds = neuralnet.predict(components["cnn"], windows_to_snippets(fold.test_windows, cfg))
-        truth = labels_of(fold.test_windows)
-    elif method == "cnn2d":
-        preds = neuralnet.predict(components["cnn"], windows_to_images(fold.test_windows, cfg))
-        truth = labels_of(fold.test_windows)
-    else:
-        X, truth = hrv_matrix(fold.test_windows, fs)
-        X_std = components["stats"].transform(X)
-        if method == "svm_hrv":
-            preds = classifiers.svm_predict(components["svm"], X_std)
-        else:
-            preds = classifiers.knn_predict_batch(
-                components["train_X"], components["train_y"], X_std, components["k"]
-            )
-    return compute_metrics(preds, truth, cfg.class_count)
+    proba, valid = method_spec(cfg.method).predict(components, fold.test_windows, cfg, fs)
+    if not valid.any():
+        raise PipelineError("predict", ValueError("no test window yielded a prediction"))
+    truth = labels_of(fold.test_windows)[valid]
+    return compute_metrics(np.argmax(proba[valid], axis=1), truth, cfg.class_count)
 
 
 def _run_fold(args):

@@ -1,5 +1,6 @@
 """CLI subcommands, configuration handling and bundle persistence."""
 
+import csv
 import json
 
 import numpy as np
@@ -10,16 +11,21 @@ from ecgstress.bundle import BundleError, load_bundle, save_bundle
 from ecgstress.cli import (
     EXIT_OK,
     EXIT_USAGE,
+    build_parser,
     build_pipeline_config,
     load_config_file,
     main,
+    merge_settings,
     predict_stream,
 )
+from ecgstress.classifiers import SvmModel
 from ecgstress.dsp import SpectrogramParams
 from ecgstress.evaluation import Fold
-from ecgstress.pipeline import PipelineConfig, fusion_predict, train_fold_components
+from ecgstress.pipeline import METHODS, PipelineConfig, fusion_predict, train_fold_components
 from ecgstress.neuralnet import TrainConfig
 from ecgstress.signal_core import (
+    EcgRecording,
+    Window,
     save_label_track,
     save_recording,
     synth_ecg,
@@ -70,6 +76,16 @@ class TestConfigHandling:
         with pytest.raises(ValueError, match="key=value"):
             load_config_file(cfg_file)
 
+    def test_empty_grid_rejected(self, tmp_path, capsys):
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text("svm_lambda_grid = ,\n")
+        with pytest.raises(ValueError, match="empty list"):
+            load_config_file(cfg_file)
+        with pytest.raises(SystemExit) as exit_info:
+            main(["evaluate", "--data", str(tmp_path), "--knn-k-grid", ""])
+        assert exit_info.value.code == EXIT_USAGE
+        assert "--knn-k-grid" in capsys.readouterr().err
+
     def test_build_pipeline_config(self):
         cfg = build_pipeline_config(
             {
@@ -110,6 +126,17 @@ class TestConfigHandling:
         )
         assert code == EXIT_OK
         assert json.loads(out.read_text())["seed"] == 7
+
+    def test_flag_none_overrides_config_modality(self, tmp_path):
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text("corrupt_modality = raw\ncorrupt_noise_std = 0.5\n")
+        argv = ["train", "--data", "d", "--out", "o", "--config", str(cfg_file)]
+        args = build_parser().parse_args(argv)
+        assert build_pipeline_config(merge_settings(args)).corrupt_modality == "raw"
+        args = build_parser().parse_args([*argv, "--corrupt-modality", "none"])
+        cfg = build_pipeline_config(merge_settings(args))
+        assert cfg.corrupt_modality is None
+        assert cfg.corrupt_noise_std == 0.5
 
 
 class TestIngestAndLabel:
@@ -389,3 +416,145 @@ class TestBundle:
 
     def test_format_version_constant(self):
         assert bundle_io.FORMAT_VERSION == 1
+
+    def test_failed_save_keeps_existing_bundle(self, tmp_path):
+        path = tmp_path / "bundle.json"
+        path.write_text('{"previous": true}')
+        unserializable = SvmModel(weights=np.zeros((3, 2)), biases=np.zeros(3), lam=object())
+        with pytest.raises(TypeError):
+            save_bundle(
+                path,
+                method="svm_hrv",
+                components={"svm": unserializable},
+                window_seconds=4.0,
+                sample_rate_hz=256.0,
+                feature_dim=32,
+                spectrogram=SpectrogramParams(),
+                seed=0,
+            )
+        assert path.read_text() == '{"previous": true}'
+        assert list(tmp_path.iterdir()) == [path]
+
+    @pytest.mark.parametrize("method", sorted(METHODS))
+    def test_bundle_predicts_like_memory(self, tmp_path, small_dataset, method):
+        cfg = PipelineConfig(
+            method=method, cnn_train=TrainConfig(epochs=2, learning_rate=0.02), seed=1
+        )
+        spec = METHODS[method]
+        window_s = spec.window_seconds(cfg)
+        data = (
+            small_dataset
+            if window_s == 1.0
+            else make_dataset(n_subjects=2, duration_s=24.0, window_seconds=window_s)
+        )
+        fold = Fold(test_subject="", train_windows=data.windows, test_windows=())
+        comps = train_fold_components(fold, cfg, 256.0)
+        path = tmp_path / "bundle.json"
+        save_bundle(
+            path,
+            method=method,
+            components=comps,
+            window_seconds=window_s,
+            sample_rate_hz=256.0,
+            feature_dim=cfg.feature_dim,
+            spectrogram=cfg.spectrogram,
+            seed=cfg.seed,
+        )
+        loaded = load_bundle(path)
+        wlen = data.windows[0].length_samples
+        flat = Window("flat", 0, wlen, 0, np.zeros(wlen))
+        windows = [*data.windows[::5], flat]
+        proba, valid = spec.predict(comps, windows, cfg, 256.0)
+        loaded_proba, loaded_valid = spec.predict(loaded["components"], windows, cfg, 256.0)
+        np.testing.assert_array_equal(proba, loaded_proba)
+        np.testing.assert_array_equal(valid, loaded_valid)
+        assert valid[:-1].all()
+
+
+BUNDLE_HEADER = {
+    "format_version": 1,
+    "window_seconds": 4.0,
+    "sample_rate_hz": 256.0,
+    "feature_dim": 32,
+    "spectrogram": {"window_len": 64, "hop": 16, "window_fn": "hanning"},
+    "seed": 0,
+}
+
+
+class TestBundleValidation:
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            ({"format_version": 1}, "lacks method, window_seconds"),
+            ({**BUNDLE_HEADER, "method": "bogus"}, "unknown method 'bogus'"),
+            (
+                {**BUNDLE_HEADER, "method": "svm_hrv", "stats": {"mean": [0.0], "std": [1.0]}},
+                "svm_hrv bundle lacks svm",
+            ),
+            (
+                {**BUNDLE_HEADER, "method": "svm_hrv", "stats": {"mean": [0.0]}, "svm": {}},
+                "malformed bundle",
+            ),
+            ([1], "format_version"),
+        ],
+        ids=["truncated", "unknown-method", "missing-component", "malformed-section", "not-a-dict"],
+    )
+    def test_predict_rejects_bad_bundle(self, tmp_path, capsys, doc, message):
+        path = tmp_path / "bundle.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(BundleError, match=message):
+            load_bundle(path)
+        rec, _ = synth_ecg(0, 8.0, 256.0, 3)
+        save_recording(rec, tmp_path / "sig.csv", tmp_path / "sig.meta.json")
+        argv = ["predict", "--bundle", str(path), "--signal", str(tmp_path / "sig.csv")]
+        code = main([*argv, "--meta", str(tmp_path / "sig.meta.json")])
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+
+
+class TestPredictTimeline:
+    HEADER = ["start_s", "level", "prob0", "prob1", "prob2"]
+
+    def _predict(self, tmp_path, samples):
+        data = write_data_dir(tmp_path / "data", duration_s=24.0)
+        bundle = tmp_path / "svm.json"
+        train = ["train", "--data", str(data), "--out", str(bundle), "--method", "svm_hrv"]
+        assert main(train) == EXIT_OK
+        rec = EcgRecording(subject_id="new", sample_rate_hz=256.0, samples=samples)
+        save_recording(rec, tmp_path / "new.csv", tmp_path / "new.meta.json")
+        out = tmp_path / "stream.csv"
+        code = main(
+            [
+                "predict",
+                "--bundle",
+                str(bundle),
+                "--signal",
+                str(tmp_path / "new.csv"),
+                "--meta",
+                str(tmp_path / "new.meta.json"),
+                "--out",
+                str(out),
+            ]
+        )
+        with open(out, newline="") as fh:
+            return code, list(csv.reader(fh))
+
+    def test_skipped_windows_keep_their_start_times(self, tmp_path, capsys):
+        rec, _ = synth_ecg(1, 24.0, 256.0, 7)
+        samples = rec.samples.copy()
+        samples[: 8 * 256] = 0.0
+        code, rows = self._predict(tmp_path, samples)
+        assert code == EXIT_OK
+        assert rows[0] == self.HEADER
+        assert [row[0] for row in rows[1:]] == ["0.0", "4.0", "8.0", "12.0", "16.0", "20.0"]
+        assert rows[1][1:] == rows[2][1:] == ["-1", "", "", ""]
+        for row in rows[3:]:
+            assert row[1] in ("0", "1", "2")
+            probs = [float(v) for v in row[2:]]
+            assert probs == [1.0 if str(c) == row[1] else 0.0 for c in range(3)]
+
+    def test_all_windows_skipped(self, tmp_path, capsys):
+        code, rows = self._predict(tmp_path, np.zeros(12 * 256))
+        assert code == EXIT_OK
+        assert rows == [self.HEADER] + [[f"{t:.1f}", "-1", "", "", ""] for t in (0, 4, 8)]

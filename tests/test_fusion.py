@@ -1,4 +1,4 @@
-"""Gram covariance, Jacobi eigendecomposition and weighted fusion."""
+"""Gram covariance, symmetric eigendecomposition and weighted fusion."""
 
 import numpy as np
 import pytest

@@ -5,6 +5,7 @@ import pytest
 
 from ecgstress.neuralnet import TrainConfig
 from ecgstress.pipeline import (
+    METHODS,
     PipelineConfig,
     PipelineError,
     _inner_split,
@@ -16,7 +17,7 @@ from ecgstress.pipeline import (
     windows_to_images,
     windows_to_snippets,
 )
-from ecgstress.evaluation import loso_split
+from ecgstress.evaluation import METHOD_DISPLAY, RunResult, loso_split
 from ecgstress.signal_core import Window
 
 from conftest import make_dataset
@@ -101,6 +102,11 @@ class TestRunPipeline:
         fold = loso_split(data)[0]
         metrics = run_pipeline(fold, fast_config(method), 256.0)
         assert 0.0 <= metrics.accuracy <= 1.0
+
+    def test_method_table_matches_report_names(self):
+        assert set(METHODS) == set(METHOD_DISPLAY)
+        with pytest.raises(ValueError, match="unknown method"):
+            RunResult(method="bogus", per_fold=(), mean=None, seed=0)
 
     def test_unknown_method(self, small_dataset):
         fold = loso_split(small_dataset)[0]
