@@ -220,10 +220,11 @@ def cmd_train(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
+    if args.out:
+        _guard_overwrite(args.out, args.force)
     settings, cfg, _, data, fs = _config_and_data(args)
     result = pipeline.evaluate_loso(data, cfg, fs, jobs=settings.get("jobs", 1))
     if args.out:
-        _guard_overwrite(args.out, args.force)
         Path(args.out).write_text(json.dumps(result.to_dict(), indent=2))
     report = render_report([result])
     if args.report_out:

@@ -37,7 +37,12 @@ class Layer:
     def forward(self, x):
         raise NotImplementedError
 
-    def backward(self, gy):
+    def backward(self, gy, need_gx=True):
+        """Set the parameter gradients from gy, the loss gradient of the output.
+
+        Returns the loss gradient of the input; with need_gx False the caller
+        discards it, and a layer may return None instead of computing it.
+        """
         raise NotImplementedError
 
     def out_shape(self, in_shape):
@@ -77,18 +82,21 @@ class Conv1D(Layer):
         y = self._xcol @ self.w.reshape(self.w.shape[0], -1).T
         return y.reshape(n, lout, -1).transpose(0, 2, 1) + self.b[None, :, None]
 
-    def backward(self, gy):
+    def backward(self, gy, need_gx=True):
         n, c, length, lout = self._dims
         k = self.kernel
         o = self.w.shape[0]
         gy_mat = np.ascontiguousarray(gy.transpose(0, 2, 1)).reshape(n * lout, o)
         self.gw[...] = (gy_mat.T @ self._xcol).reshape(self.w.shape)
         self.gb[...] = gy.sum(axis=(0, 2))
-        gyp = np.pad(gy, ((0, 0), (0, 0), (k - 1, k - 1)))
-        gyw = sliding_window_view(gyp, k, axis=2)  # (N,O,Lin,K)
-        gycol = np.ascontiguousarray(gyw.transpose(0, 2, 1, 3)).reshape(n * length, o * k)
-        wflip = np.ascontiguousarray(self.w[:, :, ::-1].transpose(1, 0, 2)).reshape(c, o * k)
-        return (gycol @ wflip.T).reshape(n, length, c).transpose(0, 2, 1)
+        if not need_gx:
+            return None
+        # col2im: gcol[n, t, :, j] is the gradient of x[n, :, t + j]
+        gcol = (gy_mat @ self.w.reshape(o, c * k)).reshape(n, lout, c, k)
+        gx = np.zeros((n, length, c))
+        for j in range(k):
+            gx[:, j : j + lout] += gcol[:, :, :, j]
+        return gx.transpose(0, 2, 1)
 
 
 class Conv2D(Layer):
@@ -128,24 +136,22 @@ class Conv2D(Layer):
         y = self._xcol @ self.w.reshape(self.w.shape[0], -1).T
         return y.reshape(n, h, wdt, -1).transpose(0, 3, 1, 2) + self.b[None, :, None, None]
 
-    def backward(self, gy):
+    def backward(self, gy, need_gx=True):
         n, c, h, wdt = self._dims
         k, p = self.kernel, self.pad
         o = self.w.shape[0]
         gy_mat = np.ascontiguousarray(gy.transpose(0, 2, 3, 1)).reshape(n * h * wdt, o)
         self.gw[...] = (gy_mat.T @ self._xcol).reshape(self.w.shape)
         self.gb[...] = gy.sum(axis=(0, 2, 3))
-        gyp = np.pad(gy, ((0, 0), (0, 0), (k - 1, k - 1), (k - 1, k - 1)))
-        gyw = sliding_window_view(gyp, (k, k), axis=(2, 3))  # (N,O,H+2p,W+2p,K,K)
-        hp, wp = h + 2 * p, wdt + 2 * p
-        gycol = np.ascontiguousarray(gyw.transpose(0, 2, 3, 1, 4, 5)).reshape(
-            n * hp * wp, o * k * k
-        )
-        wflip = np.ascontiguousarray(
-            self.w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
-        ).reshape(c, o * k * k)
-        gxp = (gycol @ wflip.T).reshape(n, hp, wp, c).transpose(0, 3, 1, 2)
-        return gxp[:, :, p : p + h, p : p + wdt]
+        if not need_gx:
+            return None
+        # col2im: gcol[n, y, x, :, i, j] is the gradient of the padded input at (y + i, x + j)
+        gcol = (gy_mat @ self.w.reshape(o, c * k * k)).reshape(n, h, wdt, c, k, k)
+        gxp = np.zeros((n, h + 2 * p, wdt + 2 * p, c))
+        for i in range(k):
+            for j in range(k):
+                gxp[:, i : i + h, j : j + wdt] += gcol[:, :, :, :, i, j]
+        return gxp[:, p : p + h, p : p + wdt].transpose(0, 3, 1, 2)
 
 
 class MaxPool1D(Layer):
@@ -163,15 +169,14 @@ class MaxPool1D(Layer):
         lout = length // self.pool
         self._in_shape = x.shape
         xr = x[:, :, : lout * self.pool].reshape(n, c, lout, self.pool)
-        self._arg = xr.argmax(axis=3)
-        return xr.max(axis=3)
+        self._arg = xr.argmax(axis=3)[..., None]
+        return np.take_along_axis(xr, self._arg, axis=3)[..., 0]
 
-    def backward(self, gy):
+    def backward(self, gy, need_gx=True):
         n, c, length = self._in_shape
         lout = gy.shape[2]
         gx = np.zeros((n, c, lout, self.pool))
-        idx = np.indices((n, c, lout))
-        gx[idx[0], idx[1], idx[2], self._arg] = gy
+        np.put_along_axis(gx, self._arg, gy[..., None], axis=3)
         out = np.zeros(self._in_shape)
         out[:, :, : lout * self.pool] = gx.reshape(n, c, lout * self.pool)
         return out
@@ -194,16 +199,15 @@ class MaxPool2D(Layer):
         self._in_shape = x.shape
         xr = x[:, :, : ho * p, : wo * p].reshape(n, c, ho, p, wo, p)
         xr = xr.transpose(0, 1, 2, 4, 3, 5).reshape(n, c, ho, wo, p * p)
-        self._arg = xr.argmax(axis=4)
-        return xr.max(axis=4)
+        self._arg = xr.argmax(axis=4)[..., None]
+        return np.take_along_axis(xr, self._arg, axis=4)[..., 0]
 
-    def backward(self, gy):
+    def backward(self, gy, need_gx=True):
         n, c, h, w = self._in_shape
         p = self.pool
         ho, wo = gy.shape[2], gy.shape[3]
         gx = np.zeros((n, c, ho, wo, p * p))
-        idx = np.indices((n, c, ho, wo))
-        gx[idx[0], idx[1], idx[2], idx[3], self._arg] = gy
+        np.put_along_axis(gx, self._arg, gy[..., None], axis=4)
         gx = gx.reshape(n, c, ho, wo, p, p).transpose(0, 1, 2, 4, 3, 5)
         out = np.zeros(self._in_shape)
         out[:, :, : ho * p, : wo * p] = gx.reshape(n, c, ho * p, wo * p)
@@ -218,7 +222,7 @@ class ReLU(Layer):
         self._mask = x > 0
         return x * self._mask
 
-    def backward(self, gy):
+    def backward(self, gy, need_gx=True):
         return gy * self._mask
 
 
@@ -230,7 +234,7 @@ class Flatten(Layer):
         self._in_shape = x.shape
         return x.reshape(x.shape[0], -1)
 
-    def backward(self, gy):
+    def backward(self, gy, need_gx=True):
         return gy.reshape(self._in_shape)
 
 
@@ -243,7 +247,7 @@ class GlobalAvgPool2D(Layer):
         self._in_shape = x.shape
         return x.mean(axis=(2, 3))
 
-    def backward(self, gy):
+    def backward(self, gy, need_gx=True):
         n, c, h, w = self._in_shape
         return np.broadcast_to(gy[:, :, None, None], self._in_shape) / (h * w)
 
@@ -270,7 +274,7 @@ class Dense(Layer):
         self._x = x
         return x @ self.w + self.b
 
-    def backward(self, gy):
+    def backward(self, gy, need_gx=True):
         self.gw[...] = self._x.T @ gy
         self.gb[...] = gy.sum(axis=0)
         return gy @ self.w.T
@@ -286,7 +290,7 @@ class Softmax(Layer):
         self._y = e / e.sum(axis=1, keepdims=True)
         return self._y
 
-    def backward(self, gy):
+    def backward(self, gy, need_gx=True):
         dot = np.sum(gy * self._y, axis=1, keepdims=True)
         return self._y * (gy - dot)
 
@@ -457,8 +461,9 @@ def train(model: Model, inputs, labels, cfg: TrainConfig) -> Model:
                 raise TrainingError(f"non-finite loss at epoch {epoch}")
             epoch_loss += loss * len(batch)
             grad = glogits
-            for layer in reversed(model.layers[:-1]):
-                grad = layer.backward(grad)
+            # Nothing consumes the first layer's input gradient
+            for i in reversed(range(len(model.layers) - 1)):
+                grad = model.layers[i].backward(grad, need_gx=i > 0)
             for p, v, g in zip(params, velocity, model.gradients()):
                 v *= cfg.momentum
                 v -= cfg.learning_rate * g
@@ -480,19 +485,3 @@ def predict(model: Model, inputs) -> np.ndarray:
     """Class predictions; argmax ties break toward the lowest class index."""
     return np.argmax(predict_proba(model, inputs), axis=1)
 
-
-def numeric_gradient(fn, x, eps=1e-5):
-    """Central finite-difference gradient of scalar fn at array x."""
-    grad = np.zeros_like(x)
-    it = np.nditer(x, flags=["multi_index"])
-    while not it.finished:
-        idx = it.multi_index
-        orig = x[idx]
-        x[idx] = orig + eps
-        fp = fn()
-        x[idx] = orig - eps
-        fm = fn()
-        x[idx] = orig
-        grad[idx] = (fp - fm) / (2 * eps)
-        it.iternext()
-    return grad

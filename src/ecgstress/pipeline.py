@@ -157,17 +157,21 @@ def fusion_predict(components: dict, windows, cfg: PipelineConfig) -> np.ndarray
     return classifiers.svm_predict(components["svm"], components["stats"].transform(fused))
 
 
-def _hrv_vectors(windows, fs: float):
-    """HRV vectors of the windows that yield one (None if none does), and their mask."""
-    vectors = [hrv_vector(w, fs) for w in windows]
+def _hrv_vectors(windows, fs: float, vectors=None):
+    """HRV vectors of the windows that yield one (None if none does), and their mask.
+
+    `vectors`, if given, are the windows' hrv_vector results, already computed.
+    """
+    if vectors is None:
+        vectors = [hrv_vector(w, fs) for w in windows]
     valid = np.array([v is not None for v in vectors], dtype=bool)
     rows = [v for v in vectors if v is not None]
     return (np.stack(rows) if rows else None), valid
 
 
-def hrv_matrix(windows, fs: float):
+def hrv_matrix(windows, fs: float, vectors=None):
     """HRV feature matrix plus the labels of the windows that produced one."""
-    X, valid = _hrv_vectors(windows, fs)
+    X, valid = _hrv_vectors(windows, fs, vectors)
     if X is None:
         raise PipelineError("hrv-features", ValueError("no window yielded enough beats"))
     return X, labels_of(windows)[valid]
@@ -176,26 +180,30 @@ def hrv_matrix(windows, fs: float):
 class Method(NamedTuple):
     """How one method trains, predicts and persists.
 
-    fit(train_windows, cfg, seed, fs) -> components, fitted on those windows only.
-    predict(components, windows, cfg, fs) -> (proba[N, classes], valid[N]); a row
-    with valid False (an HRV window without enough beats) holds no prediction.
+    fit(train_windows, cfg, seed, fs, vectors) -> components, fitted on those windows only.
+    predict(components, windows, cfg, fs, vectors) -> (proba[N, classes], valid[N]); a
+    row with valid False (an HRV window without enough beats) holds no prediction.
     `components` are the keys predict reads, i.e. what a bundle must hold.
+    per_window(window, fs), if set, depends on that window alone, so a LOSO run
+    computes it once per window; fit and predict then get the results for their
+    windows, in order, as `vectors` (None: compute them).
     """
 
     window: str  # the PipelineConfig field holding this method's window length
     components: tuple
     fit: Callable
     predict: Callable
+    per_window: Callable | None = None
 
     def window_seconds(self, cfg: PipelineConfig) -> float:
         return getattr(cfg, self.window)
 
 
 def _cnn_method(kind: str, to_tensor) -> Method:
-    def fit(windows, cfg, seed, fs):
+    def fit(windows, cfg, seed, fs, vectors=None):
         return {kind: _train_cnn(kind, to_tensor(windows, cfg), labels_of(windows), cfg, seed)}
 
-    def predict(components, windows, cfg, fs):
+    def predict(components, windows, cfg, fs, vectors=None):
         proba = neuralnet.predict_proba(components[kind], to_tensor(windows, cfg))
         return proba, np.ones(len(windows), dtype=bool)
 
@@ -203,7 +211,7 @@ def _cnn_method(kind: str, to_tensor) -> Method:
 
 
 def _fusion_method(weighted: bool) -> Method:
-    def fit(windows, cfg, seed, fs):
+    def fit(windows, cfg, seed, fs, vectors=None):
         y = labels_of(windows)
         snippets = windows_to_snippets(windows, cfg)
         images = windows_to_images(windows, cfg)
@@ -216,7 +224,7 @@ def _fusion_method(weighted: bool) -> Method:
         parts = {"cnn1d": cnn1d, "cnn2d": cnn2d, "fusion_weights": weights, "stats": stats}
         return {**parts, **_fit_svm(fused_std, y, cfg, seed)}
 
-    def predict(components, windows, cfg, fs):
+    def predict(components, windows, cfg, fs, vectors=None):
         labels = fusion_predict(components, windows, cfg)
         return _one_hot(labels, cfg.class_count), np.ones(len(windows), dtype=bool)
 
@@ -225,20 +233,22 @@ def _fusion_method(weighted: bool) -> Method:
 
 
 def _hrv_method(key: str, fit_classifier, classify) -> Method:
-    def fit(windows, cfg, seed, fs):
-        X, y = hrv_matrix(windows, fs)
+    def fit(windows, cfg, seed, fs, vectors=None):
+        X, y = hrv_matrix(windows, fs, vectors)
         X_std, stats = classifiers.standardize_fit(X)
         return {"stats": stats, **fit_classifier(X_std, y, cfg, seed)}
 
-    def predict(components, windows, cfg, fs):
-        X, valid = _hrv_vectors(windows, fs)
+    def predict(components, windows, cfg, fs, vectors=None):
+        X, valid = _hrv_vectors(windows, fs, vectors)
         proba = np.zeros((len(windows), cfg.class_count))
         if X is not None:
             labels = classify(components[key], components["stats"].transform(X))
             proba[valid] = _one_hot(labels, cfg.class_count)
         return proba, valid
 
-    return Method("hrv_window_seconds", ("stats", key), fit, predict)
+    return Method(
+        "hrv_window_seconds", ("stats", key), fit, predict, lambda w, fs: hrv_vector(w, fs)
+    )
 
 
 # Functions are looked up by module attribute at call time, so wrappers put
@@ -261,16 +271,22 @@ def method_spec(method: str) -> Method:
     return METHODS[method]
 
 
-def train_fold_components(fold: Fold, cfg: PipelineConfig, fs: float) -> dict:
+def train_fold_components(fold: Fold, cfg: PipelineConfig, fs: float, vectors=None) -> dict:
     """Train every component of the configured method on the training fold only."""
     fit = method_spec(cfg.method).fit
-    return fit(fold.train_windows, cfg, fold_seed(cfg.seed, fold.test_subject), fs)
+    return fit(fold.train_windows, cfg, fold_seed(cfg.seed, fold.test_subject), fs, vectors)
 
 
-def run_pipeline(fold: Fold, cfg: PipelineConfig, fs: float) -> Metrics:
-    """Train on the fold's training windows; report metrics on the test subject."""
-    components = train_fold_components(fold, cfg, fs)
-    proba, valid = method_spec(cfg.method).predict(components, fold.test_windows, cfg, fs)
+def run_pipeline(fold: Fold, cfg: PipelineConfig, fs: float, vectors=(None, None)) -> Metrics:
+    """Train on the fold's training windows; report metrics on the test subject.
+
+    `vectors` are the per_window results of the training and of the test
+    windows, if already computed (see Method).
+    """
+    train_vectors, test_vectors = vectors
+    components = train_fold_components(fold, cfg, fs, train_vectors)
+    predict = method_spec(cfg.method).predict
+    proba, valid = predict(components, fold.test_windows, cfg, fs, test_vectors)
     if not valid.any():
         raise PipelineError("predict", ValueError("no test window yielded a prediction"))
     truth = labels_of(fold.test_windows)[valid]
@@ -278,14 +294,26 @@ def run_pipeline(fold: Fold, cfg: PipelineConfig, fs: float) -> Metrics:
 
 
 def _run_fold(args):
-    fold, cfg, fs = args
-    return fold.test_subject, run_pipeline(fold, cfg, fs)
+    fold, cfg, fs, vectors = args
+    return fold.test_subject, run_pipeline(fold, cfg, fs, vectors)
+
+
+def _fold_vectors(data: Dataset, folds, per_window, fs: float) -> list:
+    """Each fold's (training, test) per_window results, each window computed once."""
+    if per_window is None:
+        return [(None, None)] * len(folds)
+    by_id = {id(w): per_window(w, fs) for w in data.windows}
+    return [
+        ([by_id[id(w)] for w in fold.train_windows], [by_id[id(w)] for w in fold.test_windows])
+        for fold in folds
+    ]
 
 
 def evaluate_loso(data: Dataset, cfg: PipelineConfig, fs: float, jobs: int = 1) -> RunResult:
     """LOSO evaluation of the configured method over all subjects."""
     folds = loso_split(data)
-    tasks = [(fold, cfg, fs) for fold in folds]
+    vectors = _fold_vectors(data, folds, method_spec(cfg.method).per_window, fs)
+    tasks = [(fold, cfg, fs, v) for fold, v in zip(folds, vectors)]
     if jobs > 1:
         import multiprocessing
 

@@ -37,7 +37,6 @@ from ecgstress.neuralnet import (
     Softmax,
     TrainConfig,
     build_cnn1d,
-    numeric_gradient,
 )
 from ecgstress.pipeline import (
     PipelineConfig,
@@ -48,6 +47,7 @@ from ecgstress.signal_core import Window
 
 import conftest
 from conftest import make_dataset, make_rater_tracks
+from oracles import numeric_gradient
 
 
 def _verdict(name: str, ok: bool) -> None:

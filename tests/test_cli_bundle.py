@@ -237,6 +237,22 @@ class TestTrainEvaluatePredict:
         assert code == EXIT_USAGE
         assert "--force" in capsys.readouterr().err
 
+    def test_evaluate_refuses_overwrite_before_training(self, tmp_path, capsys, monkeypatch):
+        data = write_data_dir(tmp_path / "data")
+        out = tmp_path / "result.json"
+        out.write_bytes(b"{ earlier result }")
+
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("evaluate_loso ran before the --out check")
+
+        monkeypatch.setattr("ecgstress.pipeline.evaluate_loso", must_not_run)
+        code = main(
+            ["evaluate", "--data", str(data), "--out", str(out), "--method", "cnn1d", *FAST_ARGS]
+        )
+        assert code == EXIT_USAGE
+        assert "--force" in capsys.readouterr().err
+        assert out.read_bytes() == b"{ earlier result }"
+
     def test_train_determinism_modulo_timestamp(self, tmp_path, capsys):
         data = write_data_dir(tmp_path / "data")
         docs = []

@@ -7,7 +7,10 @@ from ecgstress import neuralnet
 from ecgstress.neuralnet import (
     BuildError,
     Conv1D,
+    Conv2D,
     Dense,
+    MaxPool1D,
+    MaxPool2D,
     Model,
     ReLU,
     Softmax,
@@ -16,11 +19,12 @@ from ecgstress.neuralnet import (
     build_cnn1d,
     build_cnn2d,
     extract_features,
-    numeric_gradient,
     predict,
     predict_proba,
     train,
 )
+import oracles
+from oracles import numeric_gradient
 
 EXPECTED_1D_CHAIN = [
     (1, 256),
@@ -202,3 +206,129 @@ class TestGradientSpotChecks:
             lambda: neuralnet.softmax_cross_entropy(logits, labels)[0], logits
         )
         assert np.linalg.norm(grad - num) / np.linalg.norm(num) < 1e-4
+
+
+def _max_rel(a, b):
+    return np.max(np.abs(a - b)) / max(np.max(np.abs(b)), 1e-300)
+
+
+class TestBackwardMatchesIm2colOracle:
+    """The col2im backward against the im2col one it replaced, on awkward shapes."""
+
+    @pytest.mark.parametrize("kernel", [3, 5])
+    @pytest.mark.parametrize(
+        "batch,channels,extra", [(1, 1, 7), (3, 4, 9), (2, 3, 0)], ids=["b1c1", "b3c4", "len-eq-k"]
+    )
+    def test_conv1d(self, kernel, batch, channels, extra):
+        rng = np.random.default_rng([kernel, batch, channels])
+        layer = Conv1D(channels, 6, kernel, rng)
+        y = layer.forward(rng.standard_normal((batch, channels, kernel + extra)))
+        gy = rng.standard_normal(y.shape)
+        gx = layer.backward(gy)
+        gw, gb = layer.gw.copy(), layer.gb.copy()
+        gx_ref = oracles.im2col_conv1d_backward(layer, gy)
+        assert gx.shape == gx_ref.shape
+        assert _max_rel(gx, gx_ref) <= 1e-12
+        assert _max_rel(gw, layer.gw) <= 1e-12
+        assert _max_rel(gb, layer.gb) <= 1e-12
+
+    @pytest.mark.parametrize("kernel", [3, 5])
+    @pytest.mark.parametrize(
+        "batch,channels,h,w",
+        [(1, 1, 9, 6), (3, 4, 7, 5), (2, 2, 1, 1)],
+        ids=["b1c1", "b3c4", "1x1"],
+    )
+    def test_conv2d(self, kernel, batch, channels, h, w):
+        rng = np.random.default_rng([kernel, batch, channels, h])
+        layer = Conv2D(channels, 5, kernel, rng)
+        y = layer.forward(rng.standard_normal((batch, channels, h, w)))
+        gy = rng.standard_normal(y.shape)
+        gx = layer.backward(gy)
+        gw, gb = layer.gw.copy(), layer.gb.copy()
+        gx_ref = oracles.im2col_conv2d_backward(layer, gy)
+        assert gx.shape == gx_ref.shape
+        assert _max_rel(gx, gx_ref) <= 1e-12
+        assert _max_rel(gw, layer.gw) <= 1e-12
+        assert _max_rel(gb, layer.gb) <= 1e-12
+
+
+class TestMaxPoolRouting:
+    def test_1d_tie_goes_to_first_and_tail_gets_zero(self):
+        layer = MaxPool1D(2)
+        x = np.array([[[3.0, 3.0, -1.0, 2.0, 9.0]]])  # tie, then max second, odd tail
+        np.testing.assert_array_equal(layer.forward(x), [[[3.0, 2.0]]])
+        gx = layer.backward(np.array([[[5.0, 7.0]]]))
+        np.testing.assert_array_equal(gx, [[[5.0, 0.0, 0.0, 7.0, 0.0]]])
+
+    def test_2d_tie_goes_to_first_and_tail_gets_zero(self):
+        layer = MaxPool2D(2)
+        x = np.array(
+            [[[[4.0, 1.0, 0.0, 2.0, 9.0],
+               [4.0, 4.0, 2.0, 1.0, 9.0],
+               [9.0, 9.0, 9.0, 9.0, 9.0]]]]
+        )  # a three-way tie, a tie across rows, then a tail row and column
+        np.testing.assert_array_equal(layer.forward(x), [[[[4.0, 2.0]]]])
+        gx = layer.backward(np.array([[[[5.0, 7.0]]]]))
+        expected = np.zeros_like(x)
+        expected[0, 0, 0, 0] = 5.0
+        expected[0, 0, 0, 3] = 7.0
+        np.testing.assert_array_equal(gx, expected)
+
+
+def _oracle_backward(monkeypatch):
+    """Install the earlier backward passes, which always return an input gradient."""
+    monkeypatch.setattr(Conv1D, "backward", oracles.im2col_conv1d_backward)
+    monkeypatch.setattr(Conv2D, "backward", oracles.im2col_conv2d_backward)
+    monkeypatch.setattr(MaxPool1D, "backward", oracles.indices_maxpool1d_backward)
+    monkeypatch.setattr(MaxPool2D, "backward", oracles.indices_maxpool2d_backward)
+
+
+def _cnn_fixture(kind):
+    rng = np.random.default_rng(11)
+    y = np.arange(24) % 3
+    if kind == "cnn1d":
+        return build_cnn1d(seed=4), rng.standard_normal((24, 1, 256)), y
+    return build_cnn2d(input_shape=(33, 13), seed=4), rng.standard_normal((24, 1, 33, 13)), y
+
+
+class TestSkippedFirstInputGradient:
+    @pytest.mark.parametrize("kind", ["cnn1d", "cnn2d"])
+    def test_first_layer_params_match_full_backward(self, kind):
+        model, x, y = _cnn_fixture(kind)
+        _, grad = neuralnet.softmax_cross_entropy(model.logits(x), y)
+        for layer in reversed(model.layers[1:-1]):
+            grad = layer.backward(grad)
+        first = model.layers[0]
+        assert first.backward(grad, need_gx=False) is None
+        skipped = [g.copy() for g in first.grads()]
+        gx = first.backward(grad)  # a standalone call still returns the input gradient
+        assert gx.shape == x.shape
+        for a, b in zip(skipped, first.grads()):
+            np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize("kind", ["cnn1d", "cnn2d"])
+    def test_train_asks_no_input_gradient_of_first_layer(self, kind):
+        model, x, y = _cnn_fixture(kind)
+        first, seen = model.layers[0], []
+        full = first.backward
+
+        def spy(gy, need_gx=True):
+            seen.append(need_gx)
+            return full(gy, need_gx=need_gx)
+
+        first.backward = spy
+        train(model, x, y, TrainConfig(epochs=1, batch_size=8, seed=0))
+        assert seen == [False, False, False]
+
+    @pytest.mark.parametrize("kind", ["cnn1d", "cnn2d"])
+    def test_ten_epochs_match_oracle_training(self, kind, monkeypatch):
+        cfg = TrainConfig(epochs=10, batch_size=8, learning_rate=0.02, seed=3)
+        model, x, y = _cnn_fixture(kind)
+        train(model, x, y, cfg)
+        with monkeypatch.context() as m:
+            _oracle_backward(m)
+            ref, _, _ = _cnn_fixture(kind)
+            train(ref, x, y, cfg)
+        for a, b in zip(model.parameters(), ref.parameters()):
+            np.testing.assert_allclose(a, b, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(model.loss_trace, ref.loss_trace, rtol=1e-12)

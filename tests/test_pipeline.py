@@ -1,8 +1,11 @@
 """Per-fold pipelines: seeding, modality tensors, grid search and LOSO runs."""
 
+import json
+
 import numpy as np
 import pytest
 
+from ecgstress import pipeline
 from ecgstress.neuralnet import TrainConfig
 from ecgstress.pipeline import (
     METHODS,
@@ -139,3 +142,20 @@ class TestEvaluateLoso:
         parallel = evaluate_loso(small_dataset, cfg, 256.0, jobs=2)
         assert serial.mean.accuracy == parallel.mean.accuracy
         np.testing.assert_array_equal(serial.mean.confusion, parallel.mean.confusion)
+
+    @pytest.mark.parametrize("method", ["svm_hrv", "knn_hrv"])
+    def test_hrv_vector_computed_once_per_window(self, method, monkeypatch):
+        data = make_dataset(n_subjects=3, duration_s=24.0, window_seconds=4.0)
+        cfg = fast_config(method)
+        per_fold = [(f.test_subject, run_pipeline(f, cfg, 256.0)) for f in loso_split(data)]
+        calls = []
+        real = pipeline.hrv_vector
+        monkeypatch.setattr(pipeline, "hrv_vector", lambda w, fs: calls.append(w) or real(w, fs))
+        result = evaluate_loso(data, cfg, 256.0)
+        assert len(calls) == len(data.windows)
+        assert {id(w) for w in calls} == {id(w) for w in data.windows}
+        assert [(s, m.to_dict()) for s, m in result.per_fold] == [
+            (s, m.to_dict()) for s, m in per_fold
+        ]
+        parallel = evaluate_loso(data, cfg, 256.0, jobs=2)
+        assert json.dumps(parallel.to_dict()) == json.dumps(result.to_dict())
