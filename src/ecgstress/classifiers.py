@@ -27,9 +27,6 @@ class StandardizationStats:
     def transform(self, X) -> np.ndarray:
         return (np.asarray(X, dtype=np.float64) - self.mean) / self.std
 
-    def inverse_transform(self, X) -> np.ndarray:
-        return np.asarray(X, dtype=np.float64) * self.std + self.mean
-
 
 def standardize_fit(X):
     """Column-wise z-scoring; constant columns map to zero via the std floor."""
@@ -58,66 +55,42 @@ class SvmModel:
         if w.shape[0] < 2 or w.shape[0] != len(b):
             raise ValueError("need one weight vector and bias per class (>= 2 classes)")
 
-    @property
-    def class_count(self) -> int:
-        return len(self.biases)
-
-
-def hinge_objective(X, y_signed, w, b, lam):
-    margins = np.maximum(0.0, 1.0 - y_signed * (X @ w + b))
-    return lam / 2.0 * float(w @ w) + float(margins.mean())
-
 
 def train_linear_svm(X, y, lam=0.01, epochs=200, learning_rate=0.1, seed=0) -> SvmModel:
     """One-vs-rest linear SVM via deterministic full-batch subgradient descent.
 
-    Minimizes (lam/2)||w||^2 + mean hinge loss per class. Zero init, so the
-    seed only matters for API symmetry with the other trainers.
+    Minimizes (lam/2)||w||^2 + mean hinge loss per class, for all classes at
+    once: column c of W and entry c of b are class c against the rest. Zero
+    init, so the seed only matters for API symmetry with the other trainers.
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
-    classes = np.unique(y)
-    if len(classes) < 2:
+    if len(np.unique(y)) < 2:
         raise ValueError("training data must contain at least 2 classes")
-    n_classes = int(classes.max()) + 1
-    d = X.shape[1]
-    weights = np.zeros((n_classes, d))
-    biases = np.zeros(n_classes)
+    Y = np.where(y[:, None] == np.arange(y.max() + 1), 1.0, -1.0)  # (n, classes)
     n = len(X)
-    for c in range(n_classes):
-        y_signed = np.where(y == c, 1.0, -1.0)
-        w = np.zeros(d)
-        b = 0.0
-        for step in range(epochs):
-            lr = learning_rate / (1.0 + 0.01 * step)
-            margin = y_signed * (X @ w + b)
-            active = margin < 1.0
-            gw = lam * w - (y_signed[active, None] * X[active]).sum(axis=0) / n
-            gb = -y_signed[active].sum() / n
-            w -= lr * gw
-            b -= lr * gb
-        weights[c] = w
-        biases[c] = b
-    return SvmModel(weights=weights, biases=biases, lam=float(lam))
-
-
-def svm_scores(model: SvmModel, X) -> np.ndarray:
-    X = np.asarray(X, dtype=np.float64)
-    if X.shape[-1] != model.weights.shape[1]:
-        raise ValueError(
-            f"feature dim {X.shape[-1]} does not match model dim {model.weights.shape[1]}"
-        )
-    return X @ model.weights.T + model.biases
+    W = np.zeros((X.shape[1], Y.shape[1]))
+    b = np.zeros(Y.shape[1])
+    for step in range(epochs):
+        lr = learning_rate / (1.0 + 0.01 * step)
+        A = np.where(Y * (X @ W + b) < 1.0, Y, 0.0)  # active hinge terms
+        W -= lr * (lam * W - X.T @ A / n)
+        b -= lr * (-A.sum(axis=0) / n)
+    return SvmModel(weights=np.ascontiguousarray(W.T), biases=b, lam=float(lam))
 
 
 def svm_predict(model: SvmModel, X) -> np.ndarray:
     """Argmax of per-class scores; ties break toward the lowest class index."""
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-    return np.argmax(svm_scores(model, X), axis=1)
+    if X.shape[-1] != model.weights.shape[1]:
+        raise ValueError(
+            f"feature dim {X.shape[-1]} does not match model dim {model.weights.shape[1]}"
+        )
+    return np.argmax(X @ model.weights.T + model.biases, axis=1)
 
 
-def knn_predict(train_X, train_y, x, k: int) -> int:
-    """Majority vote over the k nearest Euclidean neighbors.
+def knn_predict_batch(train_X, train_y, X, k: int) -> np.ndarray:
+    """Majority vote over the k nearest Euclidean neighbors of each row of X.
 
     Distance ties break by lower training index, vote ties by lowest class.
     """
@@ -127,11 +100,8 @@ def knn_predict(train_X, train_y, x, k: int) -> int:
         raise ValueError("training set is empty")
     if not (1 <= k <= len(train_X)):
         raise ValueError(f"k must be in [1, {len(train_X)}], got {k}")
-    dists = np.linalg.norm(train_X - np.asarray(x, dtype=np.float64), axis=1)
-    nearest = np.argsort(dists, kind="stable")[:k]
-    votes = np.bincount(train_y[nearest])
-    return int(np.argmax(votes))
-
-
-def knn_predict_batch(train_X, train_y, X, k: int) -> np.ndarray:
-    return np.array([knn_predict(train_X, train_y, x, k) for x in np.atleast_2d(X)])
+    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
+    dists = np.linalg.norm(X[:, None, :] - train_X, axis=2)
+    nearest = train_y[np.argsort(dists, axis=1, kind="stable")[:, :k]]
+    votes = (nearest[:, :, None] == np.arange(train_y.max() + 1)).sum(axis=1)
+    return np.argmax(votes, axis=1)

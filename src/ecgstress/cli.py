@@ -187,7 +187,13 @@ def cmd_label(args) -> int:
 
 
 def _guard_overwrite(path, force: bool) -> None:
-    if Path(path).exists() and not force:
+    """Refuse an output path that cannot be written as a file, or that exists unless force."""
+    path = Path(path)
+    if path.is_dir():
+        raise IsADirectoryError(f"{path} is a directory")
+    if not path.parent.is_dir():
+        raise FileNotFoundError(f"{path}: directory {path.parent} does not exist")
+    if path.exists() and not force:
         raise FileExistsError(f"{path} exists; pass --force to overwrite")
 
 
@@ -222,6 +228,8 @@ def cmd_train(args) -> int:
 def cmd_evaluate(args) -> int:
     if args.out:
         _guard_overwrite(args.out, args.force)
+    if args.report_out:
+        _guard_overwrite(args.report_out, force=True)  # a report is always overwritten
     settings, cfg, _, data, fs = _config_and_data(args)
     result = pipeline.evaluate_loso(data, cfg, fs, jobs=settings.get("jobs", 1))
     if args.out:
@@ -356,8 +364,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    # Ingestion, alignment and bundle errors are ValueErrors; PipelineError is a RuntimeError
-    except (FileNotFoundError, FileExistsError, ValueError) as exc:
+    # Unreadable or unwritable paths are OSErrors; ingestion, alignment and
+    # bundle errors are ValueErrors; PipelineError is a RuntimeError
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (ArithmeticError, RuntimeError) as exc:

@@ -5,6 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .signal_core import EcgRecording
 
@@ -77,9 +78,7 @@ def stft_spectrogram(samples, params: SpectrogramParams) -> Spectrogram:
     M, hop = params.window_len, params.hop
     if len(x) < M:
         raise ValueError(f"input length {len(x)} is shorter than window_len {M}")
-    n_frames = (len(x) - M) // hop + 1
-    w = params.window()
-    frames = np.stack([x[l * hop : l * hop + M] * w for l in range(n_frames)])
+    frames = sliding_window_view(x, M)[::hop] * params.window()
     spec = np.abs(np.fft.rfft(frames, axis=1)) ** 2
     return Spectrogram(values=spec.T, params=params)
 

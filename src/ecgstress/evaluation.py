@@ -132,26 +132,20 @@ def compute_metrics(preds, truth, class_count: int) -> Metrics:
         raise ValueError(f"length mismatch: {len(preds)} predictions vs {len(truth)} labels")
     if len(preds) == 0:
         raise ValueError("need at least one prediction")
-    confusion = np.zeros((class_count, class_count), dtype=np.int64)
-    for t, p in zip(truth, preds):
-        confusion[t, p] += 1
-    accuracy = float(np.trace(confusion) / confusion.sum())
-    precisions, recalls, f1s = [], [], []
-    for c in range(class_count):
-        tp = confusion[c, c]
-        fp = confusion[:, c].sum() - tp
-        fn = confusion[c, :].sum() - tp
-        p = tp / (tp + fp) if tp + fp > 0 else 0.0
-        r = tp / (tp + fn) if tp + fn > 0 else 0.0
-        f = 2 * p * r / (p + r) if p + r > 0 else 0.0
-        precisions.append(p)
-        recalls.append(r)
-        f1s.append(f)
+    confusion = np.bincount(truth * class_count + preds, minlength=class_count**2).reshape(
+        class_count, class_count
+    )
+    tp = np.diag(confusion)
+    pred_totals, true_totals = confusion.sum(axis=0), confusion.sum(axis=1)
+    precision = np.divide(tp, pred_totals, out=np.zeros(class_count), where=pred_totals > 0)
+    recall = np.divide(tp, true_totals, out=np.zeros(class_count), where=true_totals > 0)
+    pr_sum = precision + recall
+    f1 = np.divide(2 * precision * recall, pr_sum, out=np.zeros(class_count), where=pr_sum > 0)
     return Metrics(
-        accuracy=accuracy,
-        precision_macro=float(np.mean(precisions)),
-        recall_macro=float(np.mean(recalls)),
-        f1_macro=float(np.mean(f1s)),
+        accuracy=float(np.trace(confusion) / confusion.sum()),
+        precision_macro=float(np.mean(precision)),
+        recall_macro=float(np.mean(recall)),
+        f1_macro=float(np.mean(f1)),
         confusion=confusion,
     )
 
@@ -251,16 +245,15 @@ def render_report(results: list[RunResult]) -> str:
     if not results:
         raise ValueError("need at least one result")
     best = max(range(len(results)), key=lambda i: results[i].mean.accuracy)
+    names = [METHOD_DISPLAY.get(res.method, res.method) for res in results]
+    names[best] = f"**{names[best]}**"
     lines = [
         "# Stress classification results",
         "",
         "| Method | Accuracy | Precision | Recall | F1-Score |",
         "| --- | --- | --- | --- | --- |",
     ]
-    for i, res in enumerate(results):
-        name = METHOD_DISPLAY.get(res.method, res.method)
-        if i == best:
-            name = f"**{name}**"
+    for name, res in zip(names, results):
         m = res.mean
         lines.append(
             f"| {name} | {_pct(m.accuracy)} | {_pct(m.precision_macro)} "
@@ -273,9 +266,6 @@ def render_report(results: list[RunResult]) -> str:
         "| Method | Accuracy | F1-Score |",
         "| --- | --- | --- |",
     ]
-    for i, res in enumerate(results):
-        name = METHOD_DISPLAY.get(res.method, res.method)
-        if i == best:
-            name = f"**{name}**"
+    for name, res in zip(names, results):
         lines.append(f"| {name} | {_pct(res.mean.accuracy)} | {_pct(res.mean.f1_macro)} |")
     return "\n".join(lines) + "\n"

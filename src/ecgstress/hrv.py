@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,22 +31,6 @@ FREQ_GRID = np.linspace(0.0033, 0.40, 512)
 
 class InsufficientBeatsError(ValueError):
     pass
-
-
-@dataclass(frozen=True)
-class HrvFeatures:
-    hr_bpm: float
-    rmssd_ms: float
-    avnn_ms: float
-    sdnn_ms: float
-    pnn50_pct: float
-    vlf_power: float
-    lf_power: float
-    hf_power: float
-    tp_power: float
-
-    def as_vector(self) -> np.ndarray:
-        return np.array([getattr(self, name) for name in FEATURE_NAMES])
 
 
 def time_features(rr_s):
@@ -93,14 +76,8 @@ def freq_features(times_s, rr_s):
     return vlf, lf, hf, tp
 
 
-def hrv_features(rr_s, times_s) -> HrvFeatures:
-    hr, rmssd, avnn, sdnn, pnn50 = time_features(rr_s)
-    vlf, lf, hf, tp = freq_features(times_s, rr_s)
-    return HrvFeatures(hr, rmssd, avnn, sdnn, pnn50, vlf, lf, hf, tp)
-
-
 def hrv_vector(window: Window, fs: float) -> np.ndarray | None:
-    """9-feature HRV vector for one window, or None when too few beats.
+    """9-feature HRV vector for one window in FEATURE_NAMES order, or None when too few beats.
 
     Windows with fewer than 3 detected peaks are skipped (logged), never
     imputed.
@@ -122,4 +99,4 @@ def hrv_vector(window: Window, fs: float) -> np.ndarray | None:
         )
         return None
     times_s, rr_s = rr_intervals(peaks, fs)
-    return hrv_features(rr_s, times_s).as_vector()
+    return np.array([*time_features(rr_s), *freq_features(times_s, rr_s)])

@@ -358,10 +358,7 @@ class Model:
 
     def logits(self, x):
         """Forward pass stopping before the final softmax."""
-        x = self._check_input(x)
-        for layer in self.layers[:-1]:
-            x = layer.forward(x)
-        return x
+        return self.forward(x, upto=len(self.layers) - 2)
 
 
 def build_cnn1d(input_len: int = 256, classes: int = 3, feature_dim: int = 32, seed: int = 0) -> Model:
@@ -479,9 +476,3 @@ def extract_features(model: Model, inputs) -> np.ndarray:
 
 def predict_proba(model: Model, inputs) -> np.ndarray:
     return model.forward(inputs)
-
-
-def predict(model: Model, inputs) -> np.ndarray:
-    """Class predictions; argmax ties break toward the lowest class index."""
-    return np.argmax(predict_proba(model, inputs), axis=1)
-

@@ -110,12 +110,9 @@ class Window:
 @dataclass(frozen=True)
 class Dataset:
     windows: tuple[Window, ...]
-    class_count: int = 3
 
     def __post_init__(self):
         object.__setattr__(self, "windows", tuple(self.windows))
-        if self.class_count < 2:
-            raise ValueError("class_count must be >= 2")
 
     @property
     def subjects(self) -> tuple[str, ...]:
@@ -173,25 +170,6 @@ def load_recording(signal_path, meta_path) -> EcgRecording:
         sample_rate_hz=float(fs),
         samples=np.array(values),
         task=task,
-    )
-
-
-def save_recording(rec: EcgRecording, signal_path, meta_path) -> None:
-    """Inverse of load_recording; used for fixtures and round-trip checks."""
-    with open(signal_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["sample_index", "value_mv"])
-        for i, v in enumerate(rec.samples):
-            writer.writerow([i, repr(float(v))])
-    Path(meta_path).write_text(
-        json.dumps(
-            {
-                "subject_id": rec.subject_id,
-                "sample_rate_hz": rec.sample_rate_hz,
-                "task": rec.task.value,
-            },
-            indent=2,
-        )
     )
 
 
@@ -347,15 +325,3 @@ def synth_ecg(class_level: int, duration_s: float, fs: float, seed: int):
         segments=(LabelSegment(0.0, duration_s, class_level),),
     )
     return rec, track
-
-
-def synth_beat_count(class_level: int, duration_s: float, fs: float, seed: int) -> int:
-    """Ground-truth beat count of synth_ecg with identical arguments."""
-    rng = np.random.default_rng([int(seed) & 0xFFFFFFFF, class_level, 0x5EC6])
-    mean_rr = 60.0 / LEVEL_MEAN_HR_BPM[class_level]
-    count = 0
-    t = mean_rr * (0.5 + 0.2 * rng.random())
-    while t < duration_s:
-        count += 1
-        t += mean_rr * (1.0 + _RR_JITTER_FRAC * rng.standard_normal())
-    return count

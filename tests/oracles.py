@@ -1,17 +1,30 @@
-"""Test-only reference implementations the CNN engine is checked against.
+"""Test-only reference implementations and fixture helpers.
 
 `numeric_gradient` is a central finite difference. The `im2col_*` and
-`indices_*` functions are the engine's earlier backward passes: the
+`indices_*` functions are the CNN engine's earlier backward passes: the
 convolution input gradient from an im2col copy of the zero-padded output
 gradient against the flipped filters, and max-pool scatters by
 `np.indices` fancy indexing. Each takes the layer it stands in for as
 `self`, so a test can install it as that layer class's `backward`.
+
+`loop_train_linear_svm`, `knn_predict`, `loop_compute_metrics` and
+`frame_stft` are the earlier loop forms of the whole-array SVM, KNN,
+metrics and STFT: one class, one query row, one confusion cell and one
+frame at a time. `hinge_objective`, `synth_beat_count` and
+`save_recording` are helpers only tests use.
 """
 
 from __future__ import annotations
 
+import csv
+import json
+from pathlib import Path
+
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
+
+from ecgstress.evaluation import Metrics
+from ecgstress.signal_core import _RR_JITTER_FRAC, LEVEL_MEAN_HR_BPM, EcgRecording
 
 
 def numeric_gradient(fn, x, eps=1e-5):
@@ -85,3 +98,108 @@ def indices_maxpool2d_backward(self, gy, need_gx=True):
     out = np.zeros(self._in_shape)
     out[:, :, : ho * p, : wo * p] = gx.reshape(n, c, ho * p, wo * p)
     return out
+
+
+def hinge_objective(X, y_signed, w, b, lam):
+    margins = np.maximum(0.0, 1.0 - y_signed * (X @ w + b))
+    return lam / 2.0 * float(w @ w) + float(margins.mean())
+
+
+def loop_train_linear_svm(X, y, lam=0.01, epochs=200, learning_rate=0.1):
+    """(weights [classes, d], biases [classes]), one class against the rest at a time."""
+    X = np.asarray(X, dtype=np.float64)
+    y = np.asarray(y, dtype=np.int64)
+    n_classes = int(y.max()) + 1
+    d = X.shape[1]
+    weights = np.zeros((n_classes, d))
+    biases = np.zeros(n_classes)
+    n = len(X)
+    for c in range(n_classes):
+        y_signed = np.where(y == c, 1.0, -1.0)
+        w = np.zeros(d)
+        b = 0.0
+        for step in range(epochs):
+            lr = learning_rate / (1.0 + 0.01 * step)
+            margin = y_signed * (X @ w + b)
+            active = margin < 1.0
+            gw = lam * w - (y_signed[active, None] * X[active]).sum(axis=0) / n
+            gb = -y_signed[active].sum() / n
+            w -= lr * gw
+            b -= lr * gb
+        weights[c] = w
+        biases[c] = b
+    return weights, biases
+
+
+def knn_predict(train_X, train_y, x, k: int) -> int:
+    """Majority vote over the k nearest neighbors of one query row."""
+    train_X = np.asarray(train_X, dtype=np.float64)
+    train_y = np.asarray(train_y, dtype=np.int64)
+    dists = np.linalg.norm(train_X - np.asarray(x, dtype=np.float64), axis=1)
+    nearest = np.argsort(dists, kind="stable")[:k]
+    return int(np.argmax(np.bincount(train_y[nearest])))
+
+
+def loop_compute_metrics(preds, truth, class_count: int) -> Metrics:
+    confusion = np.zeros((class_count, class_count), dtype=np.int64)
+    for t, p in zip(truth, preds):
+        confusion[t, p] += 1
+    precisions, recalls, f1s = [], [], []
+    for c in range(class_count):
+        tp = confusion[c, c]
+        fp = confusion[:, c].sum() - tp
+        fn = confusion[c, :].sum() - tp
+        p = tp / (tp + fp) if tp + fp > 0 else 0.0
+        r = tp / (tp + fn) if tp + fn > 0 else 0.0
+        f = 2 * p * r / (p + r) if p + r > 0 else 0.0
+        precisions.append(p)
+        recalls.append(r)
+        f1s.append(f)
+    return Metrics(
+        accuracy=float(np.trace(confusion) / confusion.sum()),
+        precision_macro=float(np.mean(precisions)),
+        recall_macro=float(np.mean(recalls)),
+        f1_macro=float(np.mean(f1s)),
+        confusion=confusion,
+    )
+
+
+def frame_stft(samples, params) -> np.ndarray:
+    """Power spectrogram values [bins, frames], one frame sliced at a time."""
+    x = np.asarray(samples, dtype=np.float64)
+    M, hop = params.window_len, params.hop
+    n_frames = (len(x) - M) // hop + 1
+    w = params.window()
+    frames = np.stack([x[l * hop : l * hop + M] * w for l in range(n_frames)])
+    return (np.abs(np.fft.rfft(frames, axis=1)) ** 2).T
+
+
+def synth_beat_count(class_level: int, duration_s: float, fs: float, seed: int) -> int:
+    """Ground-truth beat count of synth_ecg with identical arguments."""
+    rng = np.random.default_rng([int(seed) & 0xFFFFFFFF, class_level, 0x5EC6])
+    mean_rr = 60.0 / LEVEL_MEAN_HR_BPM[class_level]
+    count = 0
+    t = mean_rr * (0.5 + 0.2 * rng.random())
+    while t < duration_s:
+        count += 1
+        t += mean_rr * (1.0 + _RR_JITTER_FRAC * rng.standard_normal())
+    return count
+
+
+def save_recording(rec: EcgRecording, signal_path, meta_path) -> None:
+    """Inverse of load_recording; used for fixtures and round-trip checks."""
+    with open(signal_path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["sample_index", "value_mv"])
+        for i, v in enumerate(rec.samples):
+            writer.writerow([i, repr(float(v))])
+    Path(meta_path).write_text(
+        json.dumps(
+            {
+                "subject_id": rec.subject_id,
+                "sample_rate_hz": rec.sample_rate_hz,
+                "task": rec.task.value,
+            },
+            indent=2,
+        )
+    )

@@ -5,13 +5,12 @@ import pytest
 
 from ecgstress.classifiers import (
     SvmModel,
-    hinge_objective,
-    knn_predict,
     knn_predict_batch,
     standardize_fit,
     svm_predict,
     train_linear_svm,
 )
+from oracles import hinge_objective, knn_predict, loop_train_linear_svm
 
 
 class TestStandardize:
@@ -31,7 +30,7 @@ class TestStandardize:
         rng = np.random.default_rng(1)
         X = rng.standard_normal((20, 3))
         Xs, stats = standardize_fit(X)
-        np.testing.assert_allclose(stats.inverse_transform(Xs), X, atol=1e-9)
+        np.testing.assert_allclose(Xs * stats.std + stats.mean, X, atol=1e-9)
 
     def test_stats_reusable_on_new_rows(self):
         rng = np.random.default_rng(2)
@@ -87,6 +86,18 @@ class TestSvm:
             at_fit = hinge_objective(Xs, y_signed, model.weights[c], model.biases[c], 0.01)
             assert at_fit < at_zero
 
+    @pytest.mark.parametrize("classes", [3, 4])
+    @pytest.mark.parametrize("d", [9, 32])
+    def test_matches_per_class_loop(self, classes, d):
+        rng = np.random.default_rng(10 * classes + d)
+        X = rng.standard_normal((120, d))
+        y = rng.integers(0, classes, size=120)
+        for lam in (0.001, 0.01, 0.1):
+            model = train_linear_svm(X, y, lam=lam, epochs=60)
+            weights, biases = loop_train_linear_svm(X, y, lam=lam, epochs=60)
+            np.testing.assert_allclose(model.weights, weights, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(model.biases, biases, rtol=0, atol=1e-12)
+
     def test_zero_model_ties_to_class_zero(self):
         model = SvmModel(weights=np.zeros((3, 2)), biases=np.zeros(3), lam=0.01)
         assert np.all(svm_predict(model, np.ones((4, 2))) == 0)
@@ -113,12 +124,12 @@ class TestKnn:
     def test_k1_reproduces_training_labels(self):
         X, y = _blobs(seed=6, n=10)
         for i in range(len(X)):
-            assert knn_predict(X, y, X[i], 1) == y[i]
+            assert knn_predict_batch(X, y, X[i], 1)[0] == y[i]
 
     def test_majority_vote(self):
         X = np.array([[0.0], [0.1], [0.2], [5.0]])
         y = np.array([1, 1, 2, 0])
-        assert knn_predict(X, y, np.array([0.05]), 3) == 1
+        assert knn_predict_batch(X, y, np.array([0.05]), 3)[0] == 1
 
     def test_matches_brute_force_oracle(self):
         rng = np.random.default_rng(7)
@@ -130,25 +141,36 @@ class TestKnn:
             d = [(float(np.sum((x - q) ** 2)), i) for i, x in enumerate(X)]
             d.sort()
             votes = np.bincount(y[[i for _, i in d[:k]]], minlength=3)
-            assert knn_predict(X, y, q, k) == int(np.argmax(votes))
+            assert knn_predict_batch(X, y, q, k)[0] == int(np.argmax(votes))
 
     def test_distance_tie_lower_index(self):
         X = np.array([[1.0], [-1.0]])
         y = np.array([2, 0])
-        assert knn_predict(X, y, np.array([0.0]), 1) == 2
+        assert knn_predict_batch(X, y, np.array([0.0]), 1)[0] == 2
 
     def test_vote_tie_lowest_class(self):
         X = np.array([[0.0], [1.0]])
         y = np.array([2, 1])
-        assert knn_predict(X, y, np.array([0.5]), 2) == 1
+        assert knn_predict_batch(X, y, np.array([0.5]), 2)[0] == 1
 
     def test_empty_training_set(self):
         with pytest.raises(ValueError):
-            knn_predict(np.zeros((0, 2)), np.zeros(0, dtype=int), np.zeros(2), 1)
+            knn_predict_batch(np.zeros((0, 2)), np.zeros(0, dtype=int), np.zeros(2), 1)[0]
 
     def test_k_out_of_range(self):
         with pytest.raises(ValueError):
-            knn_predict(np.zeros((2, 1)), np.array([0, 1]), np.zeros(1), 3)
+            knn_predict_batch(np.zeros((2, 1)), np.array([0, 1]), np.zeros(1), 3)[0]
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_batch_matches_per_row_on_ties(self, k):
+        # Integer features put many training rows at equal distances and
+        # even k gives split votes, so both tie rules decide many rows.
+        rng = np.random.default_rng(k)
+        X = np.round(rng.uniform(-2, 2, size=(25, 2)))
+        y = rng.integers(0, 3, size=25)
+        Q = np.round(rng.uniform(-2, 2, size=(60, 2)))
+        expected = [knn_predict(X, y, q, k) for q in Q]
+        np.testing.assert_array_equal(knn_predict_batch(X, y, Q, k), expected)
 
     def test_batch_wrapper(self):
         X, y = _blobs(seed=8, n=5)

@@ -27,11 +27,11 @@ from ecgstress.signal_core import (
     EcgRecording,
     Window,
     save_label_track,
-    save_recording,
     synth_ecg,
 )
 
 from conftest import make_dataset, make_rater_tracks
+from oracles import save_recording
 
 
 def write_data_dir(root, n_subjects=2, duration_s=12.0, base_seed=100):
@@ -53,6 +53,13 @@ def write_data_dir(root, n_subjects=2, duration_s=12.0, base_seed=100):
 
 
 FAST_ARGS = ["--epochs", "2", "--learning-rate", "0.02", "--seed", "1"]
+
+
+def assert_usage_error(code, capsys):
+    """Exit code 2 with a one-line `error:` message and no traceback."""
+    assert code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
 
 
 class TestConfigHandling:
@@ -170,6 +177,20 @@ class TestIngestAndLabel:
         code = main(["ingest", str(tmp_path / "nope.csv"), str(tmp_path / "nope.json")])
         assert code == EXIT_USAGE
 
+    def test_ingest_directory_argument(self, tmp_path, capsys):
+        rec, _ = synth_ecg(0, 4.0, 256.0, 1)
+        save_recording(rec, tmp_path / "sig.csv", tmp_path / "meta.json")
+        code = main(["ingest", str(tmp_path), str(tmp_path / "meta.json")])
+        assert_usage_error(code, capsys)
+
+    def test_label_directory_argument(self, tmp_path, capsys):
+        track = make_rater_tracks()[0]
+        save_label_track(track, tmp_path / "r.labels.csv")
+        out = tmp_path / "x.csv"
+        code = main(["label", str(tmp_path), str(tmp_path / "r.labels.csv"), "--out", str(out)])
+        assert_usage_error(code, capsys)
+        assert not out.exists()
+
     def test_label_consensus_and_alpha(self, tmp_path, capsys):
         paths = []
         for track in make_rater_tracks():
@@ -252,6 +273,40 @@ class TestTrainEvaluatePredict:
         assert code == EXIT_USAGE
         assert "--force" in capsys.readouterr().err
         assert out.read_bytes() == b"{ earlier result }"
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--report-out", "{tmp}"],
+            ["--out", "{tmp}", "--force"],
+            ["--out", "{tmp}/missing/result.json", "--force"],
+            ["--report-out", "{tmp}/missing/report.md"],
+        ],
+        ids=["report-out-dir", "out-dir-forced", "out-no-parent", "report-out-no-parent"],
+    )
+    def test_evaluate_rejects_unwritable_output_before_training(
+        self, tmp_path, capsys, monkeypatch, flags
+    ):
+        data = write_data_dir(tmp_path / "data")
+
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("evaluate_loso ran before the output check")
+
+        monkeypatch.setattr("ecgstress.pipeline.evaluate_loso", must_not_run)
+        flags = [f.format(tmp=tmp_path) for f in flags]
+        code = main(["evaluate", "--data", str(data), "--method", "svm_hrv", *flags])
+        assert_usage_error(code, capsys)
+        assert not (tmp_path / "missing").exists()
+
+    def test_train_rejects_directory_out_under_force(self, tmp_path, capsys, monkeypatch):
+        data = write_data_dir(tmp_path / "data")
+
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("training ran before the --out check")
+
+        monkeypatch.setattr("ecgstress.pipeline.train_fold_components", must_not_run)
+        code = main(["train", "--data", str(data), "--out", str(tmp_path), "--force", *FAST_ARGS])
+        assert_usage_error(code, capsys)
 
     def test_train_determinism_modulo_timestamp(self, tmp_path, capsys):
         data = write_data_dir(tmp_path / "data")

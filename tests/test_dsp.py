@@ -11,7 +11,8 @@ from ecgstress.dsp import (
     rr_intervals,
     stft_spectrogram,
 )
-from ecgstress.signal_core import EcgRecording, synth_beat_count, synth_ecg
+from ecgstress.signal_core import EcgRecording, synth_ecg
+from oracles import frame_stft, synth_beat_count
 
 
 class TestSpectrogramParams:
@@ -75,6 +76,16 @@ class TestStft:
         spec = stft_spectrogram(rng.standard_normal(512) * 100, SpectrogramParams())
         assert np.all(spec.values >= 0)
         assert np.all(np.isfinite(spec.values))
+
+    @pytest.mark.parametrize("length", [64, 79, 256, 1000])
+    @pytest.mark.parametrize(
+        "params",
+        [SpectrogramParams(), SpectrogramParams(window_len=32, hop=5)],
+        ids=["default", "hop5"],
+    )
+    def test_matches_per_frame_oracle(self, length, params):
+        x = np.random.default_rng(length).standard_normal(length)
+        np.testing.assert_array_equal(stft_spectrogram(x, params).values, frame_stft(x, params))
 
 
 class TestNormalize:

@@ -23,6 +23,7 @@ from ecgstress.signal_core import (
 )
 
 from conftest import make_dataset
+from oracles import loop_compute_metrics
 
 
 def _window(subject, start=0, label=0):
@@ -81,6 +82,30 @@ class TestMetrics:
         assert m.accuracy == np.trace(m.confusion) / m.confusion.sum()
         for v in (m.precision_macro, m.recall_macro, m.f1_macro):
             assert 0.0 <= v <= 1.0
+
+    @pytest.mark.parametrize(
+        "preds, truth, class_count",
+        [
+            ([0, 2, 2, 0, 2], [0, 2, 0, 0, 2], 3),  # class 1 absent from both
+            ([1, 1, 1, 1], [0, 1, 2, 1], 3),  # every prediction in one class
+            ([3, 3, 0], [0, 3, 3], 4),  # classes 1 and 2 absent from both
+            ([0], [1], 2),
+        ],
+        ids=["absent-class", "one-class-preds", "two-absent", "single-wrong"],
+    )
+    def test_matches_loop_oracle_edge_cases(self, preds, truth, class_count):
+        got = compute_metrics(preds, truth, class_count).to_dict()
+        assert got == loop_compute_metrics(preds, truth, class_count).to_dict()
+
+    def test_matches_loop_oracle_random(self):
+        rng = np.random.default_rng(11)
+        for _ in range(50):
+            class_count = int(rng.integers(2, 6))
+            n = int(rng.integers(1, 40))
+            preds = rng.integers(0, class_count, size=n)
+            truth = rng.integers(0, class_count, size=n)
+            got = compute_metrics(preds, truth, class_count).to_dict()
+            assert got == loop_compute_metrics(preds, truth, class_count).to_dict()
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):

@@ -19,7 +19,6 @@ from ecgstress.neuralnet import (
     build_cnn1d,
     build_cnn2d,
     extract_features,
-    predict,
     predict_proba,
     train,
 )
@@ -106,7 +105,7 @@ class TestForward:
         for p in model.parameters():
             p[...] = 0.0
         x = np.random.default_rng(3).standard_normal((3, 1, 256))
-        assert np.all(predict(model, x) == 0)
+        assert np.all(np.argmax(predict_proba(model, x), axis=1) == 0)
 
     def test_input_shape_mismatch(self):
         model = build_cnn1d()
@@ -132,7 +131,7 @@ class TestTrain:
         x, y = _separable_snippets()
         model = build_cnn1d(classes=3, seed=0)
         train(model, x, y, TrainConfig(epochs=30, learning_rate=0.02, seed=0))
-        assert np.mean(predict(model, x) == y) == 1.0
+        assert np.mean(np.argmax(predict_proba(model, x), axis=1) == y) == 1.0
 
     def test_determinism(self):
         x, y = _separable_snippets()

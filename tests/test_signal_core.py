@@ -16,11 +16,10 @@ from ecgstress.signal_core import (
     load_label_track,
     load_recording,
     save_label_track,
-    save_recording,
     segment_windows,
-    synth_beat_count,
     synth_ecg,
 )
+from oracles import save_recording, synth_beat_count
 
 
 def write_recording_csv(path, values):
