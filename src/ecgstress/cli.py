@@ -149,6 +149,8 @@ def load_data_dir(data_dir, window_seconds: float):
 
 
 def cmd_ingest(args) -> int:
+    if args.spectrogram_out:
+        _guard_overwrite(args.spectrogram_out, force=True)
     rec = load_recording(args.signal, args.meta)
     summary = {
         "subject_id": rec.subject_id,
@@ -169,6 +171,7 @@ def cmd_ingest(args) -> int:
 
 
 def cmd_label(args) -> int:
+    _guard_overwrite(args.out, force=True)
     tracks = [load_label_track(p) for p in args.raters]
     if len(tracks) < 2:
         print("error: need at least 2 rater files", file=sys.stderr)
@@ -278,6 +281,8 @@ def predict_stream(loaded: dict, rec) -> list[tuple]:
 
 
 def cmd_predict(args) -> int:
+    if args.out:
+        _guard_overwrite(args.out, force=True)
     loaded = bundle_io.load_bundle(args.bundle)
     rec = load_recording(args.signal, args.meta)
     rows = predict_stream(loaded, rec)
@@ -294,6 +299,8 @@ def cmd_predict(args) -> int:
 
 
 def cmd_report(args) -> int:
+    if args.out:
+        _guard_overwrite(args.out, force=True)
     results = []
     for path in args.results:
         results.append(RunResult.from_dict(json.loads(Path(path).read_text())))

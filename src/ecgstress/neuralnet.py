@@ -9,7 +9,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 
 class BuildError(ValueError):
@@ -52,6 +51,7 @@ class Layer:
 class Conv1D(Layer):
     def __init__(self, in_ch, out_ch, kernel, rng):
         self.kernel = kernel
+        self._index_key = None
         self.w = _init_uniform(rng, (out_ch, in_ch, kernel), in_ch * kernel)
         self.b = np.zeros(out_ch)
         self.gw = np.zeros_like(self.w)
@@ -71,16 +71,29 @@ class Conv1D(Layer):
             raise BuildError(f"conv1d kernel {self.kernel} exceeds input length {length}")
         return (self.w.shape[0], length - self.kernel + 1)
 
+    def _gather_index(self, c, length):
+        """Flat (Lout, C*K) index of im2col rows into one sample, cached per (C, L)."""
+        if self._index_key != (c, length):
+            k = self.kernel
+            taps = (np.arange(c)[:, None] * length + np.arange(k)).reshape(1, c * k)
+            self._index = np.arange(length - k + 1)[:, None] + taps
+            self._index_key = (c, length)
+        return self._index
+
     def forward(self, x):
         n, c, length = x.shape
         k = self.kernel
         lout = length - k + 1
-        xw = sliding_window_view(x, k, axis=2)  # (N,C,Lout,K)
         # im2col: (N*Lout, C*K) rows against (O, C*K) filters via BLAS
-        self._xcol = np.ascontiguousarray(xw.transpose(0, 2, 1, 3)).reshape(n * lout, c * k)
+        index = self._gather_index(c, length)
+        self._xcol = np.take(x.reshape(n, c * length), index, axis=1).reshape(n * lout, c * k)
         self._dims = (n, c, length, lout)
-        y = self._xcol @ self.w.reshape(self.w.shape[0], -1).T
-        return y.reshape(n, lout, -1).transpose(0, 2, 1) + self.b[None, :, None]
+        o = self.w.shape[0]
+        y = self._xcol @ self.w.reshape(o, -1).T
+        # One pass writes the (N*Lout, O) product channel-major and adds the bias
+        out = np.empty((n, o, lout))
+        np.add(y.reshape(n, lout, o).transpose(0, 2, 1), self.b[:, None], out=out)
+        return out
 
     def backward(self, gy, need_gx=True):
         n, c, length, lout = self._dims
@@ -107,6 +120,7 @@ class Conv2D(Layer):
             raise BuildError("same-padded conv2d requires an odd kernel")
         self.kernel = kernel
         self.pad = kernel // 2
+        self._index_key = None
         self.w = _init_uniform(rng, (out_ch, in_ch, kernel, kernel), in_ch * kernel * kernel)
         self.b = np.zeros(out_ch)
         self.gw = np.zeros_like(self.w)
@@ -124,17 +138,36 @@ class Conv2D(Layer):
             raise BuildError(f"conv2d expects {self.w.shape[1]} channels, got {c}")
         return (self.w.shape[0], h, w)
 
+    def _gather_index(self, c, h, w):
+        """Flat (H*W, C*K*K) index of im2col rows into one padded sample, cached per (C, H, W)."""
+        if self._index_key != (c, h, w):
+            k, p = self.kernel, self.pad
+            hp, wp = h + 2 * p, w + 2 * p
+            taps = (
+                np.arange(c)[:, None, None] * (hp * wp)
+                + np.arange(k)[:, None] * wp
+                + np.arange(k)
+            ).reshape(1, c * k * k)
+            corners = (np.arange(h)[:, None] * wp + np.arange(w)).reshape(h * w, 1)
+            self._index = corners + taps
+            self._index_key = (c, h, w)
+        return self._index
+
     def forward(self, x):
         n, c, h, wdt = x.shape
         k, p = self.kernel, self.pad
-        xp = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p)))
-        xw = sliding_window_view(xp, (k, k), axis=(2, 3))  # (N,C,H,W,K,K)
-        self._xcol = np.ascontiguousarray(xw.transpose(0, 2, 3, 1, 4, 5)).reshape(
-            n * h * wdt, c * k * k
-        )
+        xp = np.zeros((n, c, h + 2 * p, wdt + 2 * p))
+        xp[:, :, p : p + h, p : p + wdt] = x
+        index = self._gather_index(c, h, wdt)
+        self._xcol = np.take(xp.reshape(n, -1), index, axis=1).reshape(n * h * wdt, c * k * k)
         self._dims = (n, c, h, wdt)
-        y = self._xcol @ self.w.reshape(self.w.shape[0], -1).T
-        return y.reshape(n, h, wdt, -1).transpose(0, 3, 1, 2) + self.b[None, :, None, None]
+        o = self.w.shape[0]
+        y = self._xcol @ self.w.reshape(o, -1).T
+        # One pass writes the (N*H*W, O) product channel-major (NCHW) and adds the bias
+        out = np.empty((n, o, h, wdt))
+        yt = y.reshape(n, h * wdt, o).transpose(0, 2, 1)
+        np.add(yt, self.b[:, None], out=out.reshape(n, o, h * wdt))
+        return out
 
     def backward(self, gy, need_gx=True):
         n, c, h, wdt = self._dims
@@ -154,8 +187,20 @@ class Conv2D(Layer):
         return gxp[:, p : p + h, p : p + wdt].transpose(0, 3, 1, 2)
 
 
+def _pool2_backward(arg, gy, in_shape, slices):
+    """Route gy to the input position each output took; the odd tail gets zero."""
+    gx = np.zeros(in_shape)
+    for k, s in enumerate(slices):
+        np.multiply(gy, arg == k, out=gx[s])
+    return gx
+
+
 class MaxPool1D(Layer):
+    """Max over non-overlapping pairs; a tie goes to the first, an odd tail is dropped."""
+
     def __init__(self, pool=2):
+        if pool != 2:
+            raise BuildError(f"maxpool supports pool 2 only, got {pool}")
         self.pool = pool
 
     def out_shape(self, in_shape):
@@ -165,25 +210,27 @@ class MaxPool1D(Layer):
         return (c, length // self.pool)
 
     def forward(self, x):
-        n, c, length = x.shape
-        lout = length // self.pool
+        end = x.shape[2] // 2 * 2
         self._in_shape = x.shape
-        xr = x[:, :, : lout * self.pool].reshape(n, c, lout, self.pool)
-        self._arg = xr.argmax(axis=3)[..., None]
-        return np.take_along_axis(xr, self._arg, axis=3)[..., 0]
+        self._slices = [(..., slice(i, end, 2)) for i in (0, 1)]
+        a, b = (x[s] for s in self._slices)
+        self._arg = b > a
+        return np.where(self._arg, b, a)
 
     def backward(self, gy, need_gx=True):
-        n, c, length = self._in_shape
-        lout = gy.shape[2]
-        gx = np.zeros((n, c, lout, self.pool))
-        np.put_along_axis(gx, self._arg, gy[..., None], axis=3)
-        out = np.zeros(self._in_shape)
-        out[:, :, : lout * self.pool] = gx.reshape(n, c, lout * self.pool)
-        return out
+        return _pool2_backward(self._arg, gy, self._in_shape, self._slices)
 
 
 class MaxPool2D(Layer):
+    """Max over non-overlapping 2x2 blocks, first maximum in (0,0),(0,1),(1,0),(1,1) order.
+
+    Each row's pair is compared first, then the two row winners; every step
+    keeps the earlier element on a tie. An odd last row or column is dropped.
+    """
+
     def __init__(self, pool=2):
+        if pool != 2:
+            raise BuildError(f"maxpool supports pool 2 only, got {pool}")
         self.pool = pool
 
     def out_shape(self, in_shape):
@@ -193,25 +240,24 @@ class MaxPool2D(Layer):
         return (c, h // self.pool, w // self.pool)
 
     def forward(self, x):
-        n, c, h, w = x.shape
-        p = self.pool
-        ho, wo = h // p, w // p
+        hend, wend = x.shape[2] // 2 * 2, x.shape[3] // 2 * 2
         self._in_shape = x.shape
-        xr = x[:, :, : ho * p, : wo * p].reshape(n, c, ho, p, wo, p)
-        xr = xr.transpose(0, 1, 2, 4, 3, 5).reshape(n, c, ho, wo, p * p)
-        self._arg = xr.argmax(axis=4)[..., None]
-        return np.take_along_axis(xr, self._arg, axis=4)[..., 0]
+        self._slices = [
+            (..., slice(i, hend, 2), slice(j, wend, 2)) for i in (0, 1) for j in (0, 1)
+        ]
+        a, b, c, d = (x[s] for s in self._slices)
+        right_top = b > a
+        right_bottom = d > c
+        top = np.where(right_top, b, a)
+        bottom = np.where(right_bottom, d, c)
+        lower = bottom > top
+        # The slice index k of the maximum, as 2 * row + column
+        column = (right_bottom & lower) | (right_top & ~lower)
+        self._arg = (lower.view(np.int8) << 1) | column.view(np.int8)
+        return np.where(lower, bottom, top)
 
     def backward(self, gy, need_gx=True):
-        n, c, h, w = self._in_shape
-        p = self.pool
-        ho, wo = gy.shape[2], gy.shape[3]
-        gx = np.zeros((n, c, ho, wo, p * p))
-        np.put_along_axis(gx, self._arg, gy[..., None], axis=4)
-        gx = gx.reshape(n, c, ho, wo, p, p).transpose(0, 1, 2, 4, 3, 5)
-        out = np.zeros(self._in_shape)
-        out[:, :, : ho * p, : wo * p] = gx.reshape(n, c, ho * p, wo * p)
-        return out
+        return _pool2_backward(self._arg, gy, self._in_shape, self._slices)
 
 
 class ReLU(Layer):
@@ -245,7 +291,9 @@ class GlobalAvgPool2D(Layer):
 
     def forward(self, x):
         self._in_shape = x.shape
-        return x.mean(axis=(2, 3))
+        # Channels-last, each channel's H*W values are summed one at a time in
+        # row-major order; a pairwise sum over a contiguous H*W axis rounds differently
+        return np.ascontiguousarray(x.transpose(0, 2, 3, 1)).mean(axis=(1, 2))
 
     def backward(self, gy, need_gx=True):
         n, c, h, w = self._in_shape

@@ -82,12 +82,6 @@ class LabelTrack:
                     f"then [{cur.start_s}, {cur.end_s})"
                 )
 
-    def level_at(self, t: float) -> int:
-        for seg in self.segments:
-            if seg.start_s <= t < seg.end_s:
-                return seg.level
-        return UNLABELED
-
 
 @dataclass(frozen=True)
 class Window:

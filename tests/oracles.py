@@ -1,16 +1,20 @@
 """Test-only reference implementations and fixture helpers.
 
-`numeric_gradient` is a central finite difference. The `im2col_*` and
-`indices_*` functions are the CNN engine's earlier backward passes: the
+`numeric_gradient` is a central finite difference. The other CNN functions
+are the engine's earlier layer passes: the `sliding_window_view` im2col
+convolution forward, whose output is a transposed view of the GEMM; the
 convolution input gradient from an im2col copy of the zero-padded output
-gradient against the flipped filters, and max-pool scatters by
-`np.indices` fancy indexing. Each takes the layer it stands in for as
-`self`, so a test can install it as that layer class's `backward`.
+gradient against the flipped filters; a max-pool that takes `argmax` over
+a `(…, p·p)` copy of each block and scatters the gradient back by
+`np.indices` fancy indexing; and a global average pool that adds one
+position at a time. Each takes the layer it stands in for as `self`, so a
+test can install it as that layer class's `forward` or `backward`. The max-pool pair keeps its argmax in its own attribute, so
+its forward and backward are installed together.
 
 `loop_train_linear_svm`, `knn_predict`, `loop_compute_metrics` and
 `frame_stft` are the earlier loop forms of the whole-array SVM, KNN,
 metrics and STFT: one class, one query row, one confusion cell and one
-frame at a time. `hinge_objective`, `synth_beat_count` and
+frame at a time. `hinge_objective`, `level_at`, `synth_beat_count` and
 `save_recording` are helpers only tests use.
 """
 
@@ -24,7 +28,13 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from ecgstress.evaluation import Metrics
-from ecgstress.signal_core import _RR_JITTER_FRAC, LEVEL_MEAN_HR_BPM, EcgRecording
+from ecgstress.signal_core import (
+    _RR_JITTER_FRAC,
+    LEVEL_MEAN_HR_BPM,
+    UNLABELED,
+    EcgRecording,
+    LabelTrack,
+)
 
 
 def numeric_gradient(fn, x, eps=1e-5):
@@ -42,6 +52,30 @@ def numeric_gradient(fn, x, eps=1e-5):
         grad[idx] = (fp - fm) / (2 * eps)
         it.iternext()
     return grad
+
+
+def sliding_window_conv1d_forward(self, x):
+    n, c, length = x.shape
+    k = self.kernel
+    lout = length - k + 1
+    xw = sliding_window_view(x, k, axis=2)  # (N,C,Lout,K)
+    self._xcol = np.ascontiguousarray(xw.transpose(0, 2, 1, 3)).reshape(n * lout, c * k)
+    self._dims = (n, c, length, lout)
+    y = self._xcol @ self.w.reshape(self.w.shape[0], -1).T
+    return y.reshape(n, lout, -1).transpose(0, 2, 1) + self.b[None, :, None]
+
+
+def sliding_window_conv2d_forward(self, x):
+    n, c, h, wdt = x.shape
+    k, p = self.kernel, self.pad
+    xp = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p)))
+    xw = sliding_window_view(xp, (k, k), axis=(2, 3))  # (N,C,H,W,K,K)
+    self._xcol = np.ascontiguousarray(xw.transpose(0, 2, 3, 1, 4, 5)).reshape(
+        n * h * wdt, c * k * k
+    )
+    self._dims = (n, c, h, wdt)
+    y = self._xcol @ self.w.reshape(self.w.shape[0], -1).T
+    return y.reshape(n, h, wdt, -1).transpose(0, 3, 1, 2) + self.b[None, :, None, None]
 
 
 def im2col_conv1d_backward(self, gy, need_gx=True):
@@ -76,28 +110,66 @@ def im2col_conv2d_backward(self, gy, need_gx=True):
     return gxp[:, :, p : p + h, p : p + wdt]
 
 
+def argmax_maxpool1d_forward(self, x):
+    n, c, length = x.shape
+    lout = length // self.pool
+    self._oracle_in_shape = x.shape
+    xr = x[:, :, : lout * self.pool].reshape(n, c, lout, self.pool)
+    self._oracle_arg = xr.argmax(axis=3)
+    return np.take_along_axis(xr, self._oracle_arg[..., None], axis=3)[..., 0]
+
+
 def indices_maxpool1d_backward(self, gy, need_gx=True):
-    n, c, length = self._in_shape
+    n, c, length = self._oracle_in_shape
     lout = gy.shape[2]
     gx = np.zeros((n, c, lout, self.pool))
     idx = np.indices((n, c, lout))
-    gx[idx[0], idx[1], idx[2], self._arg[..., 0]] = gy
-    out = np.zeros(self._in_shape)
+    gx[idx[0], idx[1], idx[2], self._oracle_arg] = gy
+    out = np.zeros(self._oracle_in_shape)
     out[:, :, : lout * self.pool] = gx.reshape(n, c, lout * self.pool)
     return out
 
 
+def argmax_maxpool2d_forward(self, x):
+    n, c, h, w = x.shape
+    p = self.pool
+    ho, wo = h // p, w // p
+    self._oracle_in_shape = x.shape
+    xr = x[:, :, : ho * p, : wo * p].reshape(n, c, ho, p, wo, p)
+    xr = xr.transpose(0, 1, 2, 4, 3, 5).reshape(n, c, ho, wo, p * p)
+    self._oracle_arg = xr.argmax(axis=4)
+    return np.take_along_axis(xr, self._oracle_arg[..., None], axis=4)[..., 0]
+
+
 def indices_maxpool2d_backward(self, gy, need_gx=True):
-    n, c, h, w = self._in_shape
+    n, c, h, w = self._oracle_in_shape
     p = self.pool
     ho, wo = gy.shape[2], gy.shape[3]
     gx = np.zeros((n, c, ho, wo, p * p))
     idx = np.indices((n, c, ho, wo))
-    gx[idx[0], idx[1], idx[2], idx[3], self._arg[..., 0]] = gy
+    gx[idx[0], idx[1], idx[2], idx[3], self._oracle_arg] = gy
     gx = gx.reshape(n, c, ho, wo, p, p).transpose(0, 1, 2, 4, 3, 5)
-    out = np.zeros(self._in_shape)
+    out = np.zeros(self._oracle_in_shape)
     out[:, :, : ho * p, : wo * p] = gx.reshape(n, c, ho * p, wo * p)
     return out
+
+
+def sequential_global_avg_pool2d_forward(self, x):
+    """Each channel's mean, its H*W values added one at a time in row-major order."""
+    n, c, h, w = x.shape
+    total = np.zeros((n, c))
+    for i in range(h):
+        for j in range(w):
+            total += x[:, :, i, j]
+    return total / (h * w)
+
+
+def level_at(track: LabelTrack, t: float) -> int:
+    """Level of the segment of track that covers time t, else UNLABELED."""
+    for seg in track.segments:
+        if seg.start_s <= t < seg.end_s:
+            return seg.level
+    return UNLABELED
 
 
 def hinge_objective(X, y_signed, w, b, lam):

@@ -219,6 +219,48 @@ class TestIngestAndLabel:
         assert "alpha_ordinal=1.0000" in capsys.readouterr().out
 
 
+class TestOutputCheckedFirst:
+    """A command whose output path has no parent directory exits before any work."""
+
+    COMMANDS = {
+        "predict": (
+            ["predict", "--bundle", "{tmp}/b.json", "--signal", "{tmp}/s.csv", "--meta",
+             "{tmp}/s.meta.json", "--out", "{tmp}/missing/p.csv"],
+            ["ecgstress.bundle.load_bundle", "ecgstress.cli.load_recording",
+             "ecgstress.cli.predict_stream"],
+        ),
+        "label": (
+            ["label", "{tmp}/r1.csv", "{tmp}/r2.csv", "--out", "{tmp}/missing/c.csv"],
+            ["ecgstress.cli.load_label_track", "ecgstress.cli.krippendorff_alpha",
+             "ecgstress.cli.consensus_labels"],
+        ),
+        "report": (
+            ["report", "{tmp}/result.json", "--out", "{tmp}/missing/report.md"],
+            ["ecgstress.cli.RunResult.from_dict", "ecgstress.cli.render_report"],
+        ),
+        "ingest": (
+            ["ingest", "{tmp}/s.csv", "{tmp}/s.meta.json", "--spectrogram-out",
+             "{tmp}/missing/spec.csv"],
+            ["ecgstress.cli.load_recording", "ecgstress.cli.stft_spectrogram"],
+        ),
+    }
+
+    @pytest.mark.parametrize("command", list(COMMANDS))
+    def test_missing_output_directory(self, tmp_path, capsys, monkeypatch, command):
+        argv, work = self.COMMANDS[command]
+        for name in ("s.csv", "s.meta.json", "b.json", "r1.csv", "r2.csv", "result.json"):
+            (tmp_path / name).write_text("{}")
+
+        def must_not_run(*args, **kwargs):
+            raise AssertionError(f"{command} did work before checking its output path")
+
+        for target in work:
+            monkeypatch.setattr(target, must_not_run)
+        code = main([arg.format(tmp=tmp_path) for arg in argv])
+        assert_usage_error(code, capsys)
+        assert not (tmp_path / "missing").exists()
+
+
 class TestTrainEvaluatePredict:
     def test_train_then_predict_round_trip(self, tmp_path, capsys):
         data = write_data_dir(tmp_path / "data")

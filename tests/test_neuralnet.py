@@ -9,6 +9,7 @@ from ecgstress.neuralnet import (
     Conv1D,
     Conv2D,
     Dense,
+    GlobalAvgPool2D,
     MaxPool1D,
     MaxPool2D,
     Model,
@@ -274,10 +275,129 @@ class TestMaxPoolRouting:
         np.testing.assert_array_equal(gx, expected)
 
 
-def _oracle_backward(monkeypatch):
-    """Install the earlier backward passes, which always return an input gradient."""
+def _assert_same_values(a, b):
+    """Equal elementwise, signed zeros included."""
+    assert a.shape == b.shape
+    np.testing.assert_array_equal(a, b)
+    np.testing.assert_array_equal(np.signbit(a), np.signbit(b))
+
+
+class TestForwardMatchesOracle:
+    """Gather im2col, contiguous conv outputs and pool-2 compares against the earlier forward."""
+
+    @pytest.mark.parametrize("kernel", [3, 5])
+    @pytest.mark.parametrize(
+        "batch,channels,extra", [(1, 1, 7), (3, 4, 9), (2, 3, 0)], ids=["b1c1", "b3c4", "len-eq-k"]
+    )
+    def test_conv1d_and_relu(self, kernel, batch, channels, extra):
+        rng = np.random.default_rng([kernel, batch, channels, 1])
+        layer = Conv1D(channels, 6, kernel, rng)
+        layer.b[...] = rng.standard_normal(6)
+        x = rng.standard_normal((batch, channels, kernel + extra))
+        y = layer.forward(x)
+        xcol = layer._xcol.copy()
+        ref = oracles.sliding_window_conv1d_forward(layer, x)
+        assert y.flags.c_contiguous
+        _assert_same_values(y, ref)
+        np.testing.assert_array_equal(xcol, layer._xcol)
+        _assert_same_values(ReLU().forward(y), ReLU().forward(ref))
+
+    @pytest.mark.parametrize("kernel", [3, 5])
+    @pytest.mark.parametrize(
+        "batch,channels,h,w",
+        [(1, 1, 9, 6), (3, 4, 7, 5), (2, 2, 1, 1)],
+        ids=["b1c1", "b3c4-odd", "1x1"],
+    )
+    def test_conv2d_and_relu(self, kernel, batch, channels, h, w):
+        rng = np.random.default_rng([kernel, batch, channels, h, 1])
+        layer = Conv2D(channels, 5, kernel, rng)
+        layer.b[...] = rng.standard_normal(5)
+        x = rng.standard_normal((batch, channels, h, w))
+        y = layer.forward(x)
+        xcol = layer._xcol.copy()
+        ref = oracles.sliding_window_conv2d_forward(layer, x)
+        assert y.flags.c_contiguous
+        _assert_same_values(y, ref)
+        np.testing.assert_array_equal(xcol, layer._xcol)
+        _assert_same_values(ReLU().forward(y), ReLU().forward(ref))
+
+    def test_gather_index_follows_input_shape(self):
+        rng = np.random.default_rng(7)
+        conv1, conv2 = Conv1D(2, 3, 3, rng), Conv2D(2, 3, 3, rng)
+        for length, (h, w) in ((9, (5, 4)), (12, (7, 6)), (9, (5, 4))):
+            x1 = rng.standard_normal((2, 2, length))
+            ref1 = oracles.sliding_window_conv1d_forward(conv1, x1)
+            _assert_same_values(conv1.forward(x1), ref1)
+            x2 = rng.standard_normal((2, 2, h, w))
+            ref2 = oracles.sliding_window_conv2d_forward(conv2, x2)
+            _assert_same_values(conv2.forward(x2), ref2)
+
+    @pytest.mark.parametrize(
+        "batch,channels,length",
+        [(1, 1, 8), (3, 4, 9), (1, 2, 2)],
+        ids=["b1c1", "b3c4-odd", "one-pair"],
+    )
+    def test_maxpool1d(self, batch, channels, length):
+        rng = np.random.default_rng([batch, channels, length])
+        # Rounded ReLU outputs: ties, and zeros of either sign
+        x = ReLU().forward(np.round(rng.standard_normal((batch, channels, length))))
+        layer, ref = MaxPool1D(2), MaxPool1D(2)
+        _assert_same_values(layer.forward(x), oracles.argmax_maxpool1d_forward(ref, x))
+        gy = rng.standard_normal((batch, channels, length // 2))
+        gx_ref = oracles.indices_maxpool1d_backward(ref, gy)
+        np.testing.assert_array_equal(layer.backward(gy), gx_ref)
+
+    @pytest.mark.parametrize(
+        "batch,channels,h,w",
+        [(1, 1, 6, 4), (3, 4, 7, 5), (2, 3, 33, 13), (1, 1, 2, 2)],
+        ids=["b1c1", "b3c4-odd", "spectrogram", "one-block"],
+    )
+    def test_maxpool2d(self, batch, channels, h, w):
+        rng = np.random.default_rng([batch, channels, h, w])
+        x = ReLU().forward(np.round(rng.standard_normal((batch, channels, h, w))))
+        layer, ref = MaxPool2D(2), MaxPool2D(2)
+        _assert_same_values(layer.forward(x), oracles.argmax_maxpool2d_forward(ref, x))
+        gy = rng.standard_normal((batch, channels, h // 2, w // 2))
+        gx_ref = oracles.indices_maxpool2d_backward(ref, gy)
+        np.testing.assert_array_equal(layer.backward(gy), gx_ref)
+
+    @pytest.mark.parametrize("low, high", [(0.0, 1.0), (-0.0, 0.0), (0.0, -0.0)])
+    def test_maxpool2d_every_tie_pattern(self, low, high):
+        # 16 blocks of a 9x9 image, block b holding `high` where bit k of b is set
+        # (k = 2 * row + column); the odd last row and column hold a larger value
+        x = np.full((1, 1, 9, 9), 5.0)
+        for b in range(16):
+            for k in range(4):
+                x[0, 0, 2 * (b // 4) + k // 2, 2 * (b % 4) + k % 2] = high if b >> k & 1 else low
+        layer, ref = MaxPool2D(2), MaxPool2D(2)
+        _assert_same_values(layer.forward(x), oracles.argmax_maxpool2d_forward(ref, x))
+        gy = np.arange(1.0, 17.0).reshape(1, 1, 4, 4)
+        gx = layer.backward(gy)
+        np.testing.assert_array_equal(gx, oracles.indices_maxpool2d_backward(ref, gy))
+        assert np.count_nonzero(gx) == 16 and not gx[..., 8, :].any() and not gx[..., 8].any()
+
+    @pytest.mark.parametrize("shape", [(3, 4, 8, 3), (2, 16, 5, 7), (1, 1, 1, 1)])
+    def test_global_avg_pool_sums_in_row_major_order(self, shape):
+        x = np.random.default_rng(list(shape)).standard_normal(shape) * 1e3
+        layer = GlobalAvgPool2D()
+        ref = oracles.sequential_global_avg_pool2d_forward(layer, x)
+        np.testing.assert_array_equal(layer.forward(x), ref)
+
+    @pytest.mark.parametrize("pool_cls", [MaxPool1D, MaxPool2D])
+    @pytest.mark.parametrize("pool", [1, 3])
+    def test_only_pool_two_builds(self, pool_cls, pool):
+        with pytest.raises(BuildError, match="pool 2"):
+            pool_cls(pool)
+
+
+def _install_oracle_layers(monkeypatch):
+    """Install the earlier conv and max-pool passes; their backward always returns gx."""
+    monkeypatch.setattr(Conv1D, "forward", oracles.sliding_window_conv1d_forward)
+    monkeypatch.setattr(Conv2D, "forward", oracles.sliding_window_conv2d_forward)
     monkeypatch.setattr(Conv1D, "backward", oracles.im2col_conv1d_backward)
     monkeypatch.setattr(Conv2D, "backward", oracles.im2col_conv2d_backward)
+    monkeypatch.setattr(MaxPool1D, "forward", oracles.argmax_maxpool1d_forward)
+    monkeypatch.setattr(MaxPool2D, "forward", oracles.argmax_maxpool2d_forward)
     monkeypatch.setattr(MaxPool1D, "backward", oracles.indices_maxpool1d_backward)
     monkeypatch.setattr(MaxPool2D, "backward", oracles.indices_maxpool2d_backward)
 
@@ -325,7 +445,7 @@ class TestSkippedFirstInputGradient:
         model, x, y = _cnn_fixture(kind)
         train(model, x, y, cfg)
         with monkeypatch.context() as m:
-            _oracle_backward(m)
+            _install_oracle_layers(m)
             ref, _, _ = _cnn_fixture(kind)
             train(ref, x, y, cfg)
         for a, b in zip(model.parameters(), ref.parameters()):

@@ -19,7 +19,7 @@ from ecgstress.signal_core import (
     segment_windows,
     synth_ecg,
 )
-from oracles import save_recording, synth_beat_count
+from oracles import level_at, save_recording, synth_beat_count
 
 
 def write_recording_csv(path, values):
@@ -115,8 +115,8 @@ class TestLabelTracks:
 
     def test_level_at(self):
         track = LabelTrack("r", (LabelSegment(0, 10, 1),))
-        assert track.level_at(5.0) == 1
-        assert track.level_at(10.0) == UNLABELED
+        assert level_at(track, 5.0) == 1
+        assert level_at(track, 10.0) == UNLABELED
 
 
 class TestConsensus:
@@ -166,7 +166,7 @@ class TestConsensus:
             consensus = consensus_labels(tracks)
             for seg in consensus.segments:
                 for t in tracks:
-                    assert t.level_at(seg.start_s) == seg.level
+                    assert level_at(t, seg.start_s) == seg.level
 
 
 class TestSegmentWindows:
