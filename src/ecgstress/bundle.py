@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import datetime
 import json
+import math
 import os
 from dataclasses import asdict, fields
 from pathlib import Path
@@ -73,6 +74,22 @@ CODECS = {
 HEADER_KEYS = ("method", "window_seconds", "sample_rate_hz", "feature_dim", "spectrogram", "seed")
 
 
+def _check_header(doc: dict) -> None:
+    """Raise BundleError unless the header fields have the types predict needs.
+
+    JSON numbers load as plain int or float, so an exact type test also refuses bools.
+    """
+    if not isinstance(doc["method"], str):
+        raise BundleError(f"bundle method must be a string, got {doc['method']!r}")
+    for key in ("window_seconds", "sample_rate_hz"):
+        value = doc[key]
+        if type(value) not in (int, float) or not 0 < value < math.inf:
+            raise BundleError(f"bundle {key} must be a positive number, got {value!r}")
+    for key in ("feature_dim", "seed"):
+        if type(doc[key]) is not int:
+            raise BundleError(f"bundle {key} must be an integer, got {doc[key]!r}")
+
+
 def save_bundle(
     path,
     method: str,
@@ -119,6 +136,7 @@ def load_bundle(path) -> dict:
     missing = [key for key in HEADER_KEYS if key not in doc]
     if missing:
         raise BundleError(f"bundle lacks {', '.join(missing)}")
+    _check_header(doc)
     method = doc["method"]
     if method not in METHODS:
         raise BundleError(f"unknown method {method!r} in bundle")

@@ -48,13 +48,13 @@ class Layer:
         raise NotImplementedError
 
 
-class Conv1D(Layer):
-    def __init__(self, in_ch, out_ch, kernel, rng):
-        self.kernel = kernel
-        self._index_key = None
-        self.w = _init_uniform(rng, (out_ch, in_ch, kernel), in_ch * kernel)
-        self.b = np.zeros(out_ch)
-        self.gw = np.zeros_like(self.w)
+class _Weighted(Layer):
+    """A layer with weights w and bias b, and the gradients gw and gb of both."""
+
+    def __init__(self, w, bias_len):
+        self.w = w
+        self.b = np.zeros(bias_len)
+        self.gw = np.zeros_like(w)
         self.gb = np.zeros_like(self.b)
 
     def params(self):
@@ -63,201 +63,150 @@ class Conv1D(Layer):
     def grads(self):
         return [self.gw, self.gb]
 
-    def out_shape(self, in_shape):
-        c, length = in_shape
-        if c != self.w.shape[1]:
-            raise BuildError(f"conv1d expects {self.w.shape[1]} channels, got {c}")
-        if length < self.kernel:
-            raise BuildError(f"conv1d kernel {self.kernel} exceeds input length {length}")
-        return (self.w.shape[0], length - self.kernel + 1)
 
-    def _gather_index(self, c, length):
-        """Flat (Lout, C*K) index of im2col rows into one sample, cached per (C, L)."""
-        if self._index_key != (c, length):
-            k = self.kernel
-            taps = (np.arange(c)[:, None] * length + np.arange(k)).reshape(1, c * k)
-            self._index = np.arange(length - k + 1)[:, None] + taps
-            self._index_key = (c, length)
-        return self._index
+class _Conv(_Weighted):
+    """im2col convolution over the last `rank` axes, zero-padded by `pad` on each side.
+
+    Weights are (O, C, k[, k]); an input (N, C, *size) gives (N, O, *out) with
+    out = size + 2*pad - k + 1 on each spatial axis.
+    """
+
+    def __init__(self, in_ch, out_ch, kernel, rng, rank, pad):
+        self.kernel, self.rank, self.pad = kernel, rank, pad
+        self._key = None
+        shape = (out_ch, in_ch) + (kernel,) * rank
+        super().__init__(_init_uniform(rng, shape, in_ch * kernel**rank), out_ch)
+
+    def out_shape(self, in_shape):
+        name = type(self).__name__.lower()
+        c, *size = in_shape
+        if c != self.w.shape[1]:
+            raise BuildError(f"{name} expects {self.w.shape[1]} channels, got {c}")
+        if min(size) + 2 * self.pad < self.kernel:
+            raise BuildError(f"{name} kernel {self.kernel} exceeds input length {min(size)}")
+        return (self.w.shape[0], *(s + 2 * self.pad - self.kernel + 1 for s in size))
+
+    def _layout(self, in_shape):
+        """Cache, per input (C, *size), the flat im2col index into one padded sample and
+        the slices that pad, col2im and crop use."""
+        if self._key == in_shape:
+            return
+        c, *size = in_shape
+        k, p = self.kernel, self.pad
+        padded = [s + 2 * p for s in size]
+        out = [s - k + 1 for s in padded]
+        flat = np.arange(c * np.prod(padded)).reshape(c, *padded)
+        # Row r of the index is output position r; its columns are the (C, k[, k]) taps
+        taps = flat[(slice(None),) + (slice(k),) * self.rank].reshape(1, -1)
+        self._index = flat[(0, *(slice(o) for o in out))].reshape(-1, 1) + taps
+        self._padded, self._out = (c, *padded), tuple(out)
+        inner = tuple(slice(p, p + s) for s in size)
+        self._inner, self._crop = (..., *inner), (slice(None), *inner)
+        # col2im: tap t of the channels-last gradient adds onto the padded input shifted by t
+        self._col2im = [
+            ((slice(None), *(slice(i, i + o) for i, o in zip(tap, out))), (..., *tap))
+            for tap in np.ndindex(*(k,) * self.rank)
+        ]
+        self._key = in_shape
 
     def forward(self, x):
-        n, c, length = x.shape
-        k = self.kernel
-        lout = length - k + 1
-        # im2col: (N*Lout, C*K) rows against (O, C*K) filters via BLAS
-        index = self._gather_index(c, length)
-        self._xcol = np.take(x.reshape(n, c * length), index, axis=1).reshape(n * lout, c * k)
-        self._dims = (n, c, length, lout)
+        n = x.shape[0]
+        self._layout(x.shape[1:])
+        if self.pad:
+            xp = np.zeros((n, *self._padded))
+            xp[self._inner] = x
+            x = xp
+        # im2col: (N*positions, C*k[*k]) rows against (O, C*k[*k]) filters via BLAS
+        index = self._index
+        self._xcol = np.take(x.reshape(n, -1), index, axis=1).reshape(-1, index.shape[1])
         o = self.w.shape[0]
         y = self._xcol @ self.w.reshape(o, -1).T
-        # One pass writes the (N*Lout, O) product channel-major and adds the bias
-        out = np.empty((n, o, lout))
-        np.add(y.reshape(n, lout, o).transpose(0, 2, 1), self.b[:, None], out=out)
+        # One pass writes the (N*positions, O) product channel-major and adds the bias
+        out = np.empty((n, o, *self._out))
+        np.add(y.reshape(n, -1, o).transpose(0, 2, 1), self.b[:, None], out=out.reshape(n, o, -1))
         return out
 
     def backward(self, gy, need_gx=True):
-        n, c, length, lout = self._dims
-        k = self.kernel
-        o = self.w.shape[0]
-        gy_mat = np.ascontiguousarray(gy.transpose(0, 2, 1)).reshape(n * lout, o)
+        n, o = gy.shape[:2]
+        spatial = tuple(range(2, gy.ndim))
+        gy_mat = np.ascontiguousarray(gy.transpose(0, *spatial, 1)).reshape(-1, o)
         self.gw[...] = (gy_mat.T @ self._xcol).reshape(self.w.shape)
-        self.gb[...] = gy.sum(axis=(0, 2))
+        self.gb[...] = gy.sum(axis=(0, *spatial))
         if not need_gx:
             return None
-        # col2im: gcol[n, t, :, j] is the gradient of x[n, :, t + j]
-        gcol = (gy_mat @ self.w.reshape(o, c * k)).reshape(n, lout, c, k)
-        gx = np.zeros((n, length, c))
-        for j in range(k):
-            gx[:, j : j + lout] += gcol[:, :, :, j]
-        return gx.transpose(0, 2, 1)
+        # col2im: gcol[n, *position, :, *tap] is the gradient of the padded input at position + tap
+        c = self.w.shape[1]
+        gcol = (gy_mat @ self.w.reshape(o, -1)).reshape(n, *self._out, *self.w.shape[1:])
+        gxp = np.zeros((n, *self._padded[1:], c))
+        for dst, src in self._col2im:
+            gxp[dst] += gcol[src]
+        return gxp[self._crop].transpose(0, self.rank + 1, *range(1, self.rank + 1))
 
 
-class Conv2D(Layer):
+class Conv1D(_Conv):
+    """Valid (unpadded) 1D convolution."""
+
+    def __init__(self, in_ch, out_ch, kernel, rng):
+        super().__init__(in_ch, out_ch, kernel, rng, rank=1, pad=0)
+
+
+class Conv2D(_Conv):
     """3x3 (or any odd-kernel) convolution with 'same' zero padding."""
 
     def __init__(self, in_ch, out_ch, kernel, rng):
         if kernel % 2 != 1:
             raise BuildError("same-padded conv2d requires an odd kernel")
-        self.kernel = kernel
-        self.pad = kernel // 2
-        self._index_key = None
-        self.w = _init_uniform(rng, (out_ch, in_ch, kernel, kernel), in_ch * kernel * kernel)
-        self.b = np.zeros(out_ch)
-        self.gw = np.zeros_like(self.w)
-        self.gb = np.zeros_like(self.b)
-
-    def params(self):
-        return [self.w, self.b]
-
-    def grads(self):
-        return [self.gw, self.gb]
-
-    def out_shape(self, in_shape):
-        c, h, w = in_shape
-        if c != self.w.shape[1]:
-            raise BuildError(f"conv2d expects {self.w.shape[1]} channels, got {c}")
-        return (self.w.shape[0], h, w)
-
-    def _gather_index(self, c, h, w):
-        """Flat (H*W, C*K*K) index of im2col rows into one padded sample, cached per (C, H, W)."""
-        if self._index_key != (c, h, w):
-            k, p = self.kernel, self.pad
-            hp, wp = h + 2 * p, w + 2 * p
-            taps = (
-                np.arange(c)[:, None, None] * (hp * wp)
-                + np.arange(k)[:, None] * wp
-                + np.arange(k)
-            ).reshape(1, c * k * k)
-            corners = (np.arange(h)[:, None] * wp + np.arange(w)).reshape(h * w, 1)
-            self._index = corners + taps
-            self._index_key = (c, h, w)
-        return self._index
-
-    def forward(self, x):
-        n, c, h, wdt = x.shape
-        k, p = self.kernel, self.pad
-        xp = np.zeros((n, c, h + 2 * p, wdt + 2 * p))
-        xp[:, :, p : p + h, p : p + wdt] = x
-        index = self._gather_index(c, h, wdt)
-        self._xcol = np.take(xp.reshape(n, -1), index, axis=1).reshape(n * h * wdt, c * k * k)
-        self._dims = (n, c, h, wdt)
-        o = self.w.shape[0]
-        y = self._xcol @ self.w.reshape(o, -1).T
-        # One pass writes the (N*H*W, O) product channel-major (NCHW) and adds the bias
-        out = np.empty((n, o, h, wdt))
-        yt = y.reshape(n, h * wdt, o).transpose(0, 2, 1)
-        np.add(yt, self.b[:, None], out=out.reshape(n, o, h * wdt))
-        return out
-
-    def backward(self, gy, need_gx=True):
-        n, c, h, wdt = self._dims
-        k, p = self.kernel, self.pad
-        o = self.w.shape[0]
-        gy_mat = np.ascontiguousarray(gy.transpose(0, 2, 3, 1)).reshape(n * h * wdt, o)
-        self.gw[...] = (gy_mat.T @ self._xcol).reshape(self.w.shape)
-        self.gb[...] = gy.sum(axis=(0, 2, 3))
-        if not need_gx:
-            return None
-        # col2im: gcol[n, y, x, :, i, j] is the gradient of the padded input at (y + i, x + j)
-        gcol = (gy_mat @ self.w.reshape(o, c * k * k)).reshape(n, h, wdt, c, k, k)
-        gxp = np.zeros((n, h + 2 * p, wdt + 2 * p, c))
-        for i in range(k):
-            for j in range(k):
-                gxp[:, i : i + h, j : j + wdt] += gcol[:, :, :, :, i, j]
-        return gxp[:, p : p + h, p : p + wdt].transpose(0, 3, 1, 2)
+        super().__init__(in_ch, out_ch, kernel, rng, rank=2, pad=kernel // 2)
 
 
-def _pool2_backward(arg, gy, in_shape, slices):
-    """Route gy to the input position each output took; the odd tail gets zero."""
-    gx = np.zeros(in_shape)
-    for k, s in enumerate(slices):
-        np.multiply(gy, arg == k, out=gx[s])
-    return gx
+def _pairs(shape, axis):
+    """Slices of the first and second elements of each non-overlapping pair along axis."""
+    end = shape[axis] // 2 * 2
+    rest = (slice(None),) * (-1 - axis)
+    return [(..., slice(i, end, 2), *rest) for i in (0, 1)]
 
 
-class MaxPool1D(Layer):
-    """Max over non-overlapping pairs; a tie goes to the first, an odd tail is dropped."""
+class _PairMax(Layer):
+    """Max over non-overlapping pairs along the last axis, then (2D) the one before it.
 
-    def __init__(self, pool=2):
-        if pool != 2:
-            raise BuildError(f"maxpool supports pool 2 only, got {pool}")
-        self.pool = pool
-
-    def out_shape(self, in_shape):
-        c, length = in_shape
-        if length < self.pool:
-            raise BuildError(f"maxpool {self.pool} exceeds input length {length}")
-        return (c, length // self.pool)
-
-    def forward(self, x):
-        end = x.shape[2] // 2 * 2
-        self._in_shape = x.shape
-        self._slices = [(..., slice(i, end, 2)) for i in (0, 1)]
-        a, b = (x[s] for s in self._slices)
-        self._arg = b > a
-        return np.where(self._arg, b, a)
-
-    def backward(self, gy, need_gx=True):
-        return _pool2_backward(self._arg, gy, self._in_shape, self._slices)
-
-
-class MaxPool2D(Layer):
-    """Max over non-overlapping 2x2 blocks, first maximum in (0,0),(0,1),(1,0),(1,1) order.
-
-    Each row's pair is compared first, then the two row winners; every step
-    keeps the earlier element on a tie. An odd last row or column is dropped.
+    Each step keeps the earlier element on a tie, so a 2x2 block gives its first
+    maximum in (0,0),(0,1),(1,0),(1,1) order. An odd last row or column is dropped.
     """
 
-    def __init__(self, pool=2):
-        if pool != 2:
-            raise BuildError(f"maxpool supports pool 2 only, got {pool}")
-        self.pool = pool
+    rank: int
 
     def out_shape(self, in_shape):
-        c, h, w = in_shape
-        if h < self.pool or w < self.pool:
-            raise BuildError(f"maxpool {self.pool}x{self.pool} exceeds input {h}x{w}")
-        return (c, h // self.pool, w // self.pool)
+        c, *size = in_shape
+        if min(size) < 2:
+            raise BuildError(f"maxpool 2 exceeds input {'x'.join(map(str, size))}")
+        return (c, *(s // 2 for s in size))
 
     def forward(self, x):
-        hend, wend = x.shape[2] // 2 * 2, x.shape[3] // 2 * 2
-        self._in_shape = x.shape
-        self._slices = [
-            (..., slice(i, hend, 2), slice(j, wend, 2)) for i in (0, 1) for j in (0, 1)
-        ]
-        a, b, c, d = (x[s] for s in self._slices)
-        right_top = b > a
-        right_bottom = d > c
-        top = np.where(right_top, b, a)
-        bottom = np.where(right_bottom, d, c)
-        lower = bottom > top
-        # The slice index k of the maximum, as 2 * row + column
-        column = (right_bottom & lower) | (right_top & ~lower)
-        self._arg = (lower.view(np.int8) << 1) | column.view(np.int8)
-        return np.where(lower, bottom, top)
+        self._steps = []
+        for axis in range(-1, -1 - self.rank, -1):
+            pairs = _pairs(x.shape, axis)
+            a, b = x[pairs[0]], x[pairs[1]]
+            second = b > a
+            self._steps.append((x.shape, pairs, second))
+            x = np.where(second, b, a)
+        return x
 
     def backward(self, gy, need_gx=True):
-        return _pool2_backward(self._arg, gy, self._in_shape, self._slices)
+        # Route gy to the element each step took; a dropped odd tail gets zero
+        for shape, (first_at, second_at), second in reversed(self._steps):
+            gx = np.zeros(shape)
+            np.multiply(gy, ~second, out=gx[first_at])
+            np.multiply(gy, second, out=gx[second_at])
+            gy = gx
+        return gy
+
+
+class MaxPool1D(_PairMax):
+    rank = 1
+
+
+class MaxPool2D(_PairMax):
+    rank = 2
 
 
 class ReLU(Layer):
@@ -300,18 +249,9 @@ class GlobalAvgPool2D(Layer):
         return np.broadcast_to(gy[:, :, None, None], self._in_shape) / (h * w)
 
 
-class Dense(Layer):
+class Dense(_Weighted):
     def __init__(self, in_dim, out_dim, rng):
-        self.w = _init_uniform(rng, (in_dim, out_dim), in_dim)
-        self.b = np.zeros(out_dim)
-        self.gw = np.zeros_like(self.w)
-        self.gb = np.zeros_like(self.b)
-
-    def params(self):
-        return [self.w, self.b]
-
-    def grads(self):
-        return [self.gw, self.gb]
+        super().__init__(_init_uniform(rng, (in_dim, out_dim), in_dim), out_dim)
 
     def out_shape(self, in_shape):
         if len(in_shape) != 1 or in_shape[0] != self.w.shape[0]:
@@ -421,13 +361,13 @@ def build_cnn1d(input_len: int = 256, classes: int = 3, feature_dim: int = 32, s
     layers = [
         Conv1D(1, 5, 5, rng),
         ReLU(),
-        MaxPool1D(2),
+        MaxPool1D(),
         Conv1D(5, 10, 5, rng),
         ReLU(),
-        MaxPool1D(2),
+        MaxPool1D(),
         Conv1D(10, 10, 4, rng),
         ReLU(),
-        MaxPool1D(2),
+        MaxPool1D(),
         Flatten(),
     ]
     # Derive the flattened size by walking the shape chain so far
@@ -456,10 +396,10 @@ def build_cnn2d(input_shape=(33, 13), classes: int = 3, feature_dim: int = 32, s
     layers = [
         Conv2D(1, 8, 3, rng),
         ReLU(),
-        MaxPool2D(2),
+        MaxPool2D(),
         Conv2D(8, 16, 3, rng),
         ReLU(),
-        MaxPool2D(2),
+        MaxPool2D(),
         Conv2D(16, 32, 3, rng),
         ReLU(),
         GlobalAvgPool2D(),

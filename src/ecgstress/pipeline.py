@@ -44,8 +44,6 @@ class PipelineConfig:
 
     def snapshot(self) -> dict:
         d = asdict(self)
-        d["spectrogram"] = asdict(self.spectrogram)
-        d["cnn_train"] = asdict(self.cnn_train)
         d["svm_lambda_grid"] = list(self.svm_lambda_grid)
         d["knn_k_grid"] = list(self.knn_k_grid)
         return d
@@ -56,31 +54,29 @@ def fold_seed(global_seed: int, subject_id: str) -> int:
     return (global_seed ^ zlib.crc32(subject_id.encode())) & 0x7FFFFFFF
 
 
+def _with_noise(arrays, windows, cfg: PipelineConfig, modality: str, stream: int) -> list:
+    """The windows' arrays, each plus seeded noise of its own if cfg corrupts this modality."""
+    if cfg.corrupt_modality != modality or not cfg.corrupt_noise_std > 0:
+        return arrays
+    noisy = []
+    for a, w in zip(arrays, windows):
+        rng = np.random.default_rng(
+            [cfg.seed & 0xFFFFFFFF, zlib.crc32(w.subject_id.encode()), w.start_sample, stream]
+        )
+        noisy.append(a + cfg.corrupt_noise_std * rng.standard_normal(a.shape))
+    return noisy
+
+
 def windows_to_snippets(windows, cfg: PipelineConfig) -> np.ndarray:
     """Raw 1-second snippets shaped (N, 1, L) for the 1D CNN."""
-    x = np.stack([w.samples for w in windows])[:, None, :]
-    if cfg.corrupt_modality == "raw" and cfg.corrupt_noise_std > 0:
-        for i, w in enumerate(windows):
-            rng = np.random.default_rng(
-                [cfg.seed & 0xFFFFFFFF, zlib.crc32(w.subject_id.encode()), w.start_sample, 0xA1]
-            )
-            x[i] += cfg.corrupt_noise_std * rng.standard_normal(x[i].shape)
-    return x
+    snippets = _with_noise([w.samples for w in windows], windows, cfg, "raw", 0xA1)
+    return np.stack(snippets)[:, None, :]
 
 
 def windows_to_images(windows, cfg: PipelineConfig) -> np.ndarray:
     """Normalized spectrogram images shaped (N, 1, bins, frames) for the 2D CNN."""
-    imgs = []
-    for w in windows:
-        spec = stft_spectrogram(w.samples, cfg.spectrogram)
-        img = normalize_spectrogram(spec)
-        if cfg.corrupt_modality == "spectrogram" and cfg.corrupt_noise_std > 0:
-            rng = np.random.default_rng(
-                [cfg.seed & 0xFFFFFFFF, zlib.crc32(w.subject_id.encode()), w.start_sample, 0xA2]
-            )
-            img = img + cfg.corrupt_noise_std * rng.standard_normal(img.shape)
-        imgs.append(img)
-    return np.stack(imgs)[:, None, :, :]
+    imgs = [normalize_spectrogram(stft_spectrogram(w.samples, cfg.spectrogram)) for w in windows]
+    return np.stack(_with_noise(imgs, windows, cfg, "spectrogram", 0xA2))[:, None, :, :]
 
 
 def labels_of(windows) -> np.ndarray:
@@ -100,29 +96,28 @@ def _inner_split(n: int, seed: int):
 def _fit_svm(X, y, cfg: PipelineConfig, seed: int) -> dict:
     """Pick the hinge regularizer from the grid on an inner 80/20 split."""
     tr, va = _inner_split(len(X), seed)
-    best_lam, best_acc = cfg.svm_lambda_grid[0], -1.0
+
+    def accuracy(lam):
+        model = classifiers.train_linear_svm(
+            X[tr], y[tr], lam=lam, epochs=cfg.svm_epochs, seed=seed
+        )
+        return float(np.mean(classifiers.svm_predict(model, X[va]) == y[va]))
+
+    best_lam = cfg.svm_lambda_grid[0]
     if len(np.unique(y[tr])) >= 2 and len(va) > 0:
-        for lam in cfg.svm_lambda_grid:
-            model = classifiers.train_linear_svm(
-                X[tr], y[tr], lam=lam, epochs=cfg.svm_epochs, seed=seed
-            )
-            acc = float(np.mean(classifiers.svm_predict(model, X[va]) == y[va]))
-            if acc > best_acc:
-                best_lam, best_acc = lam, acc
+        best_lam = max(cfg.svm_lambda_grid, key=accuracy)  # the first best on a tie
     model = classifiers.train_linear_svm(X, y, lam=best_lam, epochs=cfg.svm_epochs, seed=seed)
     return {"svm": model, "svm_lambda": best_lam}
 
 
 def _fit_knn(X, y, cfg: PipelineConfig, seed: int) -> dict:
     tr, va = _inner_split(len(X), seed)
-    best_k, best_acc = cfg.knn_k_grid[0], -1.0
-    for k in cfg.knn_k_grid:
-        if k > len(tr):
-            continue
-        preds = classifiers.knn_predict_batch(X[tr], y[tr], X[va], k)
-        acc = float(np.mean(preds == y[va]))
-        if acc > best_acc:
-            best_k, best_acc = k, acc
+
+    def accuracy(k):
+        return float(np.mean(classifiers.knn_predict_batch(X[tr], y[tr], X[va], k) == y[va]))
+
+    usable = [k for k in cfg.knn_k_grid if k <= len(tr)]
+    best_k = max(usable, key=accuracy, default=cfg.knn_k_grid[0])  # the first best on a tie
     # Keyed by the argument names of classifiers.knn_predict_batch
     return {"knn": {"train_X": X, "train_y": y, "k": best_k}}
 

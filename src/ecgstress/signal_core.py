@@ -250,7 +250,7 @@ def segment_windows(rec: EcgRecording, labels: LabelTrack, window_seconds: float
                     start_sample=lo,
                     length_samples=wlen,
                     label=seg.level,
-                    samples=rec.samples[lo : lo + wlen].copy(),
+                    samples=rec.samples[lo : lo + wlen],  # a read-only view
                 )
             )
     return windows

@@ -130,8 +130,8 @@ def test_03_gradient_checks():
         layers_inputs = [
             (Conv1D(2, 3, 3, rng), rng.standard_normal((2, 2, 8))),
             (Conv2D(2, 3, 3, rng), rng.standard_normal((2, 2, 5, 4))),
-            (MaxPool1D(2), smooth((2, 2, 8))),
-            (MaxPool2D(2), smooth((2, 2, 6, 4))),
+            (MaxPool1D(), smooth((2, 2, 8))),
+            (MaxPool2D(), smooth((2, 2, 6, 4))),
             (ReLU(), smooth((2, 3, 7))),
             (Flatten(), rng.standard_normal((2, 2, 3, 4))),
             (GlobalAvgPool2D(), rng.standard_normal((2, 3, 4, 5))),

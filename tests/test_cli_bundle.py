@@ -609,8 +609,39 @@ class TestBundleValidation:
                 "malformed bundle",
             ),
             ([1], "format_version"),
+            ({**BUNDLE_HEADER, "method": ["svm_hrv"]}, "method must be a string"),
+            (
+                {**BUNDLE_HEADER, "method": "svm_hrv", "window_seconds": "4"},
+                "window_seconds must be a positive number",
+            ),
+            (
+                {**BUNDLE_HEADER, "method": "svm_hrv", "window_seconds": None},
+                "window_seconds must be a positive number",
+            ),
+            (
+                {**BUNDLE_HEADER, "method": "svm_hrv", "window_seconds": -4.0},
+                "window_seconds must be a positive number",
+            ),
+            (
+                {**BUNDLE_HEADER, "method": "svm_hrv", "sample_rate_hz": True},
+                "sample_rate_hz must be a positive number",
+            ),
+            (
+                {**BUNDLE_HEADER, "method": "svm_hrv", "sample_rate_hz": float("inf")},
+                "sample_rate_hz must be a positive number",
+            ),
+            (
+                {**BUNDLE_HEADER, "method": "svm_hrv", "feature_dim": 32.0},
+                "feature_dim must be an integer",
+            ),
+            ({**BUNDLE_HEADER, "method": "svm_hrv", "seed": False}, "seed must be an integer"),
+            ({**BUNDLE_HEADER, "method": "svm_hrv", "seed": "0"}, "seed must be an integer"),
         ],
-        ids=["truncated", "unknown-method", "missing-component", "malformed-section", "not-a-dict"],
+        ids=[
+            "truncated", "unknown-method", "missing-component", "malformed-section", "not-a-dict",
+            "method-list", "window-str", "window-null", "window-negative", "rate-bool",
+            "rate-infinite", "feature-dim-float", "seed-bool", "seed-str",
+        ],
     )
     def test_predict_rejects_bad_bundle(self, tmp_path, capsys, doc, message):
         path = tmp_path / "bundle.json"

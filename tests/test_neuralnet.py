@@ -254,14 +254,14 @@ class TestBackwardMatchesIm2colOracle:
 
 class TestMaxPoolRouting:
     def test_1d_tie_goes_to_first_and_tail_gets_zero(self):
-        layer = MaxPool1D(2)
+        layer = MaxPool1D()
         x = np.array([[[3.0, 3.0, -1.0, 2.0, 9.0]]])  # tie, then max second, odd tail
         np.testing.assert_array_equal(layer.forward(x), [[[3.0, 2.0]]])
         gx = layer.backward(np.array([[[5.0, 7.0]]]))
         np.testing.assert_array_equal(gx, [[[5.0, 0.0, 0.0, 7.0, 0.0]]])
 
     def test_2d_tie_goes_to_first_and_tail_gets_zero(self):
-        layer = MaxPool2D(2)
+        layer = MaxPool2D()
         x = np.array(
             [[[[4.0, 1.0, 0.0, 2.0, 9.0],
                [4.0, 4.0, 2.0, 1.0, 9.0],
@@ -274,6 +274,24 @@ class TestMaxPoolRouting:
         expected[0, 0, 0, 3] = 7.0
         np.testing.assert_array_equal(gx, expected)
 
+    @pytest.mark.parametrize("h, w", [(3, 4), (2, 5)], ids=["odd-height", "odd-width"])
+    def test_2d_one_odd_side_gets_zero(self, h, w):
+        # The last-axis step also pairs up the odd last row, which the row step then drops
+        x = np.array(
+            [[[[1.0, 3.0, 0.0, 2.0, 9.0],
+               [3.0, 2.0, 5.0, 1.0, 9.0],
+               [9.0, 9.0, 9.0, 9.0, 9.0]]]]
+        )[..., :h, :w]
+        layer = MaxPool2D()
+        np.testing.assert_array_equal(layer.forward(x), [[[[3.0, 5.0]]]])
+        gx = layer.backward(np.array([[[[-5.0, 7.0]]]]))
+        expected = np.zeros_like(x)
+        expected[0, 0, 0, 1] = -5.0
+        expected[0, 0, 1, 2] = 7.0
+        np.testing.assert_array_equal(gx, expected)
+        np.testing.assert_array_equal(np.signbit(gx[..., :2, :4]), [[[[1, 1, 0, 0], [1, 1, 0, 0]]]])
+        assert not np.signbit(gx[..., 2:, :]).any() and not np.signbit(gx[..., 4:]).any()
+
 
 def _assert_same_values(a, b):
     """Equal elementwise, signed zeros included."""
@@ -283,7 +301,7 @@ def _assert_same_values(a, b):
 
 
 class TestForwardMatchesOracle:
-    """Gather im2col, contiguous conv outputs and pool-2 compares against the earlier forward."""
+    """Gather im2col, contiguous conv outputs and the pair-max pool against the earlier forward."""
 
     @pytest.mark.parametrize("kernel", [3, 5])
     @pytest.mark.parametrize(
@@ -341,7 +359,7 @@ class TestForwardMatchesOracle:
         rng = np.random.default_rng([batch, channels, length])
         # Rounded ReLU outputs: ties, and zeros of either sign
         x = ReLU().forward(np.round(rng.standard_normal((batch, channels, length))))
-        layer, ref = MaxPool1D(2), MaxPool1D(2)
+        layer, ref = MaxPool1D(), MaxPool1D()
         _assert_same_values(layer.forward(x), oracles.argmax_maxpool1d_forward(ref, x))
         gy = rng.standard_normal((batch, channels, length // 2))
         gx_ref = oracles.indices_maxpool1d_backward(ref, gy)
@@ -349,13 +367,13 @@ class TestForwardMatchesOracle:
 
     @pytest.mark.parametrize(
         "batch,channels,h,w",
-        [(1, 1, 6, 4), (3, 4, 7, 5), (2, 3, 33, 13), (1, 1, 2, 2)],
-        ids=["b1c1", "b3c4-odd", "spectrogram", "one-block"],
+        [(1, 1, 6, 4), (3, 4, 7, 5), (2, 3, 33, 13), (1, 1, 2, 2), (2, 3, 7, 4), (2, 3, 6, 5)],
+        ids=["b1c1", "b3c4-odd", "spectrogram", "one-block", "odd-height", "odd-width"],
     )
     def test_maxpool2d(self, batch, channels, h, w):
         rng = np.random.default_rng([batch, channels, h, w])
         x = ReLU().forward(np.round(rng.standard_normal((batch, channels, h, w))))
-        layer, ref = MaxPool2D(2), MaxPool2D(2)
+        layer, ref = MaxPool2D(), MaxPool2D()
         _assert_same_values(layer.forward(x), oracles.argmax_maxpool2d_forward(ref, x))
         gy = rng.standard_normal((batch, channels, h // 2, w // 2))
         gx_ref = oracles.indices_maxpool2d_backward(ref, gy)
@@ -369,7 +387,7 @@ class TestForwardMatchesOracle:
         for b in range(16):
             for k in range(4):
                 x[0, 0, 2 * (b // 4) + k // 2, 2 * (b % 4) + k % 2] = high if b >> k & 1 else low
-        layer, ref = MaxPool2D(2), MaxPool2D(2)
+        layer, ref = MaxPool2D(), MaxPool2D()
         _assert_same_values(layer.forward(x), oracles.argmax_maxpool2d_forward(ref, x))
         gy = np.arange(1.0, 17.0).reshape(1, 1, 4, 4)
         gx = layer.backward(gy)
@@ -382,12 +400,6 @@ class TestForwardMatchesOracle:
         layer = GlobalAvgPool2D()
         ref = oracles.sequential_global_avg_pool2d_forward(layer, x)
         np.testing.assert_array_equal(layer.forward(x), ref)
-
-    @pytest.mark.parametrize("pool_cls", [MaxPool1D, MaxPool2D])
-    @pytest.mark.parametrize("pool", [1, 3])
-    def test_only_pool_two_builds(self, pool_cls, pool):
-        with pytest.raises(BuildError, match="pool 2"):
-            pool_cls(pool)
 
 
 def _install_oracle_layers(monkeypatch):

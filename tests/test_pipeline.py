@@ -1,6 +1,7 @@
 """Per-fold pipelines: seeding, modality tensors, grid search and LOSO runs."""
 
 import json
+import zlib
 
 import numpy as np
 import pytest
@@ -76,6 +77,56 @@ class TestModalityTensors:
         np.testing.assert_array_equal(
             windows_to_images(windows, cfg), windows_to_images(windows, cfg)
         )
+
+    @pytest.mark.parametrize("modality, stream", [("raw", 0xA1), ("spectrogram", 0xA2)])
+    def test_noise_keyed_by_seed_subject_start_and_modality(self, small_dataset, modality, stream):
+        windows = small_dataset.windows[:3]
+        to_tensor = windows_to_snippets if modality == "raw" else windows_to_images
+        clean = to_tensor(windows, fast_config("fusion_avg"))
+        cfg = fast_config("fusion_avg", corrupt_modality=modality, corrupt_noise_std=0.5)
+        noisy = to_tensor(windows, cfg)
+        for i, w in enumerate(windows):
+            rng = np.random.default_rng([1, zlib.crc32(w.subject_id.encode()), w.start_sample, stream])
+            expected = clean[i, 0] + 0.5 * rng.standard_normal(clean[i, 0].shape)
+            np.testing.assert_array_equal(noisy[i, 0], expected)
+
+
+class TestGridSearch:
+    """The first best grid value wins; every value is tried once, in grid order."""
+
+    y = np.arange(20) % 2
+    X = np.column_stack([y, y]).astype(float)  # column 0 is the label
+
+    @staticmethod
+    def _guess(right, X):
+        return X[:, 0].astype(int) if right else 1 - X[:, 0].astype(int)
+
+    def test_svm_lambda(self, monkeypatch):
+        trained = []
+
+        def train(X, y, lam, epochs, seed):
+            trained.append(lam)
+            return lam
+
+        monkeypatch.setattr(pipeline.classifiers, "train_linear_svm", train)
+        monkeypatch.setattr(
+            pipeline.classifiers, "svm_predict", lambda lam, X: self._guess(lam in (0.1, 2.0), X)
+        )
+        cfg = fast_config("svm_hrv", svm_lambda_grid=(0.5, 0.1, 2.0))
+        assert pipeline._fit_svm(self.X, self.y, cfg, seed=0)["svm_lambda"] == 0.1
+        assert trained == [0.5, 0.1, 2.0, 0.1]
+
+    @pytest.mark.parametrize(
+        "grid, best", [((1, 3, 5, 7), 3), ((1, 5), 1), ((99, 7), 7), ((99, 50), 99)]
+    )
+    def test_knn_k(self, monkeypatch, grid, best):
+        monkeypatch.setattr(
+            pipeline.classifiers,
+            "knn_predict_batch",
+            lambda train_X, train_y, X, k: self._guess(k in (3, 7), X),
+        )
+        cfg = fast_config("knn_hrv", knn_k_grid=grid)
+        assert pipeline._fit_knn(self.X, self.y, cfg, seed=0)["knn"]["k"] == best
 
 
 class TestHrvMatrix:

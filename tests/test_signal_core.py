@@ -220,6 +220,15 @@ class TestSegmentWindows:
         track = LabelTrack("consensus", (LabelSegment(0, 3, 0),))
         assert segment_windows(rec, track, 5.0) == []
 
+    def test_windows_are_read_only_views_of_the_recording(self):
+        rec = self._rec()
+        track = LabelTrack("consensus", (LabelSegment(1, 10, 0),))
+        windows = segment_windows(rec, track, 3.0)
+        assert [w.start_sample for w in windows] == [256, 1024, 1792]
+        for w in windows:
+            assert np.shares_memory(w.samples, rec.samples) and not w.samples.flags.writeable
+            np.testing.assert_array_equal(w.samples, np.arange(w.start_sample, w.start_sample + 768))
+
 
 class TestSynthEcg:
     def test_determinism(self):
