@@ -56,27 +56,41 @@ class SvmModel:
             raise ValueError("need one weight vector and bias per class (>= 2 classes)")
 
 
-def train_linear_svm(X, y, lam=0.01, epochs=200, learning_rate=0.1, seed=0) -> SvmModel:
-    """One-vs-rest linear SVM via deterministic full-batch subgradient descent.
+def train_linear_svm(
+    X, y, lam=0.01, epochs=200, learning_rate=0.1, seed=0
+) -> SvmModel | tuple[SvmModel, ...]:
+    """One-vs-rest linear SVMs via deterministic full-batch subgradient descent.
 
-    Minimizes (lam/2)||w||^2 + mean hinge loss per class, for all classes at
-    once: column c of W and entry c of b are class c against the rest. Zero
-    init, so the seed only matters for API symmetry with the other trainers.
+    Minimizes (lam/2)||w||^2 + mean hinge loss per class. ``lam`` is one λ,
+    which gives one SvmModel, or a sequence of L values, which gives one
+    SvmModel per λ in grid order. Every (λ, class) pair trains at once as one
+    column of W (d, L·C): column l·C + c is class c against the rest under
+    the l-th λ. Zero init, so the seed only matters for API symmetry with the
+    other trainers.
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
     if len(np.unique(y)) < 2:
         raise ValueError("training data must contain at least 2 classes")
-    Y = np.where(y[:, None] == np.arange(y.max() + 1), 1.0, -1.0)  # (n, classes)
+    lams = np.atleast_1d(np.asarray(lam, dtype=np.float64))
+    classes = int(y.max()) + 1
+    Y = np.tile(np.where(y[:, None] == np.arange(classes), 1.0, -1.0), len(lams))  # (n, L·C)
+    col_lam = np.repeat(lams, classes)
     n = len(X)
     W = np.zeros((X.shape[1], Y.shape[1]))
     b = np.zeros(Y.shape[1])
     for step in range(epochs):
         lr = learning_rate / (1.0 + 0.01 * step)
         A = np.where(Y * (X @ W + b) < 1.0, Y, 0.0)  # active hinge terms
-        W -= lr * (lam * W - X.T @ A / n)
+        W -= lr * (col_lam * W - X.T @ A / n)
         b -= lr * (-A.sum(axis=0) / n)
-    return SvmModel(weights=np.ascontiguousarray(W.T), biases=b, lam=float(lam))
+    models = tuple(
+        SvmModel(weights=np.ascontiguousarray(weights), biases=biases, lam=float(value))
+        for weights, biases, value in zip(
+            W.T.reshape(len(lams), classes, -1), b.reshape(len(lams), classes), lams
+        )
+    )
+    return models if np.ndim(lam) else models[0]
 
 
 def svm_predict(model: SvmModel, X) -> np.ndarray:

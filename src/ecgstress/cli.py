@@ -105,12 +105,15 @@ def build_pipeline_config(settings: dict) -> PipelineConfig:
                 group, _, name = dest.rpartition(".")
                 fields[group][name] = value
     cfg = PipelineConfig()
-    return replace(
+    cfg = replace(
         cfg,
         **fields[""],
         cnn_train=replace(cfg.cnn_train, **fields["cnn_train"]),
         spectrogram=replace(cfg.spectrogram, **fields["spectrogram"]),
     )
+    if cfg.feature_dim < 1:
+        raise ValueError(f"feature_dim must be at least 1, got {cfg.feature_dim}")
+    return cfg
 
 
 def merge_settings(args) -> dict:

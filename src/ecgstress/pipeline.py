@@ -94,18 +94,20 @@ def _inner_split(n: int, seed: int):
 
 
 def _fit_svm(X, y, cfg: PipelineConfig, seed: int) -> dict:
-    """Pick the hinge regularizer from the grid on an inner 80/20 split."""
+    """Pick the hinge regularizer from the grid on an inner 80/20 split.
+
+    One call trains the whole grid on the inner split; a second trains the
+    chosen λ on every row.
+    """
     tr, va = _inner_split(len(X), seed)
-
-    def accuracy(lam):
-        model = classifiers.train_linear_svm(
-            X[tr], y[tr], lam=lam, epochs=cfg.svm_epochs, seed=seed
-        )
-        return float(np.mean(classifiers.svm_predict(model, X[va]) == y[va]))
-
-    best_lam = cfg.svm_lambda_grid[0]
+    grid = tuple(cfg.svm_lambda_grid)
+    best_lam = grid[0]
     if len(np.unique(y[tr])) >= 2 and len(va) > 0:
-        best_lam = max(cfg.svm_lambda_grid, key=accuracy)  # the first best on a tie
+        models = classifiers.train_linear_svm(
+            X[tr], y[tr], lam=grid, epochs=cfg.svm_epochs, seed=seed
+        )
+        scores = [float(np.mean(classifiers.svm_predict(m, X[va]) == y[va])) for m in models]
+        best_lam = grid[scores.index(max(scores))]  # the first best on a tie
     model = classifiers.train_linear_svm(X, y, lam=best_lam, epochs=cfg.svm_epochs, seed=seed)
     return {"svm": model, "svm_lambda": best_lam}
 

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import csv
+import io
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -30,6 +32,20 @@ class AlignmentError(ValueError):
     """Raised when rater label tracks do not share a common segment grid."""
 
 
+def _read_only(values) -> np.ndarray:
+    """A read-only float64 array of values.
+
+    An array that is already read-only (a loaded recording, a window view) is
+    used as it is; a writeable array the caller still holds is copied, so the
+    caller's own array stays writeable.
+    """
+    samples = np.asarray(values, dtype=np.float64)
+    if samples.flags.writeable and (samples is values or not samples.flags.owndata):
+        samples = samples.copy()
+    samples.setflags(write=False)
+    return samples
+
+
 @dataclass(frozen=True)
 class EcgRecording:
     subject_id: str
@@ -38,8 +54,7 @@ class EcgRecording:
     task: Task = Task.OTHER
 
     def __post_init__(self):
-        samples = np.asarray(self.samples, dtype=np.float64)
-        samples.setflags(write=False)
+        samples = _read_only(self.samples)
         object.__setattr__(self, "samples", samples)
         if self.sample_rate_hz <= 0:
             raise ValueError(f"sample_rate_hz must be positive, got {self.sample_rate_hz}")
@@ -92,8 +107,7 @@ class Window:
     samples: np.ndarray
 
     def __post_init__(self):
-        samples = np.asarray(self.samples, dtype=np.float64)
-        samples.setflags(write=False)
+        samples = _read_only(self.samples)
         object.__setattr__(self, "samples", samples)
         if self.label not in (0, 1, 2):
             raise ValueError(f"window label must be 0, 1 or 2, got {self.label}")
@@ -130,41 +144,100 @@ def load_recording(signal_path, meta_path) -> EcgRecording:
     fs = meta["sample_rate_hz"]
     if not isinstance(fs, (int, float)) or fs <= 0:
         raise IngestionError(f"metadata field sample_rate_hz must be positive, got {fs!r}")
+    if isinstance(fs, bool) or not math.isfinite(fs):
+        raise IngestionError(
+            f"metadata field sample_rate_hz must be a finite, non-boolean number, got {fs!r}"
+        )
     try:
         task = Task(meta["task"])
     except ValueError:
         raise IngestionError(
             f"metadata field task must be one of {[t.value for t in Task]}, got {meta['task']!r}"
         ) from None
-
-    values = []
-    with open(signal_path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["sample_index", "value_mv"]:
-            raise IngestionError(
-                f"{signal_path}: expected header 'sample_index,value_mv', got {header}"
-            )
-        for row_num, row in enumerate(reader, start=2):
-            if len(row) != 2:
-                raise IngestionError(f"{signal_path} row {row_num}: expected 2 columns, got {len(row)}")
-            try:
-                v = float(row[1])
-            except ValueError:
-                raise IngestionError(
-                    f"{signal_path} row {row_num}: value_mv '{row[1]}' is not a number"
-                ) from None
-            if not math.isfinite(v):
-                raise IngestionError(f"{signal_path} row {row_num}: value_mv is not finite")
-            values.append(v)
-    if not values:
-        raise IngestionError(f"{signal_path}: no sample rows")
+    samples = _read_samples(signal_path)
+    samples.setflags(write=False)
     return EcgRecording(
         subject_id=str(meta["subject_id"]),
         sample_rate_hz=float(fs),
-        samples=np.array(values),
+        samples=samples,
         task=task,
     )
+
+
+_HEADER = "sample_index,value_mv"
+_BATCH_CHARS = 1 << 14  # lines are split this many characters at a time
+
+
+def _read_samples(path: Path) -> np.ndarray:
+    """The value_mv column of a signal CSV, read once.
+
+    One ``np.loadtxt`` parses a file that is plainly well formed: the header,
+    then non-blank lines of exactly one comma each, with no quote or carriage
+    return. ``loadtxt`` alone would accept 3-column rows, blank lines and
+    nan/inf, so every other file, a ``loadtxt`` error, a skipped line or a
+    non-finite value goes to the csv row loop, which accepts exactly what it
+    always did and names the offending row.
+    """
+    try:
+        with open(path, newline="") as fh:
+            text = fh.read()
+    except UnicodeDecodeError:
+        # A streamed read stops (and words its error) where the row loop always did
+        with open(path, newline="") as fh:
+            return _row_values(path, fh)
+    start = len(_HEADER) + 1  # the first sample row
+    rows = text.count("\n", start) + (not text.endswith("\n"))
+    if (
+        text.startswith(_HEADER + "\n")
+        and len(text) > start
+        and text.count(",", start) == rows
+        and not any(mark in text for mark in ("\n\n", "\r", '"'))
+    ):
+        lines = itertools.chain.from_iterable(_line_batches(text, start))
+        try:
+            values = np.loadtxt(lines, delimiter=",", usecols=1, comments=None, ndmin=1)
+        except ValueError:
+            values = None
+        if values is not None and len(values) == rows and np.isfinite(values).all():
+            return values
+    return _row_values(path, io.StringIO(text, newline=""))
+
+
+def _line_batches(text: str, start: int):
+    """Lists of the lines of text[start:], about _BATCH_CHARS characters each.
+
+    Few line strings are alive at once, so parsing does not raise the peak
+    memory. A batch ends with the empty string after its last newline, which
+    ``loadtxt`` skips.
+    """
+    while start < len(text):
+        end = text.find("\n", start + _BATCH_CHARS) + 1 or len(text)
+        yield text[start:end].split("\n")
+        start = end
+
+
+def _row_values(path: Path, lines) -> np.ndarray:
+    """The value_mv column by csv rows: the reference parser and the error reporter."""
+    reader = csv.reader(lines)
+    header = next(reader, None)
+    if header != _HEADER.split(","):
+        raise IngestionError(f"{path}: expected header '{_HEADER}', got {header}")
+    values = []
+    for row_num, row in enumerate(reader, start=2):
+        if len(row) != 2:
+            raise IngestionError(f"{path} row {row_num}: expected 2 columns, got {len(row)}")
+        try:
+            v = float(row[1])
+        except ValueError:
+            raise IngestionError(
+                f"{path} row {row_num}: value_mv '{row[1]}' is not a number"
+            ) from None
+        if not math.isfinite(v):
+            raise IngestionError(f"{path} row {row_num}: value_mv is not finite")
+        values.append(v)
+    if not values:
+        raise IngestionError(f"{path}: no sample rows")
+    return np.array(values)
 
 
 def load_label_track(path, rater_id: str | None = None) -> LabelTrack:

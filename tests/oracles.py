@@ -14,7 +14,9 @@ its forward and backward are installed together.
 `loop_train_linear_svm`, `knn_predict`, `loop_compute_metrics` and
 `frame_stft` are the earlier loop forms of the whole-array SVM, KNN,
 metrics and STFT: one class, one query row, one confusion cell and one
-frame at a time. `hinge_objective`, `level_at`, `synth_beat_count` and
+frame at a time. `one_lambda_train_linear_svm` is the SVM trainer before it
+took a λ grid: all classes of one λ per call, the reference the stacked grid
+must match bit for bit. `hinge_objective`, `level_at`, `synth_beat_count` and
 `save_recording` are helpers only tests use.
 """
 
@@ -199,6 +201,22 @@ def loop_train_linear_svm(X, y, lam=0.01, epochs=200, learning_rate=0.1):
         weights[c] = w
         biases[c] = b
     return weights, biases
+
+
+def one_lambda_train_linear_svm(X, y, lam=0.01, epochs=200, learning_rate=0.1):
+    """(weights [classes, d], biases [classes]) of one λ, all classes at once."""
+    X = np.asarray(X, dtype=np.float64)
+    y = np.asarray(y, dtype=np.int64)
+    Y = np.where(y[:, None] == np.arange(y.max() + 1), 1.0, -1.0)  # (n, classes)
+    n = len(X)
+    W = np.zeros((X.shape[1], Y.shape[1]))
+    b = np.zeros(Y.shape[1])
+    for step in range(epochs):
+        lr = learning_rate / (1.0 + 0.01 * step)
+        A = np.where(Y * (X @ W + b) < 1.0, Y, 0.0)  # active hinge terms
+        W -= lr * (lam * W - X.T @ A / n)
+        b -= lr * (-A.sum(axis=0) / n)
+    return np.ascontiguousarray(W.T), b
 
 
 def knn_predict(train_X, train_y, x, k: int) -> int:

@@ -10,7 +10,12 @@ from ecgstress.classifiers import (
     svm_predict,
     train_linear_svm,
 )
-from oracles import hinge_objective, knn_predict, loop_train_linear_svm
+from oracles import (
+    hinge_objective,
+    knn_predict,
+    loop_train_linear_svm,
+    one_lambda_train_linear_svm,
+)
 
 
 class TestStandardize:
@@ -118,6 +123,60 @@ class TestSvm:
         model = SvmModel(weights=np.zeros((2, 3)), biases=np.zeros(2), lam=0.1)
         with pytest.raises(ValueError):
             svm_predict(model, np.zeros((1, 4)))
+
+
+class TestSvmGrid:
+    """A λ grid trains in one pass, bit-identical to one call per λ."""
+
+    @pytest.mark.parametrize(
+        "grid",
+        [(0.01,), (1e-3, 1e-2, 1e-1, 1.0), (3e-4, 0.02, 0.5, 2.0, 7.0), (0.1, 1e-3, 0.1, 0.1)],
+        ids=["one", "four", "five", "repeated"],
+    )
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_one_lambda_oracle(self, grid, seed):
+        rng = np.random.default_rng([seed, len(grid)])
+        n, d = int(rng.integers(8, 577)), int(rng.integers(2, 33))
+        classes = int(rng.integers(2, 5))
+        X = rng.standard_normal((n, d)) * rng.uniform(0.1, 10.0, d)
+        y = np.concatenate([np.arange(classes), rng.integers(0, classes, n - classes)])
+        models = train_linear_svm(X, y, lam=grid)
+        assert [m.lam for m in models] == list(grid)
+        for lam, model in zip(grid, models):
+            weights, biases = one_lambda_train_linear_svm(X, y, lam=lam)
+            np.testing.assert_array_equal(model.weights, weights)
+            np.testing.assert_array_equal(model.biases, biases)
+
+    def test_largest_shape(self):
+        rng = np.random.default_rng(7)
+        X = rng.standard_normal((576, 32))
+        y = rng.integers(0, 3, 576)
+        grid = (1e-3, 1e-2, 1e-1, 1.0)
+        for lam, model in zip(grid, train_linear_svm(X, y, lam=grid)):
+            weights, biases = one_lambda_train_linear_svm(X, y, lam=lam)
+            np.testing.assert_array_equal(model.weights, weights)
+            np.testing.assert_array_equal(model.biases, biases)
+
+    def test_one_feature_within_rounding(self):
+        # With d = 1, X.T @ A is a matrix-vector product whose BLAS rounding
+        # depends on the column count, so the grid matches to rounding only
+        rng = np.random.default_rng(8)
+        X = rng.standard_normal((150, 1))
+        y = rng.integers(0, 3, 150)
+        grid = (1e-3, 1e-2, 1e-1, 1.0)
+        for lam, model in zip(grid, train_linear_svm(X, y, lam=grid)):
+            weights, biases = one_lambda_train_linear_svm(X, y, lam=lam)
+            np.testing.assert_allclose(model.weights, weights, rtol=0, atol=1e-14)
+            np.testing.assert_allclose(model.biases, biases, rtol=0, atol=1e-14)
+
+    def test_scalar_gives_one_model_and_sequence_a_tuple(self):
+        X, y = _blobs(seed=9)
+        single = train_linear_svm(X, y, lam=0.1)
+        assert isinstance(single, SvmModel) and single.lam == 0.1
+        (only,) = train_linear_svm(X, y, lam=[0.1])
+        np.testing.assert_array_equal(only.weights, single.weights)
+        np.testing.assert_array_equal(only.biases, single.biases)
+        assert single.weights.flags.c_contiguous and not single.weights.flags.writeable
 
 
 class TestKnn:

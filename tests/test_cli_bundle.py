@@ -146,6 +146,34 @@ class TestConfigHandling:
         assert cfg.corrupt_noise_std == 0.5
 
 
+class TestFeatureDim:
+    """A feature dimension below 1 is refused before any data is loaded."""
+
+    @pytest.fixture
+    def no_data_loaded(self, monkeypatch):
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("data loaded before the config was checked")
+
+        monkeypatch.setattr("ecgstress.cli.load_data_dir", must_not_run)
+
+    @pytest.mark.parametrize("dim", ["0", "-3"])
+    def test_flag(self, tmp_path, capsys, no_data_loaded, dim):
+        out = tmp_path / "b.json"
+        argv = ["train", "--data", str(tmp_path), "--out", str(out), "--method", "cnn1d"]
+        code = main([*argv, "--feature-dim", dim])
+        assert_usage_error(code, capsys)
+        assert not out.exists()
+
+    def test_config_key(self, tmp_path, capsys, no_data_loaded):
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text("method = fusion_avg\nfeature_dim = 0\n")
+        code = main(["evaluate", "--data", str(tmp_path), "--config", str(cfg_file)])
+        assert_usage_error(code, capsys)
+
+    def test_one_is_accepted(self):
+        assert build_pipeline_config({"feature_dim": "1"}).feature_dim == 1
+
+
 class TestIngestAndLabel:
     def test_ingest_summary(self, tmp_path, capsys):
         rec, _ = synth_ecg(0, 4.0, 256.0, 1)
@@ -441,6 +469,13 @@ class TestTrainEvaluatePredict:
         code = main(["report", str(result_out)])
         assert code == EXIT_OK
         assert "HRV + KNN" in capsys.readouterr().out
+
+    def test_evaluate_rejects_infinite_sample_rate(self, tmp_path, capsys):
+        data = write_data_dir(tmp_path / "data", n_subjects=2, duration_s=8.0)
+        meta = data / "subj1_lvl2.meta.json"
+        meta.write_text(meta.read_text().replace("256.0", "Infinity"))
+        code = main(["evaluate", "--data", str(data), "--method", "svm_hrv"])
+        assert_usage_error(code, capsys)
 
     def test_evaluate_single_subject_fails(self, tmp_path, capsys):
         data = write_data_dir(tmp_path / "data", n_subjects=1)

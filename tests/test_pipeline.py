@@ -105,8 +105,9 @@ class TestGridSearch:
         trained = []
 
         def train(X, y, lam, epochs, seed):
+            # A grid gives one model per λ, a single λ one model; a model is its λ here
             trained.append(lam)
-            return lam
+            return tuple(lam) if np.ndim(lam) else lam
 
         monkeypatch.setattr(pipeline.classifiers, "train_linear_svm", train)
         monkeypatch.setattr(
@@ -114,7 +115,8 @@ class TestGridSearch:
         )
         cfg = fast_config("svm_hrv", svm_lambda_grid=(0.5, 0.1, 2.0))
         assert pipeline._fit_svm(self.X, self.y, cfg, seed=0)["svm_lambda"] == 0.1
-        assert trained == [0.5, 0.1, 2.0, 0.1]
+        # One grid call in grid order, then one call with the chosen λ
+        assert trained == [(0.5, 0.1, 2.0), 0.1]
 
     @pytest.mark.parametrize(
         "grid, best", [((1, 3, 5, 7), 3), ((1, 5), 1), ((99, 7), 7), ((99, 50), 99)]

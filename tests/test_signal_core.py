@@ -1,8 +1,13 @@
 """Recordings, label tracks, consensus, windowing and the synthetic generator."""
 
+import csv
+import json
+
 import numpy as np
 import pytest
 
+from ecgstress import signal_core
+from ecgstress.cli import EXIT_OK, EXIT_USAGE, main
 from ecgstress.signal_core import (
     UNLABELED,
     AlignmentError,
@@ -82,6 +87,113 @@ class TestLoadRecording:
         assert back.subject_id == "s9"
         assert back.task is Task.GAME
         np.testing.assert_array_equal(back.samples, rec.samples)
+
+
+HEADER = "sample_index,value_mv\n"
+META = '{"subject_id": "s1", "sample_rate_hz": 256, "task": "baseline"}'
+
+
+def ingest(tmp_path, body: bytes, capsys, meta=META):
+    """Run `ecgstress ingest` on one signal CSV; (exit code, stdout, stderr, csv path)."""
+    signal, meta_path = tmp_path / "sig.csv", tmp_path / "meta.json"
+    signal.write_bytes(body)
+    meta_path.write_text(meta)
+    code = main(["ingest", str(signal), str(meta_path)])
+    out, err = capsys.readouterr()
+    return code, out, err, signal
+
+
+class TestMalformedRecordings:
+    """Each malformed file gives its exact error and exit 2; the odd accepted ones parse as before."""
+
+    @pytest.mark.parametrize(
+        "body, message",
+        [
+            ("a,b\n0,1\n", ": expected header 'sample_index,value_mv', got ['a', 'b']"),
+            (HEADER + "0,1.5\n1\n", " row 3: expected 2 columns, got 1"),
+            (HEADER + "0,1.5\n1,2.5,3\n", " row 3: expected 2 columns, got 3"),
+            (HEADER + "0,1.5\n\n1,2.5\n", " row 3: expected 2 columns, got 0"),
+            (HEADER + "0,1.5\n1,2.5\n\n", " row 4: expected 2 columns, got 0"),
+            (HEADER + "0,1.5\n1,2.5\n2,abc\n", " row 4: value_mv 'abc' is not a number"),
+            (HEADER + "0,1.5\n1,nan\n", " row 3: value_mv is not finite"),
+            (HEADER + "0,1.5\n1,-inf\n", " row 3: value_mv is not finite"),
+            (HEADER + "0,1e999\n", " row 2: value_mv is not finite"),
+            (HEADER, ": no sample rows"),
+            # Comma totals that balance across a 1-column (or blank-looking) and a 3-column row
+            (HEADER + "0,1\n \n2,3,4\n", " row 3: expected 2 columns, got 1"),
+            (HEADER + "0,1\n5\n2,3,4\n", " row 3: expected 2 columns, got 1"),
+        ],
+        ids=["header", "one-column", "three-columns", "blank-line", "blank-last-line",
+             "not-a-number", "nan", "inf", "overflow", "no-rows", "space-row-balanced",
+             "one-column-balanced"],
+    )
+    def test_rejected(self, tmp_path, capsys, body, message):
+        code, out, err, signal = ingest(tmp_path, body.encode(), capsys)
+        assert code == EXIT_USAGE
+        assert out == "" and err == f"error: {signal}{message}\n"
+
+    @pytest.mark.parametrize(
+        "body, values",
+        [
+            (b"sample_index,value_mv\r\n0,1.5\r\n1,-2.25\r\n", [1.5, -2.25]),
+            (HEADER.encode() + b'0,"1.5"\n1,2.5\n', [1.5, 2.5]),
+            (HEADER.encode() + b"0,1_0\n1,2.5\n", [10.0, 2.5]),
+            (HEADER.encode() + b"0, 1.5 \n1,\t2.5\n", [1.5, 2.5]),
+            (HEADER.encode() + b"0,1.5\n1,2.5", [1.5, 2.5]),
+        ],
+        ids=["crlf", "quoted", "underscore", "spaces", "no-final-newline"],
+    )
+    def test_accepted_edge_cases(self, tmp_path, capsys, body, values):
+        code, out, _, signal = ingest(tmp_path, body, capsys)
+        assert code == EXIT_OK and json.loads(out)["samples"] == len(values)
+        rec = load_recording(signal, tmp_path / "meta.json")
+        with open(signal, newline="") as fh:
+            np.testing.assert_array_equal(rec.samples, signal_core._row_values(signal, fh))
+        np.testing.assert_array_equal(rec.samples, values)
+
+    @pytest.mark.parametrize("fmt", ["{:.6f}", "{!r}"], ids=["six-decimals", "repr"])
+    def test_fast_path_matches_row_loop(self, tmp_path, monkeypatch, fmt):
+        rng = np.random.default_rng(4)
+        values = rng.standard_normal(5000) * 10.0 ** rng.integers(-6, 4, 5000)
+        body = "".join(f"{i},{fmt.format(v)}\n" for i, v in enumerate(values.tolist()))
+        signal, meta = tmp_path / "sig.csv", tmp_path / "meta.json"
+        signal.write_text(HEADER + body)
+        write_meta(meta)
+        with open(signal, newline="") as fh:
+            expected = signal_core._row_values(signal, fh)
+
+        def row_loop_not_used(*args):
+            raise AssertionError("a plainly well-formed file fell back to the row loop")
+
+        parsed = []
+        read_samples = signal_core._read_samples
+        monkeypatch.setattr(signal_core, "_row_values", row_loop_not_used)
+        monkeypatch.setattr(
+            signal_core, "_read_samples", lambda path: parsed.append(read_samples(path)) or parsed[0]
+        )
+        samples = load_recording(signal, meta).samples
+        assert samples is parsed[0]  # the recording keeps the parsed array, uncopied
+        assert samples.dtype == np.float64 and not samples.flags.writeable
+        np.testing.assert_array_equal(samples, expected)
+
+    def test_undecodable_byte_reported_as_a_streamed_read(self, tmp_path, capsys):
+        # Far past the first read chunk, so a whole-file decode would give another position
+        rows = b"".join(b"%d,1.5\n" % i for i in range(20000))
+        body = HEADER.encode() + rows + b"0,\xff\n"
+        signal = tmp_path / "sig.csv"
+        signal.write_bytes(body)
+        with pytest.raises(UnicodeDecodeError) as streamed, open(signal, newline="") as fh:
+            list(csv.reader(fh))
+        code, _, err, _ = ingest(tmp_path, body, capsys)
+        assert code == EXIT_USAGE and err == f"error: {streamed.value}\n"
+
+    @pytest.mark.parametrize("rate", ["Infinity", "-Infinity", "NaN", "true"])
+    def test_sample_rate_must_be_finite_number(self, tmp_path, capsys, rate):
+        meta = f'{{"subject_id": "s1", "sample_rate_hz": {rate}, "task": "baseline"}}'
+        code, out, err, _ = ingest(tmp_path, (HEADER + "0,1.5\n").encode(), capsys, meta)
+        assert code == EXIT_USAGE and out == ""
+        assert err.startswith("error: metadata field sample_rate_hz must be ")
+        assert err.rstrip().endswith(f"got {json.loads(rate)!r}")
 
 
 class TestLabelTracks:
@@ -228,6 +340,20 @@ class TestSegmentWindows:
         for w in windows:
             assert np.shares_memory(w.samples, rec.samples) and not w.samples.flags.writeable
             np.testing.assert_array_equal(w.samples, np.arange(w.start_sample, w.start_sample + 768))
+
+    def test_caller_array_stays_writeable(self):
+        samples = np.arange(2560, dtype=float)
+        rec = EcgRecording("s1", 256.0, samples)
+        assert samples.flags.writeable and not rec.samples.flags.writeable
+        samples[0] = -1.0
+        assert rec.samples[0] == 0.0
+        window = Window("s1", 0, 256, 0, samples[:256])
+        assert samples.flags.writeable and not window.samples.flags.writeable
+        # A read-only recording is kept as it is, and its windows stay views of it
+        (view,) = segment_windows(rec, LabelTrack("c", (LabelSegment(0, 1, 0),)), 1.0)
+        assert np.shares_memory(view.samples, rec.samples)
+        again = EcgRecording("s1", 256.0, view.samples)
+        assert again.samples is view.samples
 
 
 class TestSynthEcg:
