@@ -164,12 +164,9 @@ def cmd_ingest(args) -> int:
     }
     print(json.dumps(summary, indent=2))
     if args.spectrogram_out:
-        params = SpectrogramParams()
-        spec = stft_spectrogram(rec.samples, params)
+        spec = stft_spectrogram(rec.samples, SpectrogramParams())
         with open(args.spectrogram_out, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            for row in spec.values:
-                writer.writerow([repr(v) for v in row])
+            csv.writer(fh).writerows([repr(v) for v in row] for row in spec)
     return EXIT_OK
 
 
@@ -266,20 +263,15 @@ def predict_stream(loaded: dict, rec) -> list[tuple]:
     windows = segment_windows(rec, whole, window_s)
     if not windows:
         raise ValueError(f"recording shorter than one {window_s} s window")
-    cfg = PipelineConfig(
-        method=loaded["method"],
-        window_seconds=window_s,
-        feature_dim=loaded["feature_dim"],
-        spectrogram=loaded["spectrogram"],
-        seed=loaded["seed"],
-    )
-    predict = pipeline.method_spec(cfg.method).predict
-    proba, valid = predict(loaded["components"], windows, cfg, fs)
+    # Featurizing and predicting read only the method and the spectrogram settings
+    cfg = PipelineConfig(method=loaded["method"], spectrogram=loaded["spectrogram"])
+    rows = pipeline.featurize(windows, cfg, fs)
+    proba = pipeline.predict_rows(loaded["components"], rows, cfg)
     return [
         (i * window_s, int(np.argmax(p)), *(float(v) for v in p))
         if ok
         else (i * window_s, NO_PREDICTION, None, None, None)
-        for i, (p, ok) in enumerate(zip(proba, valid))
+        for i, (p, ok) in enumerate(zip(proba, rows.valid))
     ]
 
 

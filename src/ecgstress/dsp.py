@@ -32,68 +32,36 @@ class SpectrogramParams:
         return self.window_len // 2 + 1
 
 
-@dataclass(frozen=True)
-class Spectrogram:
-    values: np.ndarray  # [freq_bins, frames], squared magnitudes
-    params: SpectrogramParams
-    source_id: str = ""
+def stft_spectrogram(samples, params: SpectrogramParams) -> np.ndarray:
+    """One-sided power spectrograms [..., freq_bins, frames] of signals [..., samples].
 
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=np.float64)
-        values.setflags(write=False)
-        object.__setattr__(self, "values", values)
-        if values.ndim != 2 or values.shape[0] != self.params.freq_bins:
-            raise ValueError(
-                f"expected {self.params.freq_bins} frequency bins, got shape {values.shape}"
-            )
-        if not np.all(np.isfinite(values)) or np.any(values < 0):
-            raise ValueError("spectrogram entries must be finite and nonnegative")
-
-
-@dataclass(frozen=True)
-class PsdEstimate:
-    frequencies_hz: np.ndarray
-    power: np.ndarray
-
-    def __post_init__(self):
-        f = np.asarray(self.frequencies_hz, dtype=np.float64)
-        p = np.asarray(self.power, dtype=np.float64)
-        f.setflags(write=False)
-        p.setflags(write=False)
-        object.__setattr__(self, "frequencies_hz", f)
-        object.__setattr__(self, "power", p)
-        if len(f) != len(p):
-            raise ValueError("frequency and power vectors must have equal length")
-        if np.any(np.diff(f) <= 0):
-            raise ValueError("frequencies must be strictly ascending")
-
-
-def stft_spectrogram(samples, params: SpectrogramParams) -> Spectrogram:
-    """One-sided power spectrogram: |DFT of the windowed frame|^2 per hop.
-
-    Frame l covers samples [l*hop, l*hop + window_len); the frame count is
-    floor((len - window_len) / hop) + 1.
+    Each entry is |DFT of the windowed frame|^2. Frame l covers samples
+    [l*hop, l*hop + window_len); the frame count is
+    floor((samples - window_len) / hop) + 1.
     """
     x = np.asarray(samples, dtype=np.float64)
     M, hop = params.window_len, params.hop
-    if len(x) < M:
-        raise ValueError(f"input length {len(x)} is shorter than window_len {M}")
-    frames = sliding_window_view(x, M)[::hop] * params.window()
-    spec = np.abs(np.fft.rfft(frames, axis=1)) ** 2
-    return Spectrogram(values=spec.T, params=params)
+    if x.shape[-1] < M:
+        raise ValueError(f"input length {x.shape[-1]} is shorter than window_len {M}")
+    frames = sliding_window_view(x, M, axis=-1)[..., ::hop, :] * params.window()
+    power = np.abs(np.fft.rfft(frames, axis=-1)) ** 2
+    return np.ascontiguousarray(np.swapaxes(power, -1, -2))
 
 
-def normalize_spectrogram(spec: Spectrogram) -> np.ndarray:
-    """Log-compress and min-max scale to [0, 1] for CNN consumption."""
-    img = np.log1p(spec.values)
-    lo, hi = img.min(), img.max()
-    if hi - lo < 1e-30:
-        return np.zeros_like(img)
-    return (img - lo) / (hi - lo)
+def normalize_spectrogram(spec) -> np.ndarray:
+    """Log-compress and min-max scale each image (the last two axes) to [0, 1] for the CNN.
+
+    A constant image maps to zeros.
+    """
+    img = np.log1p(spec)
+    lo = img.min(axis=(-2, -1), keepdims=True)
+    span = img.max(axis=(-2, -1), keepdims=True) - lo
+    flat = span < 1e-30
+    return np.where(flat, 0.0, (img - lo) / np.where(flat, 1.0, span))
 
 
-def lomb_scargle(times_s, values, freqs_hz) -> PsdEstimate:
-    """Classic normalized Lomb-Scargle periodogram of a mean-centered series."""
+def lomb_scargle(times_s, values, freqs_hz) -> np.ndarray:
+    """Classic normalized Lomb-Scargle periodogram of a mean-centered series, at freqs_hz."""
     t = np.asarray(times_s, dtype=np.float64)
     y = np.asarray(values, dtype=np.float64)
     f = np.asarray(freqs_hz, dtype=np.float64)
@@ -111,7 +79,7 @@ def lomb_scargle(times_s, values, freqs_hz) -> PsdEstimate:
     # A (numerically) constant series has no spectral content; bail out
     # before the 1/var normalization can amplify centering roundoff.
     if var <= 1e-24 * max(1.0, float(np.mean(y**2))):
-        return PsdEstimate(frequencies_hz=f, power=np.zeros(len(f)))
+        return np.zeros(len(f))
     omega = 2.0 * np.pi * f[:, None]  # [F, 1]
     # Time offset tau makes the estimator invariant to time shifts
     tau = np.arctan2(np.sum(np.sin(2 * omega * t), axis=1), np.sum(np.cos(2 * omega * t), axis=1)) / (
@@ -121,10 +89,8 @@ def lomb_scargle(times_s, values, freqs_hz) -> PsdEstimate:
     c, s = np.cos(arg), np.sin(arg)
     cc = np.maximum(np.sum(c**2, axis=1), 1e-300)
     ss = np.maximum(np.sum(s**2, axis=1), 1e-300)
-    power = 0.5 * (np.sum(yc * c, axis=1) ** 2 / cc + np.sum(yc * s, axis=1) ** 2 / ss)
-    if var > 0:
-        power = power / var
-    return PsdEstimate(frequencies_hz=f, power=np.maximum(power, 0.0))
+    power = 0.5 * (np.sum(yc * c, axis=1) ** 2 / cc + np.sum(yc * s, axis=1) ** 2 / ss) / var
+    return np.maximum(power, 0.0)
 
 
 _INTEGRATION_S = 0.150

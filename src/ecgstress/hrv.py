@@ -61,18 +61,18 @@ def freq_features(times_s, rr_s):
     rr = np.asarray(rr_s, dtype=np.float64)
     if len(rr) < 3:
         raise InsufficientBeatsError(f"need at least 3 RR intervals, got {len(rr)}")
-    psd = lomb_scargle(times_s, rr, FREQ_GRID)
+    power = lomb_scargle(times_s, rr, FREQ_GRID)
 
     def band_power(lo, hi):
-        mask = (psd.frequencies_hz >= lo) & (psd.frequencies_hz <= hi)
+        mask = (FREQ_GRID >= lo) & (FREQ_GRID <= hi)
         if mask.sum() < 2:
             return 0.0
-        return float(np.trapezoid(psd.power[mask], psd.frequencies_hz[mask]))
+        return float(np.trapezoid(power[mask], FREQ_GRID[mask]))
 
     vlf = band_power(*VLF_BAND)
     lf = band_power(*LF_BAND)
     hf = band_power(*HF_BAND)
-    tp = float(np.trapezoid(psd.power, psd.frequencies_hz))
+    tp = float(np.trapezoid(power, FREQ_GRID))
     return vlf, lf, hf, tp
 
 

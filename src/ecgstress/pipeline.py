@@ -12,7 +12,7 @@ import numpy as np
 from . import classifiers, fusion, neuralnet
 from .dsp import SpectrogramParams, normalize_spectrogram, stft_spectrogram
 from .evaluation import Fold, Metrics, RunResult, compute_metrics, loso_split, mean_metrics
-from .hrv import hrv_vector
+from .hrv import FEATURE_NAMES, hrv_vector
 from .neuralnet import TrainConfig
 from .signal_core import Dataset
 
@@ -54,29 +54,30 @@ def fold_seed(global_seed: int, subject_id: str) -> int:
     return (global_seed ^ zlib.crc32(subject_id.encode())) & 0x7FFFFFFF
 
 
-def _with_noise(arrays, windows, cfg: PipelineConfig, modality: str, stream: int) -> list:
-    """The windows' arrays, each plus seeded noise of its own if cfg corrupts this modality."""
+def _with_noise(x: np.ndarray, windows, cfg: PipelineConfig, modality: str, stream: int):
+    """x plus seeded noise, each window's row its own, if cfg corrupts this modality."""
     if cfg.corrupt_modality != modality or not cfg.corrupt_noise_std > 0:
-        return arrays
-    noisy = []
-    for a, w in zip(arrays, windows):
-        rng = np.random.default_rng(
+        return x
+    noise = [
+        np.random.default_rng(
             [cfg.seed & 0xFFFFFFFF, zlib.crc32(w.subject_id.encode()), w.start_sample, stream]
-        )
-        noisy.append(a + cfg.corrupt_noise_std * rng.standard_normal(a.shape))
-    return noisy
+        ).standard_normal(x.shape[1:])
+        for w in windows
+    ]
+    return x + cfg.corrupt_noise_std * np.stack(noise)
 
 
 def windows_to_snippets(windows, cfg: PipelineConfig) -> np.ndarray:
     """Raw 1-second snippets shaped (N, 1, L) for the 1D CNN."""
-    snippets = _with_noise([w.samples for w in windows], windows, cfg, "raw", 0xA1)
-    return np.stack(snippets)[:, None, :]
+    snippets = np.stack([w.samples for w in windows])
+    return _with_noise(snippets, windows, cfg, "raw", 0xA1)[:, None, :]
 
 
 def windows_to_images(windows, cfg: PipelineConfig) -> np.ndarray:
     """Normalized spectrogram images shaped (N, 1, bins, frames) for the 2D CNN."""
-    imgs = [normalize_spectrogram(stft_spectrogram(w.samples, cfg.spectrogram)) for w in windows]
-    return np.stack(_with_noise(imgs, windows, cfg, "spectrogram", 0xA2))[:, None, :, :]
+    spectrograms = stft_spectrogram(np.stack([w.samples for w in windows]), cfg.spectrogram)
+    images = _with_noise(normalize_spectrogram(spectrograms), windows, cfg, "spectrogram", 0xA2)
+    return images[:, None, :, :]
 
 
 def labels_of(windows) -> np.ndarray:
@@ -147,71 +148,69 @@ def _fuse(f1, f2, weights) -> np.ndarray:
     return fusion.average_fuse(f1, f2) if weights is None else fusion.weighted_fuse(f1, f2, weights)
 
 
-def fusion_predict(components: dict, windows, cfg: PipelineConfig) -> np.ndarray:
-    f1 = neuralnet.extract_features(components["cnn1d"], windows_to_snippets(windows, cfg))
-    f2 = neuralnet.extract_features(components["cnn2d"], windows_to_images(windows, cfg))
+def fusion_predict(components: dict, rows) -> np.ndarray:
+    """Predicted levels of fusion feature rows, a (snippets, images) pair."""
+    snippets, images = rows
+    f1 = neuralnet.extract_features(components["cnn1d"], snippets)
+    f2 = neuralnet.extract_features(components["cnn2d"], images)
     fused = _fuse(f1, f2, components.get("fusion_weights"))
     return classifiers.svm_predict(components["svm"], components["stats"].transform(fused))
 
 
-def _hrv_vectors(windows, fs: float, vectors=None):
-    """HRV vectors of the windows that yield one (None if none does), and their mask.
-
-    `vectors`, if given, are the windows' hrv_vector results, already computed.
-    """
-    if vectors is None:
-        vectors = [hrv_vector(w, fs) for w in windows]
-    valid = np.array([v is not None for v in vectors], dtype=bool)
-    rows = [v for v in vectors if v is not None]
-    return (np.stack(rows) if rows else None), valid
-
-
-def hrv_matrix(windows, fs: float, vectors=None):
-    """HRV feature matrix plus the labels of the windows that produced one."""
-    X, valid = _hrv_vectors(windows, fs, vectors)
-    if X is None:
-        raise PipelineError("hrv-features", ValueError("no window yielded enough beats"))
-    return X, labels_of(windows)[valid]
+def hrv_matrix(windows, fs: float):
+    """HRV feature rows of the windows, and which of them yielded one (the rest stay zero)."""
+    X = np.zeros((len(windows), len(FEATURE_NAMES)))
+    valid = np.zeros(len(windows), dtype=bool)
+    for i, w in enumerate(windows):
+        vector = hrv_vector(w, fs)
+        if vector is not None:
+            X[i], valid[i] = vector, True
+    return X, valid
 
 
 class Method(NamedTuple):
-    """How one method trains, predicts and persists.
+    """How one method featurizes, trains, predicts and persists.
 
-    fit(train_windows, cfg, seed, fs, vectors) -> components, fitted on those windows only.
-    predict(components, windows, cfg, fs, vectors) -> (proba[N, classes], valid[N]); a
-    row with valid False (an HRV window without enough beats) holds no prediction.
+    features(windows, cfg, fs) -> (rows, valid): one feature row per window (a
+    tuple of arrays for fusion), each depending on its own window alone, and
+    a mask that is False where the window yields no row (an HRV window
+    without enough beats).
+    fit(rows, labels, cfg, seed) -> components, trained on valid rows only.
+    predict(components, rows, cfg) -> proba[N, classes] of valid rows.
     `components` are the keys predict reads, i.e. what a bundle must hold.
-    per_window(window, fs), if set, depends on that window alone, so a LOSO run
-    computes it once per window; fit and predict then get the results for their
-    windows, in order, as `vectors` (None: compute them).
     """
 
     window: str  # the PipelineConfig field holding this method's window length
     components: tuple
+    features: Callable
     fit: Callable
     predict: Callable
-    per_window: Callable | None = None
 
     def window_seconds(self, cfg: PipelineConfig) -> float:
         return getattr(cfg, self.window)
 
 
+def _every_window(to_rows) -> Callable:
+    """features() of a method for which every window yields a row."""
+    return lambda windows, cfg, fs: (to_rows(windows, cfg), np.ones(len(windows), dtype=bool))
+
+
 def _cnn_method(kind: str, to_tensor) -> Method:
-    def fit(windows, cfg, seed, fs, vectors=None):
-        return {kind: _train_cnn(kind, to_tensor(windows, cfg), labels_of(windows), cfg, seed)}
+    def fit(x, y, cfg, seed):
+        return {kind: _train_cnn(kind, x, y, cfg, seed)}
 
-    def predict(components, windows, cfg, fs, vectors=None):
-        proba = neuralnet.predict_proba(components[kind], to_tensor(windows, cfg))
-        return proba, np.ones(len(windows), dtype=bool)
+    def predict(components, x, cfg):
+        return neuralnet.predict_proba(components[kind], x)
 
-    return Method("window_seconds", (kind,), fit, predict)
+    return Method("window_seconds", (kind,), _every_window(to_tensor), fit, predict)
 
 
 def _fusion_method(weighted: bool) -> Method:
-    def fit(windows, cfg, seed, fs, vectors=None):
-        y = labels_of(windows)
-        snippets = windows_to_snippets(windows, cfg)
-        images = windows_to_images(windows, cfg)
+    def to_rows(windows, cfg):
+        return windows_to_snippets(windows, cfg), windows_to_images(windows, cfg)
+
+    def fit(rows, y, cfg, seed):
+        snippets, images = rows
         cnn1d = _train_cnn("cnn1d", snippets, y, cfg, seed)
         cnn2d = _train_cnn("cnn2d", images, y, cfg, seed)
         f1 = neuralnet.extract_features(cnn1d, snippets)
@@ -221,31 +220,27 @@ def _fusion_method(weighted: bool) -> Method:
         parts = {"cnn1d": cnn1d, "cnn2d": cnn2d, "fusion_weights": weights, "stats": stats}
         return {**parts, **_fit_svm(fused_std, y, cfg, seed)}
 
-    def predict(components, windows, cfg, fs, vectors=None):
-        labels = fusion_predict(components, windows, cfg)
-        return _one_hot(labels, cfg.class_count), np.ones(len(windows), dtype=bool)
+    def predict(components, rows, cfg):
+        return _one_hot(fusion_predict(components, rows), cfg.class_count)
 
     weights = ("fusion_weights",) if weighted else ()
-    return Method("window_seconds", ("cnn1d", "cnn2d", *weights, "stats", "svm"), fit, predict)
+    components = ("cnn1d", "cnn2d", *weights, "stats", "svm")
+    return Method("window_seconds", components, _every_window(to_rows), fit, predict)
 
 
 def _hrv_method(key: str, fit_classifier, classify) -> Method:
-    def fit(windows, cfg, seed, fs, vectors=None):
-        X, y = hrv_matrix(windows, fs, vectors)
+    def fit(X, y, cfg, seed):
         X_std, stats = classifiers.standardize_fit(X)
         return {"stats": stats, **fit_classifier(X_std, y, cfg, seed)}
 
-    def predict(components, windows, cfg, fs, vectors=None):
-        X, valid = _hrv_vectors(windows, fs, vectors)
-        proba = np.zeros((len(windows), cfg.class_count))
-        if X is not None:
-            labels = classify(components[key], components["stats"].transform(X))
-            proba[valid] = _one_hot(labels, cfg.class_count)
-        return proba, valid
+    def predict(components, X, cfg):
+        labels = classify(components[key], components["stats"].transform(X))
+        return _one_hot(labels, cfg.class_count)
 
-    return Method(
-        "hrv_window_seconds", ("stats", key), fit, predict, lambda w, fs: hrv_vector(w, fs)
-    )
+    def features(windows, cfg, fs):
+        return hrv_matrix(windows, fs)
+
+    return Method("hrv_window_seconds", ("stats", key), features, fit, predict)
 
 
 # Functions are looked up by module attribute at call time, so wrappers put
@@ -268,61 +263,76 @@ def method_spec(method: str) -> Method:
     return METHODS[method]
 
 
-def train_fold_components(fold: Fold, cfg: PipelineConfig, fs: float, vectors=None) -> dict:
+class Rows(NamedTuple):
+    """The configured method's feature rows of some windows (see Method.features),
+    which windows yielded one, and the windows' labels."""
+
+    x: np.ndarray | tuple
+    valid: np.ndarray
+    labels: np.ndarray
+
+    def take(self, mask) -> Rows:
+        x = tuple(a[mask] for a in self.x) if isinstance(self.x, tuple) else self.x[mask]
+        return Rows(x, self.valid[mask], self.labels[mask])
+
+
+def featurize(windows, cfg: PipelineConfig, fs: float) -> Rows:
+    return Rows(*method_spec(cfg.method).features(windows, cfg, fs), labels_of(windows))
+
+
+def fit_rows(rows: Rows, cfg: PipelineConfig, seed: int) -> dict:
+    """Train every component of the configured method on the valid rows only."""
+    if not rows.valid.any():
+        raise PipelineError("hrv-features", ValueError("no window yielded enough beats"))
+    kept = rows.take(rows.valid)
+    return method_spec(cfg.method).fit(kept.x, kept.labels, cfg, seed)
+
+
+def predict_rows(components: dict, rows: Rows, cfg: PipelineConfig) -> np.ndarray:
+    """proba[N, classes] of the rows; a row that is not valid holds no prediction (zeros)."""
+    proba = np.zeros((len(rows.valid), cfg.class_count))
+    if rows.valid.any():
+        predict = method_spec(cfg.method).predict
+        proba[rows.valid] = predict(components, rows.take(rows.valid).x, cfg)
+    return proba
+
+
+def train_fold_components(fold: Fold, cfg: PipelineConfig, fs: float) -> dict:
     """Train every component of the configured method on the training fold only."""
-    fit = method_spec(cfg.method).fit
-    return fit(fold.train_windows, cfg, fold_seed(cfg.seed, fold.test_subject), fs, vectors)
+    rows = featurize(fold.train_windows, cfg, fs)
+    return fit_rows(rows, cfg, fold_seed(cfg.seed, fold.test_subject))
 
 
-def run_pipeline(fold: Fold, cfg: PipelineConfig, fs: float, vectors=(None, None)) -> Metrics:
-    """Train on the fold's training windows; report metrics on the test subject.
-
-    `vectors` are the per_window results of the training and of the test
-    windows, if already computed (see Method).
-    """
-    train_vectors, test_vectors = vectors
-    components = train_fold_components(fold, cfg, fs, train_vectors)
-    predict = method_spec(cfg.method).predict
-    proba, valid = predict(components, fold.test_windows, cfg, fs, test_vectors)
-    if not valid.any():
+def run_pipeline(test_subject: str, train: Rows, test: Rows, cfg: PipelineConfig) -> Metrics:
+    """Train on one fold's training rows; report metrics on its test subject's rows."""
+    components = fit_rows(train, cfg, fold_seed(cfg.seed, test_subject))
+    if not test.valid.any():
         raise PipelineError("predict", ValueError("no test window yielded a prediction"))
-    truth = labels_of(fold.test_windows)[valid]
-    return compute_metrics(np.argmax(proba[valid], axis=1), truth, cfg.class_count)
-
-
-def _run_fold(args):
-    fold, cfg, fs, vectors = args
-    return fold.test_subject, run_pipeline(fold, cfg, fs, vectors)
-
-
-def _fold_vectors(data: Dataset, folds, per_window, fs: float) -> list:
-    """Each fold's (training, test) per_window results, each window computed once."""
-    if per_window is None:
-        return [(None, None)] * len(folds)
-    by_id = {id(w): per_window(w, fs) for w in data.windows}
-    return [
-        ([by_id[id(w)] for w in fold.train_windows], [by_id[id(w)] for w in fold.test_windows])
-        for fold in folds
-    ]
+    proba = predict_rows(components, test, cfg)[test.valid]
+    return compute_metrics(np.argmax(proba, axis=1), test.labels[test.valid], cfg.class_count)
 
 
 def evaluate_loso(data: Dataset, cfg: PipelineConfig, fs: float, jobs: int = 1) -> RunResult:
-    """LOSO evaluation of the configured method over all subjects."""
-    folds = loso_split(data)
-    vectors = _fold_vectors(data, folds, method_spec(cfg.method).per_window, fs)
-    tasks = [(fold, cfg, fs, v) for fold, v in zip(folds, vectors)]
+    """LOSO evaluation of the configured method over all subjects.
+
+    Every window is featurized once; each fold trains on the other subjects'
+    rows and is tested on its own subject's rows.
+    """
+    subjects = [fold.test_subject for fold in loso_split(data)]
+    rows = featurize(data.windows, cfg, fs)
+    owner = np.array([w.subject_id for w in data.windows])
+    tasks = ((s, rows.take(owner != s), rows.take(owner == s), cfg) for s in subjects)
     if jobs > 1:
         import multiprocessing
 
-        with multiprocessing.Pool(min(jobs, len(tasks))) as pool:
-            per_fold = pool.map(_run_fold, tasks)
+        with multiprocessing.Pool(min(jobs, len(subjects))) as pool:
+            metrics = pool.starmap(run_pipeline, tasks)
     else:
-        per_fold = [_run_fold(t) for t in tasks]
-    per_fold.sort(key=lambda sm: sm[0])
+        metrics = [run_pipeline(*task) for task in tasks]
     return RunResult(
         method=cfg.method,
-        per_fold=tuple(per_fold),
-        mean=mean_metrics([m for _, m in per_fold]),
+        per_fold=tuple(zip(subjects, metrics)),
+        mean=mean_metrics(metrics),
         seed=cfg.seed,
         config_snapshot=cfg.snapshot(),
     )

@@ -7,6 +7,7 @@ import io
 import itertools
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
@@ -56,8 +57,8 @@ class EcgRecording:
     def __post_init__(self):
         samples = _read_only(self.samples)
         object.__setattr__(self, "samples", samples)
-        if self.sample_rate_hz <= 0:
-            raise ValueError(f"sample_rate_hz must be positive, got {self.sample_rate_hz}")
+        if not 0 < self.sample_rate_hz < math.inf:
+            raise ValueError(f"sample rate must be finite and positive, got {self.sample_rate_hz}")
         if samples.size == 0:
             raise ValueError("samples must be nonempty")
         if not np.all(np.isfinite(samples)):
@@ -144,7 +145,8 @@ def load_recording(signal_path, meta_path) -> EcgRecording:
     fs = meta["sample_rate_hz"]
     if not isinstance(fs, (int, float)) or fs <= 0:
         raise IngestionError(f"metadata field sample_rate_hz must be positive, got {fs!r}")
-    if isinstance(fs, bool) or not math.isfinite(fs):
+    # Also refuses an int too large for a float, where math.isfinite would overflow
+    if isinstance(fs, bool) or not fs <= sys.float_info.max:
         raise IngestionError(
             f"metadata field sample_rate_hz must be a finite, non-boolean number, got {fs!r}"
         )

@@ -21,7 +21,14 @@ from ecgstress.cli import (
 from ecgstress.classifiers import SvmModel
 from ecgstress.dsp import SpectrogramParams
 from ecgstress.evaluation import Fold
-from ecgstress.pipeline import METHODS, PipelineConfig, fusion_predict, train_fold_components
+from ecgstress.pipeline import (
+    METHODS,
+    PipelineConfig,
+    featurize,
+    fusion_predict,
+    predict_rows,
+    train_fold_components,
+)
 from ecgstress.neuralnet import TrainConfig
 from ecgstress.signal_core import (
     EcgRecording,
@@ -505,9 +512,9 @@ class TestBundle:
             seed=cfg.seed,
         )
         loaded = load_bundle(path)
-        windows = small_dataset.windows[:10]
-        before = fusion_predict(comps, windows, cfg)
-        after = fusion_predict(loaded["components"], windows, cfg)
+        rows = featurize(small_dataset.windows[:10], cfg, 256.0).x
+        before = fusion_predict(comps, rows)
+        after = fusion_predict(loaded["components"], rows)
         np.testing.assert_array_equal(before, after)
 
     def test_predict_stream_row_count(self, tmp_path, small_dataset):
@@ -612,8 +619,10 @@ class TestBundle:
         wlen = data.windows[0].length_samples
         flat = Window("flat", 0, wlen, 0, np.zeros(wlen))
         windows = [*data.windows[::5], flat]
-        proba, valid = spec.predict(comps, windows, cfg, 256.0)
-        loaded_proba, loaded_valid = spec.predict(loaded["components"], windows, cfg, 256.0)
+        rows, loaded_rows = featurize(windows, cfg, 256.0), featurize(windows, cfg, 256.0)
+        proba, valid = predict_rows(comps, rows, cfg), rows.valid
+        loaded_proba = predict_rows(loaded["components"], loaded_rows, cfg)
+        loaded_valid = loaded_rows.valid
         np.testing.assert_array_equal(proba, loaded_proba)
         np.testing.assert_array_equal(valid, loaded_valid)
         assert valid[:-1].all()

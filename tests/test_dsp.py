@@ -32,19 +32,19 @@ class TestSpectrogramParams:
 class TestStft:
     def test_zero_input(self):
         spec = stft_spectrogram(np.zeros(256), SpectrogramParams())
-        assert spec.values.shape == (33, 13)
-        assert np.all(spec.values == 0)
+        assert spec.shape == (33, 13)
+        assert np.all(spec == 0)
 
     def test_sinusoid_peak_bin(self):
         fs, f0 = 256.0, 32.0
         t = np.arange(256) / fs
         spec = stft_spectrogram(np.sin(2 * np.pi * f0 * t), SpectrogramParams())
         # 32 Hz at M=64, fs=256 lands on bin 32*64/256 = 8
-        assert np.all(np.argmax(spec.values, axis=0) == 8)
+        assert np.all(np.argmax(spec, axis=0) == 8)
 
     def test_frame_count(self):
         spec = stft_spectrogram(np.ones(256), SpectrogramParams())
-        assert spec.values.shape == (33, 13)
+        assert spec.shape == (33, 13)
 
     def test_too_short(self):
         with pytest.raises(ValueError):
@@ -56,10 +56,10 @@ class TestStft:
         params = SpectrogramParams()
         spec = stft_spectrogram(x, params)
         w = np.hanning(64)
-        for l in range(spec.values.shape[1]):
+        for l in range(spec.shape[1]):
             frame = x[l * 16 : l * 16 + 64] * w
             oracle = np.abs(np.fft.fft(frame)[:33]) ** 2
-            np.testing.assert_allclose(spec.values[:, l], oracle, rtol=1e-9, atol=1e-12)
+            np.testing.assert_allclose(spec[:, l], oracle, rtol=1e-9, atol=1e-12)
 
     def test_parseval_per_frame(self):
         rng = np.random.default_rng(21)
@@ -74,8 +74,8 @@ class TestStft:
     def test_nonnegative_finite(self):
         rng = np.random.default_rng(2)
         spec = stft_spectrogram(rng.standard_normal(512) * 100, SpectrogramParams())
-        assert np.all(spec.values >= 0)
-        assert np.all(np.isfinite(spec.values))
+        assert np.all(spec >= 0)
+        assert np.all(np.isfinite(spec))
 
     @pytest.mark.parametrize("length", [64, 79, 256, 1000])
     @pytest.mark.parametrize(
@@ -85,7 +85,23 @@ class TestStft:
     )
     def test_matches_per_frame_oracle(self, length, params):
         x = np.random.default_rng(length).standard_normal(length)
-        np.testing.assert_array_equal(stft_spectrogram(x, params).values, frame_stft(x, params))
+        np.testing.assert_array_equal(stft_spectrogram(x, params), frame_stft(x, params))
+
+
+    @pytest.mark.parametrize(
+        "params", [SpectrogramParams(), SpectrogramParams(window_len=32, hop=5)], ids=["default", "hop5"]
+    )
+    def test_batch_matches_one_signal_at_a_time(self, params):
+        x = np.random.default_rng(7).standard_normal((2, 3, 256)) * 50
+        batch = stft_spectrogram(x, params)
+        assert batch.shape == (2, 3, params.freq_bins, (256 - params.window_len) // params.hop + 1)
+        for i in np.ndindex(2, 3):
+            np.testing.assert_array_equal(batch[i], stft_spectrogram(x[i], params))
+        np.testing.assert_array_equal(
+            normalize_spectrogram(batch),
+            [[normalize_spectrogram(stft_spectrogram(x[i, j], params)) for j in range(3)]
+             for i in range(2)],
+        )
 
 
 class TestNormalize:
@@ -100,12 +116,18 @@ class TestNormalize:
         spec = stft_spectrogram(np.zeros(256), SpectrogramParams())
         assert np.all(normalize_spectrogram(spec) == 0)
 
+    def test_each_image_scaled_on_its_own(self):
+        x = np.random.default_rng(5).standard_normal((3, 256)) * np.array([[1.0], [0.0], [30.0]])
+        images = normalize_spectrogram(stft_spectrogram(x, SpectrogramParams()))
+        assert images.min(axis=(1, 2)).tolist() == [0.0, 0.0, 0.0]
+        assert images.max(axis=(1, 2)).tolist() == [1.0, 0.0, 1.0]
+
 
 class TestLombScargle:
     def test_constant_series(self):
         t = np.arange(30) * 0.9
         psd = lomb_scargle(t, np.full(30, 0.85), np.linspace(0.01, 0.4, 64))
-        assert np.all(psd.power <= 1e-12)
+        assert np.all(psd <= 1e-12)
 
     def test_uniform_sinusoid_peak(self):
         fs, n, f0 = 4.0, 256, 0.5
@@ -114,14 +136,14 @@ class TestLombScargle:
         freqs = np.fft.rfftfreq(n, 1 / fs)[1:]
         psd = lomb_scargle(t, y, freqs)
         periodogram = np.abs(np.fft.rfft(y - y.mean())[1:]) ** 2
-        assert freqs[np.argmax(psd.power)] == freqs[np.argmax(periodogram)]
+        assert freqs[np.argmax(psd)] == freqs[np.argmax(periodogram)]
 
     def test_alternating_rr_peak(self):
         rr = np.tile([0.8, 0.9], 20)
         t = np.cumsum(rr)
         freqs = np.linspace(0.05, 1.0, 400)
         psd = lomb_scargle(t, rr, freqs)
-        peak = freqs[np.argmax(psd.power)]
+        peak = freqs[np.argmax(psd)]
         assert abs(peak - 1.0 / (2 * 0.85)) < 0.03
 
     def test_input_validation(self):

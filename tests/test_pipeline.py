@@ -6,7 +6,7 @@ import zlib
 import numpy as np
 import pytest
 
-from ecgstress import pipeline
+from ecgstress import bundle, pipeline
 from ecgstress.neuralnet import TrainConfig
 from ecgstress.pipeline import (
     METHODS,
@@ -14,6 +14,7 @@ from ecgstress.pipeline import (
     PipelineError,
     _inner_split,
     evaluate_loso,
+    featurize,
     fold_seed,
     hrv_matrix,
     run_pipeline,
@@ -21,7 +22,7 @@ from ecgstress.pipeline import (
     windows_to_images,
     windows_to_snippets,
 )
-from ecgstress.evaluation import METHOD_DISPLAY, RunResult, loso_split
+from ecgstress.evaluation import METHOD_DISPLAY, Fold, RunResult, loso_split
 from ecgstress.signal_core import Window
 
 from conftest import make_dataset
@@ -31,6 +32,26 @@ FAST_TRAIN = TrainConfig(epochs=2, learning_rate=0.02, batch_size=32)
 
 def fast_config(method, **kwargs):
     return PipelineConfig(method=method, cnn_train=FAST_TRAIN, seed=1, **kwargs)
+
+
+def run_fold(fold, cfg):
+    """run_pipeline on a fold's windows, each side featurized on its own."""
+    train, test = (featurize(w, cfg, 256.0) for w in (fold.train_windows, fold.test_windows))
+    return run_pipeline(fold.test_subject, train, test, cfg)
+
+
+def dataset_for(method, small_dataset):
+    """small_dataset for 1-s methods; 4-s windows of 2 subjects x 24 s for the HRV ones."""
+    if METHODS[method].window_seconds(fast_config(method)) == 1.0:
+        return small_dataset
+    return make_dataset(n_subjects=2, duration_s=24.0, window_seconds=4.0)
+
+
+def encoded(components) -> str:
+    """Components as their bundle sections (floats exact), plus the chosen λ."""
+    sections = {k: enc(components[k]) for k, (enc, _) in bundle.CODECS.items()
+                if components.get(k) is not None}
+    return json.dumps([sections, components.get("svm_lambda")])
 
 
 class TestSeeding:
@@ -134,21 +155,36 @@ class TestGridSearch:
 class TestHrvMatrix:
     def test_matrix_from_synthetic_windows(self):
         data = make_dataset(n_subjects=1, duration_s=24.0, window_seconds=4.0)
-        X, y = hrv_matrix(data.windows, 256.0)
+        X, valid = hrv_matrix(data.windows, 256.0)
         assert X.shape[1] == 9
-        assert len(X) == len(y) > 0
+        assert len(X) == len(valid) > 0
+        assert valid.any()
 
     def test_all_flat_windows_error(self):
         windows = [Window("s", i * 1024, 1024, 0, np.zeros(1024)) for i in range(3)]
+        X, valid = hrv_matrix(windows, 256.0)
+        assert not valid.any() and not X.any()
+        fold = Fold(test_subject="t", train_windows=windows, test_windows=())
         with pytest.raises(PipelineError, match="hrv"):
-            hrv_matrix(windows, 256.0)
+            train_fold_components(fold, fast_config("svm_hrv"), 256.0)
+
+    def test_windows_without_a_row_left_out_of_training(self):
+        data = make_dataset(n_subjects=1, duration_s=24.0, window_seconds=4.0)
+        flat = [Window("subj0", 10**7 + i * 1024, 1024, 2, np.zeros(1024)) for i in range(3)]
+        cfg = fast_config("svm_hrv")
+
+        def train(windows):
+            fold = Fold(test_subject="t", train_windows=windows, test_windows=())
+            return encoded(train_fold_components(fold, cfg, 256.0))
+
+        assert train([*flat, *data.windows]) == train(data.windows)
 
 
 class TestRunPipeline:
     @pytest.mark.parametrize("method", ["cnn1d", "cnn2d", "fusion_weighted", "fusion_avg"])
     def test_deep_methods_produce_metrics(self, small_dataset, method):
         fold = loso_split(small_dataset)[0]
-        metrics = run_pipeline(fold, fast_config(method), 256.0)
+        metrics = run_fold(fold, fast_config(method))
         assert 0.0 <= metrics.accuracy <= 1.0
         assert metrics.confusion.sum() == len(fold.test_windows)
 
@@ -156,7 +192,7 @@ class TestRunPipeline:
     def test_hrv_methods_produce_metrics(self, method):
         data = make_dataset(n_subjects=2, duration_s=24.0, window_seconds=4.0)
         fold = loso_split(data)[0]
-        metrics = run_pipeline(fold, fast_config(method), 256.0)
+        metrics = run_fold(fold, fast_config(method))
         assert 0.0 <= metrics.accuracy <= 1.0
 
     def test_method_table_matches_report_names(self):
@@ -189,24 +225,47 @@ class TestEvaluateLoso:
         assert [s for s, _ in result.per_fold] == ["subj0", "subj1"]
         assert result.config_snapshot["method"] == "cnn1d"
 
-    def test_parallel_matches_serial(self, small_dataset):
-        cfg = fast_config("cnn1d")
-        serial = evaluate_loso(small_dataset, cfg, 256.0, jobs=1)
-        parallel = evaluate_loso(small_dataset, cfg, 256.0, jobs=2)
-        assert serial.mean.accuracy == parallel.mean.accuracy
-        np.testing.assert_array_equal(serial.mean.confusion, parallel.mean.confusion)
-
-    @pytest.mark.parametrize("method", ["svm_hrv", "knn_hrv"])
-    def test_hrv_vector_computed_once_per_window(self, method, monkeypatch):
-        data = make_dataset(n_subjects=3, duration_s=24.0, window_seconds=4.0)
+    @pytest.mark.parametrize("method", sorted(METHODS))
+    def test_parallel_matches_serial(self, small_dataset, method):
+        data = dataset_for(method, small_dataset)
         cfg = fast_config(method)
-        per_fold = [(f.test_subject, run_pipeline(f, cfg, 256.0)) for f in loso_split(data)]
-        calls = []
-        real = pipeline.hrv_vector
+        serial = evaluate_loso(data, cfg, 256.0, jobs=1)
+        parallel = evaluate_loso(data, cfg, 256.0, jobs=2)
+        assert json.dumps(parallel.to_dict()) == json.dumps(serial.to_dict())
+
+    @pytest.mark.parametrize("method", ["svm_hrv", "knn_hrv", "fusion_weighted"])
+    def test_hrv_vector_computed_once_per_window(self, small_dataset, method, monkeypatch):
+        """A LOSO run featurizes every window once: one hrv_vector call per window, or
+        one STFT call for all of a fusion run's spectrograms. Each fold then trains
+        exactly what train_fold_components trains on that fold's windows alone."""
+        data = (
+            small_dataset
+            if method == "fusion_weighted"
+            else make_dataset(n_subjects=3, duration_s=24.0, window_seconds=4.0)
+        )
+        cfg = fast_config(method)
+        folds = loso_split(data)
+        per_fold = [(f.test_subject, run_fold(f, cfg)) for f in folds]
+        alone = [encoded(train_fold_components(f, cfg, 256.0)) for f in folds]
+        calls, stft_calls, trained = [], [], []
+        real, real_stft = pipeline.hrv_vector, pipeline.stft_spectrogram
+        real_fit = pipeline.fit_rows
         monkeypatch.setattr(pipeline, "hrv_vector", lambda w, fs: calls.append(w) or real(w, fs))
+        monkeypatch.setattr(
+            pipeline, "stft_spectrogram", lambda x, p: stft_calls.append(x) or real_stft(x, p)
+        )
+        monkeypatch.setattr(
+            pipeline, "fit_rows", lambda *a: trained.append(real_fit(*a)) or trained[-1]
+        )
         result = evaluate_loso(data, cfg, 256.0)
-        assert len(calls) == len(data.windows)
-        assert {id(w) for w in calls} == {id(w) for w in data.windows}
+        if method == "fusion_weighted":
+            assert calls == [] and len(stft_calls) == 1
+            assert stft_calls[0].shape == (len(data.windows), 256)
+        else:
+            assert stft_calls == []
+            assert len(calls) == len(data.windows)
+            assert {id(w) for w in calls} == {id(w) for w in data.windows}
+        assert [encoded(c) for c in trained] == alone
         assert [(s, m.to_dict()) for s, m in result.per_fold] == [
             (s, m.to_dict()) for s, m in per_fold
         ]

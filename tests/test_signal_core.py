@@ -187,7 +187,10 @@ class TestMalformedRecordings:
         code, _, err, _ = ingest(tmp_path, body, capsys)
         assert code == EXIT_USAGE and err == f"error: {streamed.value}\n"
 
-    @pytest.mark.parametrize("rate", ["Infinity", "-Infinity", "NaN", "true"])
+    @pytest.mark.parametrize(
+        "rate",
+        ["Infinity", "-Infinity", "NaN", "true", pytest.param("1" + "0" * 400, id="int-too-large")],
+    )
     def test_sample_rate_must_be_finite_number(self, tmp_path, capsys, rate):
         meta = f'{{"subject_id": "s1", "sample_rate_hz": {rate}, "task": "baseline"}}'
         code, out, err, _ = ingest(tmp_path, (HEADER + "0,1.5\n").encode(), capsys, meta)
@@ -391,6 +394,11 @@ class TestTypeInvariants:
     def test_recording_rejects_nonfinite(self):
         with pytest.raises(ValueError, match="index 1"):
             EcgRecording("s", 256.0, np.array([0.0, np.nan]))
+
+    @pytest.mark.parametrize("rate", [0.0, -256.0, float("inf"), float("nan")])
+    def test_recording_rejects_bad_rate(self, rate):
+        with pytest.raises(ValueError, match="finite and positive"):
+            EcgRecording("s", rate, np.array([1.0, 2.0]))
 
     def test_recording_rejects_empty(self):
         with pytest.raises(ValueError):

@@ -4,7 +4,9 @@
 callers look them up by, and names the CNN layer probe's metrics after each
 layer's position and class. A rename, deletion or reordering there would only
 surface when the benchmark runs; these checks make it fail with the unit
-tests instead.
+tests instead. A name that stays callable but drops off the call path would
+leave its span empty, so tiny runs under the benchmark's own tracer check that
+every traced `pipeline` name is still reached.
 """
 
 import importlib
@@ -14,7 +16,14 @@ from pathlib import Path
 
 import pytest
 
-from ecgstress import neuralnet
+import ecgstress
+from ecgstress import bundle, classifiers, cli, fusion, hrv, neuralnet, pipeline  # noqa: F401
+from ecgstress.evaluation import Fold
+from ecgstress.neuralnet import TrainConfig
+from ecgstress.pipeline import PipelineConfig
+from ecgstress.signal_core import synth_ecg
+
+from conftest import make_dataset
 
 ROOT = Path(__file__).resolve().parents[1]
 TRACING = runpy.run_path(str(ROOT / "perfbench" / "tracing.py"))
@@ -35,3 +44,38 @@ def test_layer_probe_names_match_benchmark_spec():
         if m["name"].startswith(("neuralnet.cnn1d.", "neuralnet.cnn2d."))
     ]
     assert TRACING["probe_names"](neuralnet) == declared
+
+
+def test_traced_pipeline_names_are_reached(small_dataset, tmp_path):
+    fusion_cfg = PipelineConfig(method="fusion_weighted", cnn_train=TrainConfig(epochs=1), seed=1)
+    hrv_cfg = PipelineConfig(method="svm_hrv", seed=1)
+    hrv_data = make_dataset(n_subjects=2, duration_s=24.0, window_seconds=4.0)
+    fold = Fold(test_subject="", train_windows=small_dataset.windows, test_windows=())
+    path = tmp_path / "bundle.json"
+    bundle.save_bundle(
+        path,
+        method=fusion_cfg.method,
+        components=pipeline.train_fold_components(fold, fusion_cfg, 256.0),
+        window_seconds=1.0,
+        sample_rate_hz=256.0,
+        feature_dim=fusion_cfg.feature_dim,
+        spectrogram=fusion_cfg.spectrogram,
+        seed=fusion_cfg.seed,
+    )
+    loaded = bundle.load_bundle(path)
+    rec, _ = synth_ecg(1, 3.0, 256.0, 7)
+    tracer = TRACING["Tracer"]()
+    tracer.install(ecgstress)
+    try:
+        pipeline.evaluate_loso(small_dataset, fusion_cfg, 256.0)
+        pipeline.evaluate_loso(hrv_data, hrv_cfg, 256.0)
+        cli.predict_stream(loaded, rec)
+    finally:
+        tracer.uninstall()
+    reached = {span["name"] for span in tracer.spans}
+    expected = {name for module, _, name, _ in LAYERS if module == "pipeline"}
+    assert expected == {
+        "pipeline.fold", "pipeline.hrv_matrix", "hrv.vector", "pipeline.fusion_predict",
+        "pipeline.windows_to_images", "dsp.stft", "evaluation.compute_metrics",
+    }
+    assert expected <= reached, f"never reached: {sorted(expected - reached)}"
