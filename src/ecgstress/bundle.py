@@ -118,7 +118,7 @@ def save_bundle(
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         with open(tmp, "w") as fh:
-            fh.write(json.dumps(doc))
+            fh.write(json.dumps(doc, allow_nan=False))
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)
@@ -126,8 +126,14 @@ def save_bundle(
 
 def load_bundle(path) -> dict:
     """Load and validate a bundle; returns ready-to-use components plus metadata."""
+    non_finite = []  # NaN and ±Infinity tokens; save_bundle never writes them
+
+    def note(token: str) -> float:
+        non_finite.append(token)
+        return float(token)
+
     try:
-        doc = json.loads(Path(path).read_text())
+        doc = json.loads(Path(path).read_text(), parse_constant=note)
     except (OSError, json.JSONDecodeError) as exc:
         raise BundleError(f"cannot read bundle {path}: {exc}") from exc
     version = doc.get("format_version") if isinstance(doc, dict) else None
@@ -137,6 +143,8 @@ def load_bundle(path) -> dict:
     if missing:
         raise BundleError(f"bundle lacks {', '.join(missing)}")
     _check_header(doc)
+    if non_finite:
+        raise BundleError(f"bundle holds the non-finite constant {non_finite[0]}")
     method = doc["method"]
     if method not in METHODS:
         raise BundleError(f"unknown method {method!r} in bundle")

@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -111,8 +112,24 @@ def build_pipeline_config(settings: dict) -> PipelineConfig:
         cnn_train=replace(cfg.cnn_train, **fields["cnn_train"]),
         spectrogram=replace(cfg.spectrogram, **fields["spectrogram"]),
     )
-    if cfg.feature_dim < 1:
-        raise ValueError(f"feature_dim must be at least 1, got {cfg.feature_dim}")
+    for ok, problem in (
+        (cfg.feature_dim >= 1, f"feature_dim must be at least 1, got {cfg.feature_dim}"),
+        (
+            all(0 < lam < math.inf for lam in cfg.svm_lambda_grid),
+            f"svm_lambda_grid values must be finite and positive, got {cfg.svm_lambda_grid}",
+        ),
+        (min(cfg.knn_k_grid) >= 1, f"knn_k_grid values must be at least 1, got {cfg.knn_k_grid}"),
+        (
+            cfg.corrupt_modality in (None, "raw", "spectrogram"),
+            f"corrupt_modality must be none, raw or spectrogram, got {cfg.corrupt_modality!r}",
+        ),
+        (
+            0 <= cfg.corrupt_noise_std < math.inf,
+            f"corrupt_noise_std must be finite and nonnegative, got {cfg.corrupt_noise_std}",
+        ),
+    ):
+        if not ok:
+            raise ValueError(problem)
     return cfg
 
 

@@ -25,7 +25,13 @@ def _init_uniform(rng, shape, fan_in):
 
 
 class Layer:
-    """Base layer; parameterless unless params is overridden."""
+    """Base layer; parameterless unless params is overridden.
+
+    `saved` names the attributes forward sets for backward alone; an inference
+    forward (Model.forward with keep False) drops them as soon as forward returns.
+    """
+
+    saved: tuple = ()
 
     def params(self):
         return []
@@ -46,6 +52,11 @@ class Layer:
 
     def out_shape(self, in_shape):
         raise NotImplementedError
+
+    def release(self):
+        """Drop the backward-only state of the last forward."""
+        for name in self.saved:
+            self.__dict__.pop(name, None)
 
 
 class _Weighted(Layer):
@@ -70,6 +81,8 @@ class _Conv(_Weighted):
     Weights are (O, C, k[, k]); an input (N, C, *size) gives (N, O, *out) with
     out = size + 2*pad - k + 1 on each spatial axis.
     """
+
+    saved = ("_xcol",)
 
     def __init__(self, in_ch, out_ch, kernel, rng, rank, pad):
         self.kernel, self.rank, self.pad = kernel, rank, pad
@@ -174,6 +187,7 @@ class _PairMax(Layer):
     """
 
     rank: int
+    saved = ("_steps",)
 
     def out_shape(self, in_shape):
         c, *size = in_shape
@@ -210,6 +224,8 @@ class MaxPool2D(_PairMax):
 
 
 class ReLU(Layer):
+    saved = ("_mask",)
+
     def out_shape(self, in_shape):
         return in_shape
 
@@ -222,6 +238,8 @@ class ReLU(Layer):
 
 
 class Flatten(Layer):
+    saved = ("_in_shape",)
+
     def out_shape(self, in_shape):
         return (int(np.prod(in_shape)),)
 
@@ -234,6 +252,8 @@ class Flatten(Layer):
 
 
 class GlobalAvgPool2D(Layer):
+    saved = ("_in_shape",)
+
     def out_shape(self, in_shape):
         c, _, _ = in_shape
         return (c,)
@@ -250,6 +270,8 @@ class GlobalAvgPool2D(Layer):
 
 
 class Dense(_Weighted):
+    saved = ("_x",)
+
     def __init__(self, in_dim, out_dim, rng):
         super().__init__(_init_uniform(rng, (in_dim, out_dim), in_dim), out_dim)
 
@@ -269,6 +291,8 @@ class Dense(_Weighted):
 
 
 class Softmax(Layer):
+    saved = ("_y",)
+
     def out_shape(self, in_shape):
         return in_shape
 
@@ -337,12 +361,21 @@ class Model:
             raise ValueError(f"expected input shape {self.input_shape}, got {x.shape[1:]}")
         return x
 
-    def forward(self, x, upto: int | None = None):
+    def forward(self, x, upto: int | None = None, keep: bool = True):
+        """Run layers 0..upto (all by default); with keep False, as in inference,
+        each layer drops its backward-only state once its forward returns."""
         x = self._check_input(x)
         stop = len(self.layers) if upto is None else upto + 1
         for layer in self.layers[:stop]:
             x = layer.forward(x)
+            if not keep:
+                layer.release()
         return x
+
+    def release(self):
+        """Drop every layer's backward-only state."""
+        for layer in self.layers:
+            layer.release()
 
     def logits(self, x):
         """Forward pass stopping before the final softmax."""
@@ -454,13 +487,14 @@ def train(model: Model, inputs, labels, cfg: TrainConfig) -> Model:
                 v -= cfg.learning_rate * g
                 p += v
         model.loss_trace.append(epoch_loss / n)
+    model.release()
     return model
 
 
 def extract_features(model: Model, inputs) -> np.ndarray:
     """Penultimate-layer features: forward pass truncated at the feature tap."""
-    return model.forward(inputs, upto=model.feature_layer_index)
+    return model.forward(inputs, upto=model.feature_layer_index, keep=False)
 
 
 def predict_proba(model: Model, inputs) -> np.ndarray:
-    return model.forward(inputs)
+    return model.forward(inputs, keep=False)

@@ -275,6 +275,10 @@ class Rows(NamedTuple):
         x = tuple(a[mask] for a in self.x) if isinstance(self.x, tuple) else self.x[mask]
         return Rows(x, self.valid[mask], self.labels[mask])
 
+    def kept(self) -> Rows:
+        """The valid rows; the rows themselves, not a copy, when every row is valid."""
+        return self if self.valid.all() else self.take(self.valid)
+
 
 def featurize(windows, cfg: PipelineConfig, fs: float) -> Rows:
     return Rows(*method_spec(cfg.method).features(windows, cfg, fs), labels_of(windows))
@@ -284,7 +288,7 @@ def fit_rows(rows: Rows, cfg: PipelineConfig, seed: int) -> dict:
     """Train every component of the configured method on the valid rows only."""
     if not rows.valid.any():
         raise PipelineError("hrv-features", ValueError("no window yielded enough beats"))
-    kept = rows.take(rows.valid)
+    kept = rows.kept()
     return method_spec(cfg.method).fit(kept.x, kept.labels, cfg, seed)
 
 
@@ -293,7 +297,7 @@ def predict_rows(components: dict, rows: Rows, cfg: PipelineConfig) -> np.ndarra
     proba = np.zeros((len(rows.valid), cfg.class_count))
     if rows.valid.any():
         predict = method_spec(cfg.method).predict
-        proba[rows.valid] = predict(components, rows.take(rows.valid).x, cfg)
+        proba[rows.valid] = predict(components, rows.kept().x, cfg)
     return proba
 
 

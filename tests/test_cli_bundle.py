@@ -153,15 +153,16 @@ class TestConfigHandling:
         assert cfg.corrupt_noise_std == 0.5
 
 
+@pytest.fixture
+def no_data_loaded(monkeypatch):
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("data loaded before the config was checked")
+
+    monkeypatch.setattr("ecgstress.cli.load_data_dir", must_not_run)
+
+
 class TestFeatureDim:
     """A feature dimension below 1 is refused before any data is loaded."""
-
-    @pytest.fixture
-    def no_data_loaded(self, monkeypatch):
-        def must_not_run(*args, **kwargs):
-            raise AssertionError("data loaded before the config was checked")
-
-        monkeypatch.setattr("ecgstress.cli.load_data_dir", must_not_run)
 
     @pytest.mark.parametrize("dim", ["0", "-3"])
     def test_flag(self, tmp_path, capsys, no_data_loaded, dim):
@@ -179,6 +180,54 @@ class TestFeatureDim:
 
     def test_one_is_accepted(self):
         assert build_pipeline_config({"feature_dim": "1"}).feature_dim == 1
+
+
+class TestSettingValues:
+    """A grid, modality or noise value that cannot train is refused before any data is loaded."""
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--svm-lambda-grid", "nan"],
+            ["--svm-lambda-grid=-5"],
+            ["--svm-lambda-grid", "0.1,inf"],
+            ["--svm-lambda-grid", "0"],
+            ["--knn-k-grid", "0"],
+            ["--knn-k-grid", "3,-1"],
+            ["--corrupt-modality", "bogus"],
+            ["--corrupt-noise-std", "nan"],
+            ["--corrupt-noise-std=-0.5"],
+            ["--corrupt-noise-std", "inf"],
+        ],
+        ids=[
+            "lambda-nan", "lambda-negative", "lambda-inf", "lambda-zero", "k-zero",
+            "k-negative", "modality-bogus", "std-nan", "std-negative", "std-inf",
+        ],
+    )
+    @pytest.mark.parametrize("command", ["train", "evaluate"])
+    def test_flag(self, tmp_path, capsys, no_data_loaded, command, flags):
+        out = tmp_path / "out.json"
+        code = main([command, "--data", str(tmp_path), "--out", str(out), *flags])
+        assert_usage_error(code, capsys)
+        assert not out.exists()
+
+    def test_config_key(self, tmp_path, capsys, no_data_loaded):
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text("method = svm_hrv\nsvm_lambda_grid = 0.1, nan\n")
+        code = main(["evaluate", "--data", str(tmp_path), "--config", str(cfg_file)])
+        assert_usage_error(code, capsys)
+
+    def test_boundaries_are_accepted(self):
+        cfg = build_pipeline_config(
+            {
+                "svm_lambda_grid": "1e-300",
+                "knn_k_grid": "1",
+                "corrupt_modality": "spectrogram",
+                "corrupt_noise_std": "0",
+            }
+        )
+        assert cfg.svm_lambda_grid == (1e-300,) and cfg.knn_k_grid == (1,)
+        assert cfg.corrupt_modality == "spectrogram" and cfg.corrupt_noise_std == 0.0
 
 
 class TestIngestAndLabel:
@@ -590,6 +639,24 @@ class TestBundle:
         assert path.read_text() == '{"previous": true}'
         assert list(tmp_path.iterdir()) == [path]
 
+    def test_save_refuses_non_finite_values(self, tmp_path):
+        path = tmp_path / "bundle.json"
+        path.write_text('{"previous": true}')
+        nan_svm = SvmModel(weights=np.full((3, 2), np.nan), biases=np.zeros(3), lam=0.1)
+        with pytest.raises(ValueError, match="JSON compliant"):
+            save_bundle(
+                path,
+                method="svm_hrv",
+                components={"svm": nan_svm},
+                window_seconds=4.0,
+                sample_rate_hz=256.0,
+                feature_dim=32,
+                spectrogram=SpectrogramParams(),
+                seed=0,
+            )
+        assert path.read_text() == '{"previous": true}'
+        assert list(tmp_path.iterdir()) == [path]
+
     @pytest.mark.parametrize("method", sorted(METHODS))
     def test_bundle_predicts_like_memory(self, tmp_path, small_dataset, method):
         cfg = PipelineConfig(
@@ -680,11 +747,20 @@ class TestBundleValidation:
             ),
             ({**BUNDLE_HEADER, "method": "svm_hrv", "seed": False}, "seed must be an integer"),
             ({**BUNDLE_HEADER, "method": "svm_hrv", "seed": "0"}, "seed must be an integer"),
+            (
+                {
+                    **BUNDLE_HEADER,
+                    "method": "svm_hrv",
+                    "stats": {"mean": [0.0], "std": [1.0]},
+                    "svm": {"weights": [[float("nan")]] * 3, "biases": [0.0] * 3, "lam": 0.1},
+                },
+                "non-finite constant NaN",
+            ),
         ],
         ids=[
             "truncated", "unknown-method", "missing-component", "malformed-section", "not-a-dict",
             "method-list", "window-str", "window-null", "window-negative", "rate-bool",
-            "rate-infinite", "feature-dim-float", "seed-bool", "seed-str",
+            "rate-infinite", "feature-dim-float", "seed-bool", "seed-str", "weights-nan",
         ],
     )
     def test_predict_rejects_bad_bundle(self, tmp_path, capsys, doc, message):

@@ -1,5 +1,7 @@
 """CNN engine: shapes, training, feature extraction and spot gradient checks."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -463,3 +465,79 @@ class TestSkippedFirstInputGradient:
         for a, b in zip(model.parameters(), ref.parameters()):
             np.testing.assert_allclose(a, b, rtol=0, atol=1e-12)
         np.testing.assert_allclose(model.loss_trace, ref.loss_trace, rtol=1e-12)
+
+
+def _held_state(model):
+    """(layer index, attribute) of every backward-only attribute the layers hold."""
+    return [
+        (i, name)
+        for i, layer in enumerate(model.layers)
+        for name in layer.saved
+        if hasattr(layer, name)
+    ]
+
+
+def _traced(fn):
+    """fn(), and the bytes it left allocated and its peak, as tracemalloc counts them."""
+    tracemalloc.start()
+    try:
+        out = fn()
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return out, retained, peak
+
+
+class TestInferenceKeepsNoBackwardState:
+    """extract_features and predict_proba drop what only backward reads, bit for bit."""
+
+    @pytest.mark.parametrize("kind", ["cnn1d", "cnn2d"])
+    @pytest.mark.parametrize("n", [1, 2, 33, 180])
+    def test_equal_to_training_forward(self, kind, n):
+        rng = np.random.default_rng([n, 12])
+        if kind == "cnn1d":
+            model, x = build_cnn1d(seed=6), rng.standard_normal((n, 1, 256))
+        else:
+            model, x = build_cnn2d(seed=6), rng.standard_normal((n, 1, 33, 13))
+        features = extract_features(model, x)
+        assert _held_state(model) == []
+        proba = predict_proba(model, x)
+        assert _held_state(model) == []
+        tap = model.feature_layer_index
+        _assert_same_values(features, model.forward(x, upto=tap, keep=True))
+        _assert_same_values(proba, model.forward(x, keep=True))
+        # The training forward holds every attribute each layer names
+        every = [(i, name) for i, layer in enumerate(model.layers) for name in layer.saved]
+        assert _held_state(model) == every
+
+    def test_cnn2d_extract_retains_only_its_output(self):
+        x = np.random.default_rng(13).standard_normal((180, 1, 33, 13))
+        model = build_cnn2d(seed=6)
+        extract_features(model, x[:2])  # the im2col index caches are not backward state
+        features, retained, peak = _traced(lambda: extract_features(model, x))
+        assert retained <= features.nbytes + 2**20
+        _, kept, keep_peak = _traced(lambda: model.forward(x, upto=model.feature_layer_index))
+        assert kept > 10 * 2**20  # what inference used to pin
+        assert peak <= 0.75 * keep_peak
+
+    @pytest.mark.parametrize("kind", ["cnn1d", "cnn2d"])
+    def test_train_after_inference_is_unchanged(self, kind):
+        cfg = TrainConfig(epochs=2, batch_size=8, learning_rate=0.02, seed=3)
+        model, x, y = _cnn_fixture(kind)
+        train(model, x, y, cfg)
+        assert _held_state(model) == []  # train drops the last batch's state
+        ref, _, _ = _cnn_fixture(kind)
+        extract_features(ref, x)
+        predict_proba(ref, x[:5])
+        train(ref, x, y, cfg)
+        for a, b in zip(model.parameters(), ref.parameters()):
+            np.testing.assert_array_equal(a, b)
+        assert model.loss_trace == ref.loss_trace
+
+    @pytest.mark.parametrize("kind", ["cnn1d", "cnn2d"])
+    def test_oracle_layers_serve_inference(self, kind, monkeypatch):
+        model, x, _ = _cnn_fixture(kind)
+        features, proba = extract_features(model, x), predict_proba(model, x)
+        _install_oracle_layers(monkeypatch)
+        _assert_same_values(extract_features(model, x), features)
+        _assert_same_values(predict_proba(model, x), proba)

@@ -12,11 +12,14 @@ from ecgstress.pipeline import (
     METHODS,
     PipelineConfig,
     PipelineError,
+    Rows,
     _inner_split,
     evaluate_loso,
     featurize,
+    fit_rows,
     fold_seed,
     hrv_matrix,
+    predict_rows,
     run_pipeline,
     train_fold_components,
     windows_to_images,
@@ -178,6 +181,48 @@ class TestHrvMatrix:
             return encoded(train_fold_components(fold, cfg, 256.0))
 
         assert train([*flat, *data.windows]) == train(data.windows)
+
+
+class TestValidRows:
+    """fit_rows and predict_rows pass the rows themselves when every row is valid."""
+
+    @pytest.fixture
+    def seen(self, monkeypatch):
+        """The feature rows each fit and predict call of svm_hrv receives."""
+        seen = []
+
+        def fit(x, y, cfg, seed):
+            seen.append(x)
+            return {}
+
+        def predict(components, x, cfg):
+            seen.append(x)
+            return np.ones((len(x[0] if isinstance(x, tuple) else x), cfg.class_count))
+
+        spec = METHODS["svm_hrv"]
+        monkeypatch.setitem(METHODS, "svm_hrv", spec._replace(fit=fit, predict=predict))
+        return seen
+
+    @pytest.mark.parametrize("paired", [False, True], ids=["matrix", "tuple"])
+    def test_all_valid_rows_are_not_copied(self, seen, paired):
+        x = np.arange(12.0).reshape(4, 3)
+        x = (x, x[:, :2]) if paired else x
+        rows = Rows(x, np.ones(4, dtype=bool), np.zeros(4, dtype=np.int64))
+        cfg = fast_config("svm_hrv")
+        fit_rows(rows, cfg, 0)
+        predict_rows({}, rows, cfg)
+        assert seen[0] is x and seen[1] is x
+
+    def test_rows_that_are_not_valid_are_left_out(self, seen):
+        x = np.arange(12.0).reshape(4, 3)
+        valid = np.array([True, False, True, True])
+        rows = Rows(x, valid, np.zeros(4, dtype=np.int64))
+        cfg = fast_config("svm_hrv")
+        fit_rows(rows, cfg, 0)
+        proba = predict_rows({}, rows, cfg)
+        np.testing.assert_array_equal(seen[0], x[valid])
+        np.testing.assert_array_equal(seen[1], x[valid])
+        np.testing.assert_array_equal(proba.any(axis=1), valid)
 
 
 class TestRunPipeline:

@@ -68,11 +68,17 @@ def test_traced_pipeline_names_are_reached(small_dataset, tmp_path):
     tracer.install(ecgstress)
     try:
         pipeline.evaluate_loso(small_dataset, fusion_cfg, 256.0)
+        fusion_reached = {span["name"] for span in tracer.spans}
         pipeline.evaluate_loso(hrv_data, hrv_cfg, 256.0)
+        start = len(tracer.spans)
         cli.predict_stream(loaded, rec)
+        predict_reached = {span["name"] for span in tracer.spans[start:]}
     finally:
         tracer.uninstall()
     reached = {span["name"] for span in tracer.spans}
+    # The inference span, neuralnet.extract_ms, times feature extraction on both paths
+    assert "neuralnet.extract" in fusion_reached
+    assert "neuralnet.extract" in predict_reached
     expected = {name for module, _, name, _ in LAYERS if module == "pipeline"}
     assert expected == {
         "pipeline.fold", "pipeline.hrv_matrix", "hrv.vector", "pipeline.fusion_predict",
