@@ -16,7 +16,6 @@ from . import bundle as bundle_io
 from . import pipeline
 from .dsp import SpectrogramParams, stft_spectrogram
 from .evaluation import (
-    Fold,
     RunResult,
     UndefinedAlphaError,
     krippendorff_alpha,
@@ -98,10 +97,12 @@ def load_config_file(path) -> dict:
 def build_pipeline_config(settings: dict) -> PipelineConfig:
     """PipelineConfig from parsed settings; a value still given as text is parsed first."""
     fields = {"": {}, "cnn_train": {}, "spectrogram": {}}
+    jobs = 1
     for key, (parse, destinations) in SETTINGS.items():
         if key in settings:
             value = settings[key]
             value = parse(value) if isinstance(value, str) else value
+            jobs = value if key == "jobs" else jobs
             for dest in destinations:
                 group, _, name = dest.rpartition(".")
                 fields[group][name] = value
@@ -113,6 +114,15 @@ def build_pipeline_config(settings: dict) -> PipelineConfig:
         spectrogram=replace(cfg.spectrogram, **fields["spectrogram"]),
     )
     for ok, problem in (
+        (jobs >= 1, f"jobs must be at least 1, got {jobs}"),
+        (
+            0 < cfg.window_seconds < math.inf,
+            f"window_seconds must be finite and positive, got {cfg.window_seconds}",
+        ),
+        (
+            0 < cfg.hrv_window_seconds < math.inf,
+            f"hrv_window_seconds must be finite and positive, got {cfg.hrv_window_seconds}",
+        ),
         (cfg.feature_dim >= 1, f"feature_dim must be at least 1, got {cfg.feature_dim}"),
         (
             all(0 < lam < math.inf for lam in cfg.svm_lambda_grid),
@@ -228,9 +238,10 @@ def _config_and_data(args):
 def cmd_train(args) -> int:
     _guard_overwrite(args.out, args.force)
     _, cfg, window_s, data, fs = _config_and_data(args)
-    # Deployment mode: train on every provided subject (no held-out fold)
-    fold = Fold(test_subject="", train_windows=data.windows, test_windows=())
-    components = pipeline.train_fold_components(fold, cfg, fs)
+    # Deployment mode: train on every provided subject, seeded as a fold that holds out
+    # no subject (""); another seed would change every trained bundle
+    rows = pipeline.featurize(data.windows, cfg, fs)
+    components = pipeline.fit_rows(rows, cfg, pipeline.fold_seed(cfg.seed, ""))
     bundle_io.save_bundle(
         args.out,
         method=cfg.method,

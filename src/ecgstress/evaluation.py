@@ -1,5 +1,5 @@
-"""LOSO fold construction, classification metrics, inter-rater agreement
-and report rendering."""
+"""Classification metrics, LOSO run results, inter-rater agreement and
+report rendering."""
 
 from __future__ import annotations
 
@@ -7,20 +7,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .signal_core import UNLABELED, Dataset, LabelTrack, Window
+from .signal_core import UNLABELED, LabelTrack
 
-
-@dataclass(frozen=True)
-class Fold:
-    test_subject: str
-    train_windows: tuple[Window, ...]
-    test_windows: tuple[Window, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "train_windows", tuple(self.train_windows))
-        object.__setattr__(self, "test_windows", tuple(self.test_windows))
-        if any(w.subject_id == self.test_subject for w in self.train_windows):
-            raise ValueError(f"test subject '{self.test_subject}' leaked into training windows")
+# The scalar fields of Metrics, in their JSON key order
+SCORES = ("accuracy", "precision_macro", "recall_macro", "f1_macro")
 
 
 @dataclass(frozen=True)
@@ -35,29 +25,18 @@ class Metrics:
         confusion = np.asarray(self.confusion, dtype=np.int64)
         confusion.setflags(write=False)
         object.__setattr__(self, "confusion", confusion)
-        for name in ("accuracy", "precision_macro", "recall_macro", "f1_macro"):
+        for name in SCORES:
             v = getattr(self, name)
             if not (0.0 <= v <= 1.0):
                 raise ValueError(f"{name} must lie in [0, 1], got {v}")
 
     def to_dict(self):
-        return {
-            "accuracy": self.accuracy,
-            "precision_macro": self.precision_macro,
-            "recall_macro": self.recall_macro,
-            "f1_macro": self.f1_macro,
-            "confusion": self.confusion.tolist(),
-        }
+        scores = {name: getattr(self, name) for name in SCORES}
+        return {**scores, "confusion": self.confusion.tolist()}
 
     @classmethod
     def from_dict(cls, d):
-        return cls(
-            accuracy=d["accuracy"],
-            precision_macro=d["precision_macro"],
-            recall_macro=d["recall_macro"],
-            f1_macro=d["f1_macro"],
-            confusion=np.array(d["confusion"]),
-        )
+        return cls(**{name: d[name] for name in SCORES}, confusion=np.array(d["confusion"]))
 
 
 METHOD_DISPLAY = {
@@ -103,23 +82,6 @@ class RunResult:
         )
 
 
-def loso_split(data: Dataset) -> list[Fold]:
-    """One fold per subject, ordered by subject id."""
-    subjects = data.subjects
-    if len(subjects) < 2:
-        raise ValueError(f"LOSO needs at least 2 subjects, got {len(subjects)}")
-    folds = []
-    for subject in subjects:
-        folds.append(
-            Fold(
-                test_subject=subject,
-                train_windows=tuple(w for w in data.windows if w.subject_id != subject),
-                test_windows=tuple(w for w in data.windows if w.subject_id == subject),
-            )
-        )
-    return folds
-
-
 def compute_metrics(preds, truth, class_count: int) -> Metrics:
     """Confusion matrix and macro-averaged precision/recall/F1.
 
@@ -153,10 +115,7 @@ def compute_metrics(preds, truth, class_count: int) -> Metrics:
 def mean_metrics(metrics_list) -> Metrics:
     """Unweighted mean of the scalar metrics; confusion matrices are summed."""
     return Metrics(
-        accuracy=float(np.mean([m.accuracy for m in metrics_list])),
-        precision_macro=float(np.mean([m.precision_macro for m in metrics_list])),
-        recall_macro=float(np.mean([m.recall_macro for m in metrics_list])),
-        f1_macro=float(np.mean([m.f1_macro for m in metrics_list])),
+        **{name: float(np.mean([getattr(m, name) for m in metrics_list])) for name in SCORES},
         confusion=np.sum([m.confusion for m in metrics_list], axis=0),
     )
 

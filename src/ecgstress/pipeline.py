@@ -11,7 +11,7 @@ import numpy as np
 
 from . import classifiers, fusion, neuralnet
 from .dsp import SpectrogramParams, normalize_spectrogram, stft_spectrogram
-from .evaluation import Fold, Metrics, RunResult, compute_metrics, loso_split, mean_metrics
+from .evaluation import Metrics, RunResult, compute_metrics, mean_metrics
 from .hrv import FEATURE_NAMES, hrv_vector
 from .neuralnet import TrainConfig
 from .signal_core import Dataset
@@ -301,12 +301,6 @@ def predict_rows(components: dict, rows: Rows, cfg: PipelineConfig) -> np.ndarra
     return proba
 
 
-def train_fold_components(fold: Fold, cfg: PipelineConfig, fs: float) -> dict:
-    """Train every component of the configured method on the training fold only."""
-    rows = featurize(fold.train_windows, cfg, fs)
-    return fit_rows(rows, cfg, fold_seed(cfg.seed, fold.test_subject))
-
-
 def run_pipeline(test_subject: str, train: Rows, test: Rows, cfg: PipelineConfig) -> Metrics:
     """Train on one fold's training rows; report metrics on its test subject's rows."""
     components = fit_rows(train, cfg, fold_seed(cfg.seed, test_subject))
@@ -317,12 +311,14 @@ def run_pipeline(test_subject: str, train: Rows, test: Rows, cfg: PipelineConfig
 
 
 def evaluate_loso(data: Dataset, cfg: PipelineConfig, fs: float, jobs: int = 1) -> RunResult:
-    """LOSO evaluation of the configured method over all subjects.
+    """LOSO evaluation of the configured method: one fold per subject, in subject order.
 
     Every window is featurized once; each fold trains on the other subjects'
     rows and is tested on its own subject's rows.
     """
-    subjects = [fold.test_subject for fold in loso_split(data)]
+    subjects = data.subjects
+    if len(subjects) < 2:
+        raise ValueError(f"LOSO needs at least 2 subjects, got {len(subjects)}")
     rows = featurize(data.windows, cfg, fs)
     owner = np.array([w.subject_id for w in data.windows])
     tasks = ((s, rows.take(owner != s), rows.take(owner == s), cfg) for s in subjects)

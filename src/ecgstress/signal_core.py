@@ -307,9 +307,11 @@ def segment_windows(rec: EcgRecording, labels: LabelTrack, window_seconds: float
 
     Partial windows at segment boundaries are dropped rather than padded.
     """
-    if window_seconds <= 0:
-        raise ValueError("window_seconds must be positive")
+    if not 0 < window_seconds < math.inf:
+        raise ValueError(f"window_seconds must be finite and positive, got {window_seconds}")
     wlen = round(window_seconds * rec.sample_rate_hz)
+    if wlen < 1:
+        raise ValueError(f"a {window_seconds} s window holds no sample at {rec.sample_rate_hz} Hz")
     windows = []
     for seg in labels.segments:
         if seg.level == UNLABELED:

@@ -118,6 +118,29 @@ def make_dataset(
     return Dataset(windows=tuple(windows))
 
 
+def taint(data: Dataset, subject: str, offset: float = 5.0) -> Dataset:
+    """data with `offset` added to every sample of one subject's windows."""
+    return Dataset(
+        windows=tuple(
+            Window(w.subject_id, w.start_sample, w.length_samples, w.label, w.samples + offset)
+            if w.subject_id == subject
+            else w
+            for w in data.windows
+        )
+    )
+
+
+@pytest.fixture
+def fitted(monkeypatch):
+    """The components of every pipeline.fit_rows call the test makes, in call order;
+    a LOSO run serial in one process trains its folds in subject order."""
+    from ecgstress import pipeline
+
+    fitted, real = [], pipeline.fit_rows
+    monkeypatch.setattr(pipeline, "fit_rows", lambda *a: fitted.append(real(*a)) or fitted[-1])
+    return fitted
+
+
 @pytest.fixture(scope="session")
 def small_dataset():
     """2 subjects x 3 levels x 12 s of 1 s windows; fast enough for unit tests."""

@@ -9,11 +9,9 @@ import numpy as np
 
 from ecgstress.dsp import lomb_scargle
 from ecgstress.evaluation import (
-    Fold,
     Metrics,
     RunResult,
     krippendorff_alpha,
-    loso_split,
     render_report,
 )
 from ecgstress.fusion import (
@@ -41,12 +39,13 @@ from ecgstress.neuralnet import (
 from ecgstress.pipeline import (
     PipelineConfig,
     evaluate_loso,
-    train_fold_components,
+    featurize,
+    fit_rows,
+    fold_seed,
 )
-from ecgstress.signal_core import Window
 
 import conftest
-from conftest import make_dataset, make_rater_tracks
+from conftest import make_dataset, make_rater_tracks, taint
 from oracles import numeric_gradient
 
 
@@ -318,8 +317,9 @@ def test_08_end_to_end_loso():
     )
 
 
-def test_09_no_leakage_taint():
-    """Perturbing test-subject windows leaves every trained parameter bit-identical."""
+def test_09_no_leakage_taint(fitted):
+    """Perturbing one subject's windows leaves every parameter trained by the LOSO fold
+    that tests that subject bit-identical, and changes the fold that trains on it."""
     start = time.perf_counter()
     data = make_dataset(n_subjects=2, duration_s=12.0)
     cfg = PipelineConfig(
@@ -327,36 +327,24 @@ def test_09_no_leakage_taint():
         cnn_train=TrainConfig(epochs=2, learning_rate=0.02),
         seed=1,
     )
-    fold = loso_split(data)[0]
-    tainted_test = tuple(
-        Window(
-            subject_id=w.subject_id,
-            start_sample=w.start_sample,
-            length_samples=w.length_samples,
-            label=w.label,
-            samples=w.samples + 5.0,
-        )
-        for w in fold.test_windows
-    )
-    tainted = Fold(
-        test_subject=fold.test_subject,
-        train_windows=fold.train_windows,
-        test_windows=tainted_test,
-    )
-    a = train_fold_components(fold, cfg, 256.0)
-    b = train_fold_components(tainted, cfg, 256.0)
+    evaluate_loso(data, cfg, 256.0)
+    evaluate_loso(taint(data, "subj0"), cfg, 256.0)
 
-    ok = True
-    for key in ("cnn1d", "cnn2d"):
-        for pa, pb in zip(a[key].parameters(), b[key].parameters()):
-            ok = ok and np.array_equal(pa, pb)
-    ok = ok and np.array_equal(a["fusion_weights"].w1, b["fusion_weights"].w1)
-    ok = ok and np.array_equal(a["fusion_weights"].w2, b["fusion_weights"].w2)
-    ok = ok and np.array_equal(a["stats"].mean, b["stats"].mean)
-    ok = ok and np.array_equal(a["stats"].std, b["stats"].std)
-    ok = ok and np.array_equal(a["svm"].weights, b["svm"].weights)
-    ok = ok and np.array_equal(a["svm"].biases, b["svm"].biases)
-    ok = ok and a["svm_lambda"] == b["svm_lambda"]
+    def same(a, b):
+        ok = True
+        for key in ("cnn1d", "cnn2d"):
+            for pa, pb in zip(a[key].parameters(), b[key].parameters()):
+                ok = ok and np.array_equal(pa, pb)
+        ok = ok and np.array_equal(a["fusion_weights"].w1, b["fusion_weights"].w1)
+        ok = ok and np.array_equal(a["fusion_weights"].w2, b["fusion_weights"].w2)
+        ok = ok and np.array_equal(a["stats"].mean, b["stats"].mean)
+        ok = ok and np.array_equal(a["stats"].std, b["stats"].std)
+        ok = ok and np.array_equal(a["svm"].weights, b["svm"].weights)
+        ok = ok and np.array_equal(a["svm"].biases, b["svm"].biases)
+        return ok and a["svm_lambda"] == b["svm_lambda"]
+
+    # Folds train in subject order: clean subj0, clean subj1, tainted subj0, tainted subj1
+    ok = len(fitted) == 4 and same(fitted[0], fitted[2]) and not same(fitted[1], fitted[3])
     elapsed = time.perf_counter() - start
     ok = ok and elapsed < 120.0
     _verdict(f"acceptance-09 no-leakage taint ({elapsed:.0f}s)", ok)
@@ -365,7 +353,7 @@ def test_09_no_leakage_taint():
 def test_10_determinism_and_persistence(tmp_path):
     """Identical seeded runs agree; save/load/predict round-trips, < 1 min."""
     from ecgstress.bundle import load_bundle, save_bundle
-    from ecgstress.pipeline import featurize, fusion_predict
+    from ecgstress.pipeline import fusion_predict
 
     start = time.perf_counter()
     data = make_dataset(n_subjects=2, duration_s=12.0)
@@ -381,8 +369,7 @@ def test_10_determinism_and_persistence(tmp_path):
     fcfg = PipelineConfig(
         method="fusion_weighted", cnn_train=TrainConfig(epochs=2, learning_rate=0.02), seed=4
     )
-    fold = Fold(test_subject="", train_windows=data.windows, test_windows=())
-    comps = train_fold_components(fold, fcfg, 256.0)
+    comps = fit_rows(featurize(data.windows, fcfg, 256.0), fcfg, fold_seed(fcfg.seed, ""))
     path = tmp_path / "bundle.json"
     save_bundle(
         path,

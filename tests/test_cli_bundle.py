@@ -14,20 +14,21 @@ from ecgstress.cli import (
     build_parser,
     build_pipeline_config,
     load_config_file,
+    load_data_dir,
     main,
     merge_settings,
     predict_stream,
 )
 from ecgstress.classifiers import SvmModel
 from ecgstress.dsp import SpectrogramParams
-from ecgstress.evaluation import Fold
 from ecgstress.pipeline import (
     METHODS,
     PipelineConfig,
     featurize,
+    fit_rows,
+    fold_seed,
     fusion_predict,
     predict_rows,
-    train_fold_components,
 )
 from ecgstress.neuralnet import TrainConfig
 from ecgstress.signal_core import (
@@ -198,10 +199,20 @@ class TestSettingValues:
             ["--corrupt-noise-std", "nan"],
             ["--corrupt-noise-std=-0.5"],
             ["--corrupt-noise-std", "inf"],
+            ["--window-seconds", "inf"],
+            ["--window-seconds", "nan"],
+            ["--window-seconds", "0"],
+            ["--window-seconds=-1"],
+            ["--hrv-window-seconds", "inf"],
+            ["--hrv-window-seconds", "0"],
+            ["--jobs", "0"],
+            ["--jobs=-2"],
         ],
         ids=[
             "lambda-nan", "lambda-negative", "lambda-inf", "lambda-zero", "k-zero",
             "k-negative", "modality-bogus", "std-nan", "std-negative", "std-inf",
+            "window-inf", "window-nan", "window-zero", "window-negative", "hrv-window-inf",
+            "hrv-window-zero", "jobs-zero", "jobs-negative",
         ],
     )
     @pytest.mark.parametrize("command", ["train", "evaluate"])
@@ -216,6 +227,14 @@ class TestSettingValues:
         cfg_file.write_text("method = svm_hrv\nsvm_lambda_grid = 0.1, nan\n")
         code = main(["evaluate", "--data", str(tmp_path), "--config", str(cfg_file)])
         assert_usage_error(code, capsys)
+
+    @pytest.mark.parametrize("command", ["train", "evaluate"])
+    def test_window_under_one_sample(self, tmp_path, capsys, command):
+        data = write_data_dir(tmp_path / "data")
+        out = tmp_path / "out.json"
+        code = main([command, "--data", str(data), "--out", str(out), "--window-seconds", "0.001"])
+        assert_usage_error(code, capsys)
+        assert not out.exists()
 
     def test_boundaries_are_accepted(self):
         cfg = build_pipeline_config(
@@ -430,9 +449,21 @@ class TestTrainEvaluatePredict:
         def must_not_run(*args, **kwargs):
             raise AssertionError("training ran before the --out check")
 
-        monkeypatch.setattr("ecgstress.pipeline.train_fold_components", must_not_run)
+        monkeypatch.setattr("ecgstress.pipeline.fit_rows", must_not_run)
         code = main(["train", "--data", str(data), "--out", str(tmp_path), "--force", *FAST_ARGS])
         assert_usage_error(code, capsys)
+
+    def test_train_seeds_as_the_fold_holding_out_no_subject(self, tmp_path):
+        """A bundle holds what fit_rows trains on every window with fold_seed(seed, "")."""
+        data = write_data_dir(tmp_path / "data")
+        out = tmp_path / "bundle.json"
+        argv = ["train", "--data", str(data), "--out", str(out), "--method", "cnn1d", *FAST_ARGS]
+        assert main(argv) == EXIT_OK
+        cfg = build_pipeline_config(merge_settings(build_parser().parse_args(argv)))
+        rows = featurize(load_data_dir(data, 1.0)[0].windows, cfg, 256.0)
+        encode = bundle_io.CODECS["cnn1d"][0]
+        expected = encode(fit_rows(rows, cfg, fold_seed(1, ""))["cnn1d"])
+        assert json.loads(out.read_text())["cnn1d"] == expected
 
     def test_train_determinism_modulo_timestamp(self, tmp_path, capsys):
         data = write_data_dir(tmp_path / "data")
@@ -498,6 +529,20 @@ class TestTrainEvaluatePredict:
         )
         assert code == EXIT_USAGE
 
+    def test_predict_window_under_one_sample(self, tmp_path, capsys):
+        data = write_data_dir(tmp_path / "data")
+        out = tmp_path / "bundle.json"
+        main(["train", "--data", str(data), "--out", str(out), "--method", "cnn1d", *FAST_ARGS])
+        out.write_text(out.read_text().replace('"window_seconds": 1.0', '"window_seconds": 0.001'))
+        rec, _ = synth_ecg(0, 4.0, 256.0, 3)
+        save_recording(rec, tmp_path / "sig.csv", tmp_path / "sig.meta.json")
+        capsys.readouterr()
+        argv = ["predict", "--bundle", str(out), "--signal", str(tmp_path / "sig.csv")]
+        code = main([*argv, "--meta", str(tmp_path / "sig.meta.json")])
+        captured = capsys.readouterr()
+        assert code == EXIT_USAGE and captured.out == ""
+        assert captured.err.startswith("error: ") and "Traceback" not in captured.err
+
     def test_evaluate_writes_result_and_report(self, tmp_path, capsys):
         data = write_data_dir(tmp_path / "data", duration_s=24.0)
         result_out = tmp_path / "result.json"
@@ -544,8 +589,8 @@ class TestBundle:
         cfg = PipelineConfig(
             method=method, cnn_train=TrainConfig(epochs=2, learning_rate=0.02), seed=1
         )
-        fold = Fold(test_subject="", train_windows=small_dataset.windows, test_windows=())
-        return train_fold_components(fold, cfg, 256.0), cfg
+        rows = featurize(small_dataset.windows, cfg, 256.0)
+        return fit_rows(rows, cfg, fold_seed(cfg.seed, "")), cfg
 
     def test_round_trip_predictions(self, tmp_path, small_dataset):
         comps, cfg = self._components(small_dataset)
@@ -669,8 +714,7 @@ class TestBundle:
             if window_s == 1.0
             else make_dataset(n_subjects=2, duration_s=24.0, window_seconds=window_s)
         )
-        fold = Fold(test_subject="", train_windows=data.windows, test_windows=())
-        comps = train_fold_components(fold, cfg, 256.0)
+        comps = fit_rows(featurize(data.windows, cfg, 256.0), cfg, fold_seed(cfg.seed, ""))
         path = tmp_path / "bundle.json"
         save_bundle(
             path,

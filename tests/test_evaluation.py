@@ -1,19 +1,19 @@
-"""Folds, metrics, inter-rater agreement and report rendering."""
+"""LOSO folds, metrics, inter-rater agreement and report rendering."""
 
 import numpy as np
 import pytest
 
+from ecgstress import pipeline
 from ecgstress.evaluation import (
-    Fold,
     Metrics,
     RunResult,
     UndefinedAlphaError,
     compute_metrics,
     krippendorff_alpha,
-    loso_split,
     mean_metrics,
     render_report,
 )
+from ecgstress.pipeline import PipelineConfig, evaluate_loso
 from ecgstress.signal_core import (
     UNLABELED,
     Dataset,
@@ -31,30 +31,60 @@ def _window(subject, start=0, label=0):
 
 
 class TestFolds:
-    def test_leak_rejected(self):
-        with pytest.raises(ValueError, match="leaked"):
-            Fold("a", (_window("a"),), (_window("a", 4),))
+    """The split evaluate_loso makes, with training stubbed out: fit_rows records the
+    rows each fold trains on, and every test row is predicted as its own label."""
 
-    def test_split_counts(self):
-        data = make_dataset(n_subjects=2, duration_s=6.0)
-        folds = loso_split(data)
-        assert [f.test_subject for f in folds] == ["subj0", "subj1"]
-        for fold in folds:
-            assert all(w.subject_id == fold.test_subject for w in fold.test_windows)
-            assert all(w.subject_id != fold.test_subject for w in fold.train_windows)
+    cfg = PipelineConfig(method="cnn1d")  # its feature rows are the window samples
 
-    def test_partition_property(self):
+    @pytest.fixture
+    def trained_on(self, monkeypatch):
+        trained_on = []
+
+        def fit_rows(rows, cfg, seed):
+            trained_on.append(rows)
+            return {}
+
+        def predict_rows(components, rows, cfg):
+            return np.eye(cfg.class_count)[rows.labels]
+
+        monkeypatch.setattr(pipeline, "fit_rows", fit_rows)
+        monkeypatch.setattr(pipeline, "predict_rows", predict_rows)
+        return trained_on
+
+    def test_leak_rejected(self, trained_on):
         data = make_dataset(n_subjects=3, duration_s=5.0)
-        folds = loso_split(data)
-        all_test = [w for f in folds for w in f.test_windows]
-        assert len(all_test) == len(data.windows)
-        key = lambda w: (w.subject_id, w.start_sample)
-        assert sorted(map(key, all_test)) == sorted(map(key, data.windows))
+        evaluate_loso(data, self.cfg, 256.0)
+        assert len(trained_on) == 3
+        for subject, rows in zip(data.subjects, trained_on):
+            others = [w for w in data.windows if w.subject_id != subject]
+            np.testing.assert_array_equal(rows.x[:, 0], [w.samples for w in others])
+            np.testing.assert_array_equal(rows.labels, [w.label for w in others])
 
-    def test_single_subject_rejected(self):
-        data = Dataset(windows=(_window("only"),))
-        with pytest.raises(ValueError):
-            loso_split(data)
+    def test_split_counts(self, trained_on):
+        full = make_dataset(n_subjects=2, duration_s=6.0)
+        data = Dataset(windows=full.windows[:-4])  # subj1 loses four level-2 windows
+        result = evaluate_loso(data, self.cfg, 256.0)
+        assert [s for s, _ in result.per_fold] == ["subj0", "subj1"]
+        for subject, metrics in result.per_fold:
+            labels = [w.label for w in data.windows if w.subject_id == subject]
+            np.testing.assert_array_equal(metrics.confusion, np.diag(np.bincount(labels)))
+
+    def test_partition_property(self, trained_on):
+        data = make_dataset(n_subjects=3, duration_s=5.0)
+        result = evaluate_loso(data, self.cfg, 256.0)
+        totals = [int(m.confusion.sum()) for _, m in result.per_fold]
+        assert sum(totals) == len(data.windows)
+        for total, rows in zip(totals, trained_on):
+            assert total + len(rows.labels) == len(data.windows)
+
+    def test_single_subject_rejected(self, monkeypatch):
+        def must_not_run(*args):
+            raise AssertionError("featurized before the subject count was checked")
+
+        monkeypatch.setattr(pipeline, "featurize", must_not_run)
+        data = Dataset(windows=(_window("only"), _window("only", 4)))
+        with pytest.raises(ValueError, match="LOSO needs at least 2 subjects, got 1"):
+            evaluate_loso(data, self.cfg, 256.0)
 
 
 class TestMetrics:
@@ -192,6 +222,11 @@ def _result(method, accuracy, f1):
 
 
 class TestRunResult:
+    def test_json_key_order(self):
+        doc = _result("cnn1d", 0.8, 0.79).to_dict()
+        keys = ["accuracy", "precision_macro", "recall_macro", "f1_macro", "confusion"]
+        assert list(doc["mean"]) == list(doc["per_fold"][0][1]) == keys
+
     def test_round_trip(self):
         res = _result("cnn1d", 0.8, 0.79)
         back = RunResult.from_dict(res.to_dict())

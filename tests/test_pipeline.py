@@ -21,14 +21,13 @@ from ecgstress.pipeline import (
     hrv_matrix,
     predict_rows,
     run_pipeline,
-    train_fold_components,
     windows_to_images,
     windows_to_snippets,
 )
-from ecgstress.evaluation import METHOD_DISPLAY, Fold, RunResult, loso_split
+from ecgstress.evaluation import METHOD_DISPLAY, RunResult
 from ecgstress.signal_core import Window
 
-from conftest import make_dataset
+from conftest import make_dataset, taint
 
 FAST_TRAIN = TrainConfig(epochs=2, learning_rate=0.02, batch_size=32)
 
@@ -37,10 +36,21 @@ def fast_config(method, **kwargs):
     return PipelineConfig(method=method, cnn_train=FAST_TRAIN, seed=1, **kwargs)
 
 
-def run_fold(fold, cfg):
-    """run_pipeline on a fold's windows, each side featurized on its own."""
-    train, test = (featurize(w, cfg, 256.0) for w in (fold.train_windows, fold.test_windows))
-    return run_pipeline(fold.test_subject, train, test, cfg)
+def fold_windows(data, subject):
+    """(training windows, test windows) of the LOSO fold that holds out `subject`."""
+    train = [w for w in data.windows if w.subject_id != subject]
+    return train, [w for w in data.windows if w.subject_id == subject]
+
+
+def train_alone(windows, cfg, subject):
+    """What the fold holding out `subject` trains, on these windows featurized on their own."""
+    return fit_rows(featurize(windows, cfg, 256.0), cfg, fold_seed(cfg.seed, subject))
+
+
+def run_fold(data, subject, cfg):
+    """run_pipeline on one LOSO fold of data, each side featurized on its own."""
+    train, test = (featurize(w, cfg, 256.0) for w in fold_windows(data, subject))
+    return run_pipeline(subject, train, test, cfg)
 
 
 def dataset_for(method, small_dataset):
@@ -167,9 +177,8 @@ class TestHrvMatrix:
         windows = [Window("s", i * 1024, 1024, 0, np.zeros(1024)) for i in range(3)]
         X, valid = hrv_matrix(windows, 256.0)
         assert not valid.any() and not X.any()
-        fold = Fold(test_subject="t", train_windows=windows, test_windows=())
         with pytest.raises(PipelineError, match="hrv"):
-            train_fold_components(fold, fast_config("svm_hrv"), 256.0)
+            train_alone(windows, fast_config("svm_hrv"), "t")
 
     def test_windows_without_a_row_left_out_of_training(self):
         data = make_dataset(n_subjects=1, duration_s=24.0, window_seconds=4.0)
@@ -177,8 +186,7 @@ class TestHrvMatrix:
         cfg = fast_config("svm_hrv")
 
         def train(windows):
-            fold = Fold(test_subject="t", train_windows=windows, test_windows=())
-            return encoded(train_fold_components(fold, cfg, 256.0))
+            return encoded(train_alone(windows, cfg, "t"))
 
         assert train([*flat, *data.windows]) == train(data.windows)
 
@@ -228,16 +236,14 @@ class TestValidRows:
 class TestRunPipeline:
     @pytest.mark.parametrize("method", ["cnn1d", "cnn2d", "fusion_weighted", "fusion_avg"])
     def test_deep_methods_produce_metrics(self, small_dataset, method):
-        fold = loso_split(small_dataset)[0]
-        metrics = run_fold(fold, fast_config(method))
+        metrics = run_fold(small_dataset, "subj0", fast_config(method))
         assert 0.0 <= metrics.accuracy <= 1.0
-        assert metrics.confusion.sum() == len(fold.test_windows)
+        assert metrics.confusion.sum() == len(fold_windows(small_dataset, "subj0")[1])
 
     @pytest.mark.parametrize("method", ["svm_hrv", "knn_hrv"])
     def test_hrv_methods_produce_metrics(self, method):
         data = make_dataset(n_subjects=2, duration_s=24.0, window_seconds=4.0)
-        fold = loso_split(data)[0]
-        metrics = run_fold(fold, fast_config(method))
+        metrics = run_fold(data, "subj0", fast_config(method))
         assert 0.0 <= metrics.accuracy <= 1.0
 
     def test_method_table_matches_report_names(self):
@@ -246,20 +252,20 @@ class TestRunPipeline:
             RunResult(method="bogus", per_fold=(), mean=None, seed=0)
 
     def test_unknown_method(self, small_dataset):
-        fold = loso_split(small_dataset)[0]
+        train, _ = fold_windows(small_dataset, "subj0")
         with pytest.raises(ValueError, match="unknown method"):
-            train_fold_components(fold, fast_config("bogus"), 256.0)
+            train_alone(train, fast_config("bogus"), "subj0")
 
     def test_fusion_components_complete(self, small_dataset):
-        fold = loso_split(small_dataset)[0]
-        comps = train_fold_components(fold, fast_config("fusion_weighted"), 256.0)
+        train, _ = fold_windows(small_dataset, "subj0")
+        comps = train_alone(train, fast_config("fusion_weighted"), "subj0")
         assert set(comps) == {"cnn1d", "cnn2d", "fusion_weights", "stats", "svm", "svm_lambda"}
         assert comps["svm_lambda"] in (1e-3, 1e-2, 1e-1, 1.0)
         assert comps["fusion_weights"] is not None
 
     def test_average_fusion_has_no_weights(self, small_dataset):
-        fold = loso_split(small_dataset)[0]
-        comps = train_fold_components(fold, fast_config("fusion_avg"), 256.0)
+        train, _ = fold_windows(small_dataset, "subj0")
+        comps = train_alone(train, fast_config("fusion_avg"), "subj0")
         assert comps["fusion_weights"] is None
 
 
@@ -278,20 +284,31 @@ class TestEvaluateLoso:
         parallel = evaluate_loso(data, cfg, 256.0, jobs=2)
         assert json.dumps(parallel.to_dict()) == json.dumps(serial.to_dict())
 
+    @pytest.mark.parametrize("method", ["cnn1d", "cnn2d", "fusion_avg"])
+    def test_taint_reaches_only_the_fold_that_trains_on_it(self, small_dataset, fitted, method):
+        """+5 on every sample of subj0 leaves the fold that tests subj0 bit-identical,
+        and changes the fold that trains on subj0."""
+        cfg = fast_config(method)
+        evaluate_loso(small_dataset, cfg, 256.0)
+        evaluate_loso(taint(small_dataset, "subj0"), cfg, 256.0)
+        assert len(fitted) == 4
+        clean, tainted = [encoded(c) for c in fitted[:2]], [encoded(c) for c in fitted[2:]]
+        # Which folds are unchanged: the one testing subj0, not the one training on it
+        assert [tainted[0] == clean[0], tainted[1] == clean[1]] == [True, False]
+
     @pytest.mark.parametrize("method", ["svm_hrv", "knn_hrv", "fusion_weighted"])
     def test_hrv_vector_computed_once_per_window(self, small_dataset, method, monkeypatch):
         """A LOSO run featurizes every window once: one hrv_vector call per window, or
         one STFT call for all of a fusion run's spectrograms. Each fold then trains
-        exactly what train_fold_components trains on that fold's windows alone."""
+        exactly what train_alone trains on that fold's windows."""
         data = (
             small_dataset
             if method == "fusion_weighted"
             else make_dataset(n_subjects=3, duration_s=24.0, window_seconds=4.0)
         )
         cfg = fast_config(method)
-        folds = loso_split(data)
-        per_fold = [(f.test_subject, run_fold(f, cfg)) for f in folds]
-        alone = [encoded(train_fold_components(f, cfg, 256.0)) for f in folds]
+        per_fold = [(s, run_fold(data, s, cfg)) for s in data.subjects]
+        alone = [encoded(train_alone(fold_windows(data, s)[0], cfg, s)) for s in data.subjects]
         calls, stft_calls, trained = [], [], []
         real, real_stft = pipeline.hrv_vector, pipeline.stft_spectrogram
         real_fit = pipeline.fit_rows

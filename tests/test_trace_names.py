@@ -18,7 +18,6 @@ import pytest
 
 import ecgstress
 from ecgstress import bundle, classifiers, cli, fusion, hrv, neuralnet, pipeline  # noqa: F401
-from ecgstress.evaluation import Fold
 from ecgstress.neuralnet import TrainConfig
 from ecgstress.pipeline import PipelineConfig
 from ecgstress.signal_core import synth_ecg
@@ -50,12 +49,12 @@ def test_traced_pipeline_names_are_reached(small_dataset, tmp_path):
     fusion_cfg = PipelineConfig(method="fusion_weighted", cnn_train=TrainConfig(epochs=1), seed=1)
     hrv_cfg = PipelineConfig(method="svm_hrv", seed=1)
     hrv_data = make_dataset(n_subjects=2, duration_s=24.0, window_seconds=4.0)
-    fold = Fold(test_subject="", train_windows=small_dataset.windows, test_windows=())
+    rows = pipeline.featurize(small_dataset.windows, fusion_cfg, 256.0)
     path = tmp_path / "bundle.json"
     bundle.save_bundle(
         path,
         method=fusion_cfg.method,
-        components=pipeline.train_fold_components(fold, fusion_cfg, 256.0),
+        components=pipeline.fit_rows(rows, fusion_cfg, pipeline.fold_seed(fusion_cfg.seed, "")),
         window_seconds=1.0,
         sample_rate_hz=256.0,
         feature_dim=fusion_cfg.feature_dim,
