@@ -335,11 +335,16 @@ def cmd_report(args) -> int:
     return EXIT_OK
 
 
-def _add_settings(parser):
+def _add_settings(parser, unread=()):
+    """--config and a flag per setting, except the `unread` ones the command ignores.
+
+    A config file may still set those, so that one file serves every command.
+    """
     parser.add_argument("--config", help="flat key=value config file")
     for key, (parse, _) in SETTINGS.items():
-        flag = "--" + key.replace("_", "-")
-        parser.add_argument(flag, dest=key, type=parse, default=argparse.SUPPRESS)
+        if key not in unread:
+            flag = "--" + key.replace("_", "-")
+            parser.add_argument(flag, dest=key, type=parse, default=argparse.SUPPRESS)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -363,7 +368,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--force", action="store_true")
-    _add_settings(p)
+    _add_settings(p, unread=("jobs",))  # train fits one model in this process
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("evaluate", help="LOSO evaluation with a markdown report")

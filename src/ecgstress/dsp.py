@@ -123,27 +123,31 @@ def detect_r_peaks(rec: EcgRecording) -> list[int]:
     # Adaptive threshold: a running fraction of recent peak energy
     running_peak = integrated[: int(2 * fs)].max()
     threshold = 0.45 * running_peak
-    peaks = []
-    i = 1
+    # Only a local maximum of the energy can start a peak; scan those in order
+    inner = integrated[1:-1]
+    candidates = 1 + np.flatnonzero((inner >= integrated[:-2]) & (inner >= integrated[2:]))
+    heights = integrated[candidates]
     n = len(integrated)
-    while i < n - 1:
-        if (
-            integrated[i] > threshold
-            and integrated[i] >= integrated[i - 1]
-            and integrated[i] >= integrated[i + 1]
-        ):
-            lo = max(0, i - win)
-            hi = min(n, i + win)
-            peak_idx = lo + int(np.argmax(np.abs(x[lo:hi])))
-            if not peaks or peak_idx - peaks[-1] >= refractory:
-                peaks.append(peak_idx)
-                local_max = integrated[lo:hi].max()
-                running_peak = 0.875 * running_peak + 0.125 * local_max
-                threshold = 0.45 * running_peak
-                i = max(i, peak_idx) + refractory
-                continue
-        i += 1
-    return peaks
+    peaks = []
+    j = 0
+    while True:
+        above = np.flatnonzero(heights[j:] > threshold)
+        if not len(above):
+            return peaks
+        j += int(above[0])
+        i = int(candidates[j])
+        lo = max(0, i - win)
+        hi = min(n, i + win)
+        peak_idx = lo + int(np.argmax(np.abs(x[lo:hi])))
+        if peaks and peak_idx - peaks[-1] < refractory:
+            j += 1
+            continue
+        peaks.append(peak_idx)
+        local_max = integrated[lo:hi].max()
+        running_peak = 0.875 * running_peak + 0.125 * local_max
+        threshold = 0.45 * running_peak
+        # Resume at the first candidate past the refractory period
+        j = int(np.searchsorted(candidates, max(i, peak_idx) + refractory))
 
 
 def rr_intervals(peaks, fs: float):

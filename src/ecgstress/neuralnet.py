@@ -27,8 +27,8 @@ def _init_uniform(rng, shape, fan_in):
 class Layer:
     """Base layer; parameterless unless params is overridden.
 
-    `saved` names the attributes forward sets for backward alone; an inference
-    forward (Model.forward with keep False) drops them as soon as forward returns.
+    `saved` names the attributes forward sets for backward alone; infer, the
+    inference forward (Model.forward with keep False), does not keep them.
     """
 
     saved: tuple = ()
@@ -41,6 +41,12 @@ class Layer:
 
     def forward(self, x):
         raise NotImplementedError
+
+    def infer(self, x):
+        """forward without keeping the backward-only state, as inference runs it."""
+        y = self.forward(x)
+        self.release()
+        return y
 
     def backward(self, gy, need_gx=True):
         """Set the parameter gradients from gy, the loss gradient of the output.
@@ -79,7 +85,8 @@ class _Conv(_Weighted):
     """im2col convolution over the last `rank` axes, zero-padded by `pad` on each side.
 
     Weights are (O, C, k[, k]); an input (N, C, *size) gives (N, O, *out) with
-    out = size + 2*pad - k + 1 on each spatial axis.
+    out = size + 2*pad - k + 1 on each spatial axis. The im2col matrix is kept
+    for backward only by a forward with keep True.
     """
 
     saved = ("_xcol",)
@@ -122,22 +129,32 @@ class _Conv(_Weighted):
         ]
         self._key = in_shape
 
-    def forward(self, x):
+    def _padded_input(self, x):
+        if not self.pad:
+            return x
+        xp = np.zeros((x.shape[0], *self._padded))
+        xp[self._inner] = x
+        return xp
+
+    def forward(self, x, keep=True):
         n = x.shape[0]
         self._layout(x.shape[1:])
-        if self.pad:
-            xp = np.zeros((n, *self._padded))
-            xp[self._inner] = x
-            x = xp
         # im2col: (N*positions, C*k[*k]) rows against (O, C*k[*k]) filters via BLAS
         index = self._index
-        self._xcol = np.take(x.reshape(n, -1), index, axis=1).reshape(-1, index.shape[1])
+        xcol = np.take(self._padded_input(x).reshape(n, -1), index, axis=1)
+        xcol = xcol.reshape(-1, index.shape[1])
         o = self.w.shape[0]
-        y = self._xcol @ self.w.reshape(o, -1).T
+        y = xcol @ self.w.reshape(o, -1).T
+        if keep:
+            self._xcol = xcol
+        del xcol  # inference frees the matrix before the output is allocated
         # One pass writes the (N*positions, O) product channel-major and adds the bias
         out = np.empty((n, o, *self._out))
         np.add(y.reshape(n, -1, o).transpose(0, 2, 1), self.b[:, None], out=out.reshape(n, o, -1))
         return out
+
+    def infer(self, x):
+        return self.forward(x, keep=False)
 
     def backward(self, gy, need_gx=True):
         n, o = gy.shape[:2]
@@ -367,9 +384,7 @@ class Model:
         x = self._check_input(x)
         stop = len(self.layers) if upto is None else upto + 1
         for layer in self.layers[:stop]:
-            x = layer.forward(x)
-            if not keep:
-                layer.release()
+            x = layer.forward(x) if keep else layer.infer(x)
         return x
 
     def release(self):

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import ctypes
+import os
+import threading
 import zlib
 from collections.abc import Callable
 from dataclasses import dataclass, field, asdict
@@ -140,6 +143,77 @@ def _train_cnn(kind: str, x, y, cfg: PipelineConfig, seed: int) -> neuralnet.Mod
     return model
 
 
+# Thread-count getter and setter of numpy's OpenBLAS, by build: scipy-openblas wheels,
+# 64-bit-integer builds, then plain builds
+_BLAS_THREAD_CALLS = (
+    "scipy_openblas_{}_num_threads64_",
+    "openblas_{}_num_threads64_",
+    "openblas_{}_num_threads",
+)
+
+
+def _blas_threads():
+    """(get, set) of the thread count of the OpenBLAS loaded in this process, or None."""
+    try:
+        with open("/proc/self/maps") as maps:
+            fields = [line.rstrip("\n").split(maxsplit=5) for line in maps]
+    except OSError:
+        return None
+    libraries = dict.fromkeys(
+        f[5] for f in fields if len(f) == 6 and "openblas" in os.path.basename(f[5]).lower()
+    )
+    for path in libraries:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for name in _BLAS_THREAD_CALLS:
+            get = getattr(lib, name.format("get"), None)
+            set_ = getattr(lib, name.format("set"), None)
+            if get is not None and set_ is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                set_.argtypes, set_.restype = [ctypes.c_int], None
+                return get, set_
+    return None
+
+
+def _both(first: Callable, second: Callable) -> tuple:
+    """(first(), second()), with first on a helper thread while second runs on this one.
+
+    Their GEMMs are too small to share among BLAS threads, so BLAS is pinned to
+    one thread while both run, and its previous count restored after; without a
+    setter to pin it, both run here in order. The count is process-wide, so only
+    this thread sets it. The helper is joined before this returns or raises, and
+    an exception of first is raised in place of one of second.
+    """
+    threads = _blas_threads()
+    if threads is None:
+        return first(), second()
+    get, set_ = threads
+    before = get()
+    set_(1)
+    try:
+        outcome = {}
+
+        def run_first():
+            try:
+                outcome["value"] = first()
+            except BaseException as exc:  # raised again on this thread after the join
+                outcome["error"] = exc
+
+        helper = threading.Thread(target=run_first, name="fusion-branch")
+        helper.start()
+        try:
+            value = second()
+        finally:
+            helper.join()
+            if "error" in outcome:
+                raise outcome["error"]
+        return outcome["value"], value
+    finally:
+        set_(before)
+
+
 def _one_hot(labels, class_count: int) -> np.ndarray:
     return np.eye(class_count)[labels]
 
@@ -211,10 +285,15 @@ def _fusion_method(weighted: bool) -> Method:
 
     def fit(rows, y, cfg, seed):
         snippets, images = rows
-        cnn1d = _train_cnn("cnn1d", snippets, y, cfg, seed)
-        cnn2d = _train_cnn("cnn2d", images, y, cfg, seed)
-        f1 = neuralnet.extract_features(cnn1d, snippets)
-        f2 = neuralnet.extract_features(cnn2d, images)
+
+        def branch(kind, x):
+            model = _train_cnn(kind, x, y, cfg, seed)
+            return model, neuralnet.extract_features(model, x)
+
+        # The two branches share nothing until the fusion head
+        (cnn1d, f1), (cnn2d, f2) = _both(
+            lambda: branch("cnn1d", snippets), lambda: branch("cnn2d", images)
+        )
         weights = fusion.compute_fusion_weights(f1, f2) if weighted else None
         fused_std, stats = classifiers.standardize_fit(_fuse(f1, f2, weights))
         parts = {"cnn1d": cnn1d, "cnn2d": cnn2d, "fusion_weights": weights, "stats": stats}

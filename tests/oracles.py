@@ -11,10 +11,10 @@ position at a time. Each takes the layer it stands in for as `self`, so a
 test can install it as that layer class's `forward` or `backward`. The max-pool pair keeps its argmax in its own attribute, so
 its forward and backward are installed together.
 
-`loop_train_linear_svm`, `knn_predict`, `loop_compute_metrics` and
-`frame_stft` are the earlier loop forms of the whole-array SVM, KNN,
-metrics and STFT: one class, one query row, one confusion cell and one
-frame at a time. `one_lambda_train_linear_svm` is the SVM trainer before it
+`loop_train_linear_svm`, `knn_predict`, `loop_compute_metrics`,
+`frame_stft` and `loop_detect_r_peaks` are the earlier loop forms of the
+whole-array SVM, KNN, metrics, STFT and R-peak scan: one class, one query
+row, one confusion cell, one frame and one sample at a time. `one_lambda_train_linear_svm` is the SVM trainer before it
 took a λ grid: all classes of one λ per call, the reference the stacked grid
 must match bit for bit. `hinge_objective`, `level_at`, `synth_beat_count` and
 `save_recording` are helpers only tests use.
@@ -260,6 +260,45 @@ def frame_stft(samples, params) -> np.ndarray:
     w = params.window()
     frames = np.stack([x[l * hop : l * hop + M] * w for l in range(n_frames)])
     return (np.abs(np.fft.rfft(frames, axis=1)) ** 2).T
+
+
+def loop_detect_r_peaks(rec: EcgRecording) -> list[int]:
+    """detect_r_peaks with its threshold tested at every sample in turn."""
+    fs = rec.sample_rate_hz
+    if rec.duration_s < 2.0:
+        raise ValueError("recording must be at least 2 seconds long")
+    x = rec.samples
+    deriv = np.empty_like(x)
+    deriv[1:] = np.diff(x)
+    deriv[0] = 0.0
+    win = max(1, int(round(0.150 * fs)))
+    integrated = np.convolve(deriv**2, np.ones(win) / win, mode="same")
+    if integrated.max() < 1e-12:
+        return []
+    refractory = int(round(0.200 * fs))
+    running_peak = integrated[: int(2 * fs)].max()
+    threshold = 0.45 * running_peak
+    peaks = []
+    i = 1
+    n = len(integrated)
+    while i < n - 1:
+        if (
+            integrated[i] > threshold
+            and integrated[i] >= integrated[i - 1]
+            and integrated[i] >= integrated[i + 1]
+        ):
+            lo = max(0, i - win)
+            hi = min(n, i + win)
+            peak_idx = lo + int(np.argmax(np.abs(x[lo:hi])))
+            if not peaks or peak_idx - peaks[-1] >= refractory:
+                peaks.append(peak_idx)
+                local_max = integrated[lo:hi].max()
+                running_peak = 0.875 * running_peak + 0.125 * local_max
+                threshold = 0.45 * running_peak
+                i = max(i, peak_idx) + refractory
+                continue
+        i += 1
+    return peaks
 
 
 def synth_beat_count(class_level: int, duration_s: float, fs: float, seed: int) -> int:

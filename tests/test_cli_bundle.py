@@ -183,44 +183,66 @@ class TestFeatureDim:
         assert build_pipeline_config({"feature_dim": "1"}).feature_dim == 1
 
 
+# Flags whose values cannot train, by test id
+BAD_FLAGS = {
+    "lambda-nan": ["--svm-lambda-grid", "nan"],
+    "lambda-negative": ["--svm-lambda-grid=-5"],
+    "lambda-inf": ["--svm-lambda-grid", "0.1,inf"],
+    "lambda-zero": ["--svm-lambda-grid", "0"],
+    "k-zero": ["--knn-k-grid", "0"],
+    "k-negative": ["--knn-k-grid", "3,-1"],
+    "modality-bogus": ["--corrupt-modality", "bogus"],
+    "std-nan": ["--corrupt-noise-std", "nan"],
+    "std-negative": ["--corrupt-noise-std=-0.5"],
+    "std-inf": ["--corrupt-noise-std", "inf"],
+    "window-inf": ["--window-seconds", "inf"],
+    "window-nan": ["--window-seconds", "nan"],
+    "window-zero": ["--window-seconds", "0"],
+    "window-negative": ["--window-seconds=-1"],
+    "hrv-window-inf": ["--hrv-window-seconds", "inf"],
+    "hrv-window-zero": ["--hrv-window-seconds", "0"],
+    "jobs-zero": ["--jobs", "0"],
+    "jobs-negative": ["--jobs=-2"],
+}
+
+
 class TestSettingValues:
     """A grid, modality or noise value that cannot train is refused before any data is loaded."""
 
     @pytest.mark.parametrize(
-        "flags",
+        "command, flags",
         [
-            ["--svm-lambda-grid", "nan"],
-            ["--svm-lambda-grid=-5"],
-            ["--svm-lambda-grid", "0.1,inf"],
-            ["--svm-lambda-grid", "0"],
-            ["--knn-k-grid", "0"],
-            ["--knn-k-grid", "3,-1"],
-            ["--corrupt-modality", "bogus"],
-            ["--corrupt-noise-std", "nan"],
-            ["--corrupt-noise-std=-0.5"],
-            ["--corrupt-noise-std", "inf"],
-            ["--window-seconds", "inf"],
-            ["--window-seconds", "nan"],
-            ["--window-seconds", "0"],
-            ["--window-seconds=-1"],
-            ["--hrv-window-seconds", "inf"],
-            ["--hrv-window-seconds", "0"],
-            ["--jobs", "0"],
-            ["--jobs=-2"],
-        ],
-        ids=[
-            "lambda-nan", "lambda-negative", "lambda-inf", "lambda-zero", "k-zero",
-            "k-negative", "modality-bogus", "std-nan", "std-negative", "std-inf",
-            "window-inf", "window-nan", "window-zero", "window-negative", "hrv-window-inf",
-            "hrv-window-zero", "jobs-zero", "jobs-negative",
+            pytest.param(command, flags, id=f"{command}-{name}")
+            for command in ("train", "evaluate")
+            for name, flags in BAD_FLAGS.items()
+            if not (command == "train" and flags[0].startswith("--jobs"))  # train has no --jobs
         ],
     )
-    @pytest.mark.parametrize("command", ["train", "evaluate"])
     def test_flag(self, tmp_path, capsys, no_data_loaded, command, flags):
         out = tmp_path / "out.json"
         code = main([command, "--data", str(tmp_path), "--out", str(out), *flags])
         assert_usage_error(code, capsys)
         assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["0", "-2", "1", "8"])
+    def test_train_has_no_jobs_flag(self, tmp_path, capsys, no_data_loaded, value):
+        out = tmp_path / "out.json"
+        with pytest.raises(SystemExit) as exit_:
+            main(["train", "--data", str(tmp_path), "--out", str(out), "--jobs", value])
+        assert exit_.value.code == EXIT_USAGE
+        assert "unrecognized arguments: --jobs" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_train_reads_jobs_from_a_shared_config(self, tmp_path, capsys):
+        data = write_data_dir(tmp_path / "data")
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text("method = svm_hrv\njobs = 2\n")
+        out = tmp_path / "b.json"
+        argv = ["train", "--data", str(data), "--out", str(out), "--config", str(cfg_file)]
+        assert main(argv) == EXIT_OK
+        assert bundle_io.load_bundle(out)["method"] == "svm_hrv"
+        cfg_file.write_text("method = svm_hrv\njobs = 0\n")
+        assert_usage_error(main([*argv, "--force"]), capsys)
 
     def test_config_key(self, tmp_path, capsys, no_data_loaded):
         cfg_file = tmp_path / "run.cfg"

@@ -12,7 +12,7 @@ from ecgstress.dsp import (
     stft_spectrogram,
 )
 from ecgstress.signal_core import EcgRecording, synth_ecg
-from oracles import frame_stft, synth_beat_count
+from oracles import frame_stft, loop_detect_r_peaks, synth_beat_count
 
 
 class TestSpectrogramParams:
@@ -183,6 +183,26 @@ class TestDetectRPeaks:
         rec = EcgRecording("s", 256.0, np.zeros(256))
         with pytest.raises(ValueError):
             detect_r_peaks(rec)
+
+    @pytest.mark.parametrize("kind", ["random", "plateau", "sparse_spikes", "flat", "synth"])
+    @pytest.mark.parametrize("fs", [100.0, 256.0])
+    def test_matches_sample_loop(self, kind, fs):
+        for seed in range(40):
+            rng = np.random.default_rng([seed, int(fs)])
+            n = int(fs * rng.uniform(2.0, 12.0))
+            if kind == "random":
+                x = rng.standard_normal(n)
+            elif kind == "plateau":  # rounding leaves runs of equal energy
+                x = np.round(rng.standard_normal(n) * rng.uniform(0.5, 3.0)) / 2
+            elif kind == "sparse_spikes":
+                x, spikes = np.zeros(n), rng.integers(1, 12)
+                x[rng.choice(n, size=spikes, replace=False)] = rng.uniform(-3.0, 3.0, spikes)
+            elif kind == "flat":
+                x = np.full(n, rng.uniform(-1.0, 1.0))
+            else:
+                x = synth_ecg(seed % 3, n / fs, fs, seed)[0].samples
+            rec = EcgRecording("s", fs, x)
+            assert detect_r_peaks(rec) == loop_detect_r_peaks(rec)
 
 
 class TestRrIntervals:

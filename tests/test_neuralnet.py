@@ -12,6 +12,7 @@ from ecgstress.neuralnet import (
     Conv2D,
     Dense,
     GlobalAvgPool2D,
+    Layer,
     MaxPool1D,
     MaxPool2D,
     Model,
@@ -405,9 +406,14 @@ class TestForwardMatchesOracle:
 
 
 def _install_oracle_layers(monkeypatch):
-    """Install the earlier conv and max-pool passes; their backward always returns gx."""
+    """Install the earlier conv and max-pool passes; their backward always returns gx.
+
+    The earlier conv forward serves inference too: it runs, then drops its state.
+    """
     monkeypatch.setattr(Conv1D, "forward", oracles.sliding_window_conv1d_forward)
     monkeypatch.setattr(Conv2D, "forward", oracles.sliding_window_conv2d_forward)
+    monkeypatch.setattr(Conv1D, "infer", Layer.infer)
+    monkeypatch.setattr(Conv2D, "infer", Layer.infer)
     monkeypatch.setattr(Conv1D, "backward", oracles.im2col_conv1d_backward)
     monkeypatch.setattr(Conv2D, "backward", oracles.im2col_conv2d_backward)
     monkeypatch.setattr(MaxPool1D, "forward", oracles.argmax_maxpool1d_forward)
@@ -519,6 +525,22 @@ class TestInferenceKeepsNoBackwardState:
         _, kept, keep_peak = _traced(lambda: model.forward(x, upto=model.feature_layer_index))
         assert kept > 10 * 2**20  # what inference used to pin
         assert peak <= 0.75 * keep_peak
+
+    @pytest.mark.parametrize("kind, index", [("cnn1d", 0), ("cnn2d", 0), ("cnn2d", 3)])
+    def test_conv_infer_frees_im2col_before_its_output(self, kind, index):
+        rng = np.random.default_rng(14)
+        if kind == "cnn1d":
+            model, x = build_cnn1d(seed=6), rng.standard_normal((180, 1, 256))
+        else:
+            model, x = build_cnn2d(seed=6), rng.standard_normal((180, 1, 33, 13))
+        h = model.forward(x, upto=index - 1, keep=False) if index else x
+        layer = model.layers[index]
+        layer.infer(h[:2])  # the im2col index cache is not part of the peak
+        out, _, peak = _traced(lambda: layer.infer(h))
+        assert _held_state(model) == []
+        _assert_same_values(out, layer.forward(h))
+        # The GEMM product is as large as the output; all three alive at once is the old peak
+        assert peak < layer._xcol.nbytes + 1.5 * out.nbytes
 
     @pytest.mark.parametrize("kind", ["cnn1d", "cnn2d"])
     def test_train_after_inference_is_unchanged(self, kind):

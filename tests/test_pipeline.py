@@ -1,13 +1,14 @@
 """Per-fold pipelines: seeding, modality tensors, grid search and LOSO runs."""
 
 import json
+import threading
 import zlib
 
 import numpy as np
 import pytest
 
-from ecgstress import bundle, pipeline
-from ecgstress.neuralnet import TrainConfig
+from ecgstress import bundle, classifiers, fusion, neuralnet, pipeline
+from ecgstress.neuralnet import TrainConfig, TrainingError
 from ecgstress.pipeline import (
     METHODS,
     PipelineConfig,
@@ -267,6 +268,100 @@ class TestRunPipeline:
         train, _ = fold_windows(small_dataset, "subj0")
         comps = train_alone(train, fast_config("fusion_avg"), "subj0")
         assert comps["fusion_weights"] is None
+
+
+@pytest.fixture
+def blas_threads():
+    """numpy's OpenBLAS thread count (get, set), at 2 for the test and restored after it."""
+    threads = pipeline._blas_threads()
+    if threads is None:
+        pytest.skip("numpy here loads no OpenBLAS with a thread setter")
+    get, set_ = threads
+    before = get()
+    set_(2)
+    yield get, set_
+    set_(before)
+
+
+@pytest.fixture
+def trainings(monkeypatch, blas_threads):
+    """(kind, thread id, BLAS threads) of every CNN training, in the order they start."""
+    seen, real = [], neuralnet.train
+
+    def train(model, *args):
+        kind = "cnn1d" if len(model.input_shape) == 2 else "cnn2d"
+        seen.append((kind, threading.get_ident(), blas_threads[0]()))
+        return real(model, *args)
+
+    monkeypatch.setattr(neuralnet, "train", train)
+    return seen
+
+
+def sequential_fusion_fit(rows, cfg, seed):
+    """The fusion fit with its branches one after the other, each trained, then extracted."""
+    (snippets, images), y = rows.x, rows.labels
+    cnn1d = pipeline._train_cnn("cnn1d", snippets, y, cfg, seed)
+    cnn2d = pipeline._train_cnn("cnn2d", images, y, cfg, seed)
+    f1 = neuralnet.extract_features(cnn1d, snippets)
+    f2 = neuralnet.extract_features(cnn2d, images)
+    weights = fusion.compute_fusion_weights(f1, f2) if cfg.method == "fusion_weighted" else None
+    fused_std, stats = classifiers.standardize_fit(pipeline._fuse(f1, f2, weights))
+    parts = {"cnn1d": cnn1d, "cnn2d": cnn2d, "fusion_weights": weights, "stats": stats}
+    return {**parts, **pipeline._fit_svm(fused_std, y, cfg, seed)}
+
+
+class TestFusionBranches:
+    """A fusion fit trains its two CNNs on two threads, with BLAS on one thread meanwhile."""
+
+    @pytest.mark.parametrize("method", ["fusion_weighted", "fusion_avg"])
+    def test_concurrent_fit_equals_sequential(self, small_dataset, blas_threads, trainings,
+                                              method):
+        cfg = fast_config(method)
+        rows = featurize(fold_windows(small_dataset, "subj0")[0], cfg, 256.0)
+        baseline = threading.active_count()
+        concurrent = fit_rows(rows, cfg, 7)
+        assert threading.active_count() == baseline
+        assert blas_threads[0]() == 2
+        assert sorted(kind for kind, *_ in trainings) == ["cnn1d", "cnn2d"]
+        assert len({ident for _, ident, _ in trainings}) == 2
+        assert [blas for *_, blas in trainings] == [1, 1]
+        assert encoded(concurrent) == encoded(sequential_fusion_fit(rows, cfg, 7))
+
+    @pytest.mark.parametrize("failing", [("cnn1d",), ("cnn2d",), ("cnn1d", "cnn2d")])
+    def test_training_error_on_either_thread(self, small_dataset, blas_threads, monkeypatch,
+                                             failing):
+        cnn2d_failed = threading.Event()
+
+        def train(model, *args):
+            kind = "cnn1d" if len(model.input_shape) == 2 else "cnn2d"
+            if kind == "cnn1d" and "cnn2d" in failing:
+                assert cnn2d_failed.wait(timeout=30)  # cnn2d's error is raised first
+            if kind in failing:
+                cnn2d_failed.set()
+                raise TrainingError(f"{kind} diverged")
+            return model
+
+        monkeypatch.setattr(neuralnet, "train", train)
+        cfg = fast_config("fusion_weighted")
+        rows = featurize(fold_windows(small_dataset, "subj0")[0], cfg, 256.0)
+        baseline = threading.active_count()
+        with pytest.raises(PipelineError, match=f"{failing[0]} diverged") as err:
+            fit_rows(rows, cfg, 7)
+        assert err.value.stage == "cnn-training"
+        assert threading.active_count() == baseline
+        assert blas_threads[0]() == 2
+
+    def test_without_a_setter_the_caller_trains_in_order(self, small_dataset, trainings,
+                                                          monkeypatch):
+        cfg = fast_config("fusion_weighted")
+        rows = featurize(fold_windows(small_dataset, "subj0")[0], cfg, 256.0)
+        concurrent = fit_rows(rows, cfg, 7)
+        trainings.clear()
+        monkeypatch.setattr(pipeline, "_blas_threads", lambda: None)
+        in_order = fit_rows(rows, cfg, 7)
+        caller = threading.get_ident()
+        assert trainings == [("cnn1d", caller, 2), ("cnn2d", caller, 2)]
+        assert encoded(in_order) == encoded(concurrent)
 
 
 class TestEvaluateLoso:
