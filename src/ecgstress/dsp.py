@@ -119,7 +119,8 @@ def detect_r_peaks(rec: EcgRecording) -> list[int]:
     if integrated.max() < 1e-12:
         return []
 
-    refractory = int(round(_REFRACTORY_S * fs))
+    # At least one sample, or below 2.5 Hz the scan would find the same peak forever
+    refractory = max(1, int(round(_REFRACTORY_S * fs)))
     # Adaptive threshold: a running fraction of recent peak energy
     running_peak = integrated[: int(2 * fs)].max()
     threshold = 0.45 * running_peak

@@ -3,11 +3,14 @@
 from __future__ import annotations
 
 import ctypes
+import mmap
 import os
-import threading
+import signal
 import zlib
 from collections.abc import Callable
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field, asdict
+from functools import cache
 from typing import NamedTuple
 
 import numpy as np
@@ -25,7 +28,10 @@ class PipelineError(RuntimeError):
 
     def __init__(self, stage: str, cause: Exception):
         super().__init__(f"stage '{stage}': {cause}")
-        self.stage = stage
+        self.stage, self.cause = stage, cause
+
+    def __reduce__(self):  # so that a helper or --jobs worker can send it back
+        return type(self), (self.stage, self.cause)
 
 
 @dataclass
@@ -152,8 +158,12 @@ _BLAS_THREAD_CALLS = (
 )
 
 
+@cache
 def _blas_threads():
-    """(get, set) of the thread count of the OpenBLAS loaded in this process, or None."""
+    """(get, set) of the thread count of the OpenBLAS loaded in this process, or None.
+
+    Looked up once: numpy, imported above, has loaded its BLAS by the first call.
+    """
     try:
         with open("/proc/self/maps") as maps:
             fields = [line.rstrip("\n").split(maxsplit=5) for line in maps]
@@ -177,41 +187,144 @@ def _blas_threads():
     return None
 
 
-def _both(first: Callable, second: Callable) -> tuple:
-    """(first(), second()), with first on a helper thread while second runs on this one.
+@contextmanager
+def _one_blas_thread():
+    """numpy's OpenBLAS on one thread inside the block, and its previous count restored
+    after; yields whether it could be set.
 
-    Their GEMMs are too small to share among BLAS threads, so BLAS is pinned to
-    one thread while both run, and its previous count restored after; without a
-    setter to pin it, both run here in order. The count is process-wide, so only
-    this thread sets it. The helper is joined before this returns or raises, and
-    an exception of first is raised in place of one of second.
+    The CNNs' GEMMs (9 to 144 columns) are too small to share among BLAS threads, so
+    a second core pays only when it runs other work. The count is process-wide:
+    only the thread that enters the block may set it, and processes forked inside
+    the block start with one thread.
     """
     threads = _blas_threads()
     if threads is None:
-        return first(), second()
+        yield False
+        return
     get, set_ = threads
     before = get()
     set_(1)
     try:
-        outcome = {}
-
-        def run_first():
-            try:
-                outcome["value"] = first()
-            except BaseException as exc:  # raised again on this thread after the join
-                outcome["error"] = exc
-
-        helper = threading.Thread(target=run_first, name="fusion-branch")
-        helper.start()
-        try:
-            value = second()
-        finally:
-            helper.join()
-            if "error" in outcome:
-                raise outcome["error"]
-        return outcome["value"], value
+        yield True
     finally:
         set_(before)
+
+
+def _fork_context():
+    """multiprocessing's fork context, or None where no helper can be forked: the
+    platform has no fork, or this process is a daemonic --jobs worker."""
+    import multiprocessing  # here, so that runs that train no CNN do not load it
+
+    if "fork" not in multiprocessing.get_all_start_methods():
+        return None
+    if multiprocessing.current_process().daemon:
+        return None
+    return multiprocessing.get_context("fork")
+
+
+def _take_jobs(order: list, state, lock, train: Callable) -> dict:
+    """{job: (True, result) or (False, error)} of the jobs this worker takes from the
+    queue `order`; state = [next position in order, first failed job] is shared by
+    every worker of the queue, under lock. A job after a failed one in serial order
+    does not start."""
+    done = {}
+    while True:
+        with lock:
+            if state[0] == len(order):
+                return done
+            i = order[state[0]]
+            state[0] += 1
+            if i > state[1]:
+                continue
+        try:
+            done[i] = (True, train(i))
+        except Exception as exc:  # raised by train_cnns once every worker is done
+            done[i] = (False, exc)
+            with lock:
+                state[1] = min(state[1], i)
+
+
+def _helper_main(order, state, lock, train, send) -> None:
+    signal.signal(signal.SIGINT, signal.SIG_IGN)  # the caller handles an interrupt and ends this
+    send.send(_take_jobs(order, state, lock, train))
+
+
+def _take_jobs_with_helper(context, order: list, train: Callable) -> dict:
+    """_take_jobs worked by this process and one forked helper; the helper's results
+    come back through a pipe once the queue is empty, and it has exited before this
+    returns or raises."""
+    state = np.ndarray(2, dtype=np.int64, buffer=mmap.mmap(-1, 16))  # shared with the helper
+    state[:] = 0, len(order)
+    lock = context.Lock()
+    receive, send = context.Pipe(duplex=False)
+    helper = context.Process(
+        target=_helper_main, args=(order, state, lock, train, send), name="cnn-queue", daemon=True
+    )
+    helper.start()
+    send.close()  # the helper holds the only write end, so its exit ends receive
+    try:
+        done = _take_jobs(order, state, lock, train)
+        try:
+            done.update(receive.recv())
+        except EOFError:
+            helper.join()
+            raise RuntimeError(
+                f"the CNN training helper exited with code {helper.exitcode}"
+            ) from None
+    except BaseException:
+        helper.terminate()  # an interrupt here: the helper's current job is dropped
+        raise
+    finally:
+        helper.join()
+        receive.close()
+    return done
+
+
+def train_cnns(rows: Rows, folds: list, cfg: PipelineConfig) -> list[dict]:
+    """{kind: trained CNN} of each (mask, seed) fold: the configured method's CNNs,
+    trained on the valid rows of `rows` that the fold's mask selects.
+
+    In serial order, fold by fold and cnn1d before cnn2d, the trainings are the
+    jobs of one queue. With BLAS pinned to one thread, this process and one
+    forked helper process work through it, every cnn2d job first: cnn2d trains
+    about 2.5 times as long as cnn1d, and longest first leaves the least idle
+    time at the end (Graham, SIAM J. Appl. Math. 1969). The helper is a process,
+    not a thread, because a training step is many small numpy calls that hold
+    the GIL for much of the step: two threads wait on each other, and how long
+    depends on how soon the host wakes the waiting one. Without a setter to pin
+    BLAS, or where no helper can be forked, every job runs here in serial order.
+    Each training depends on its (kind, rows, seed) alone, so the models are the
+    same either way. A job copies its fold's rows of its own input when it
+    starts, so only the running jobs' copies are held at once.
+
+    The helper has exited before this returns or raises. If jobs fail, the error
+    serial order meets first is raised; once a job has failed, no job after it
+    in serial order starts.
+    """
+    arrays = rows.x if isinstance(rows.x, tuple) else (rows.x,)
+    inputs = dict(zip(method_spec(cfg.method).cnns, arrays))  # each CNN kind's input
+    # (fold, kind, the rows it trains on, seed) in serial order
+    jobs = [(f, kind, mask & rows.valid, seed) for f, (mask, seed) in enumerate(folds)
+            for kind in inputs]
+
+    def train(i):
+        _, kind, keep, seed = jobs[i]
+        return _train_cnn(kind, inputs[kind][keep], rows.labels[keep], cfg, seed)
+
+    with _one_blas_thread() as pinned:
+        context = _fork_context() if pinned and len(jobs) > 1 else None
+        if context is None:
+            done = _take_jobs(list(range(len(jobs))), [0, len(jobs)], nullcontext(), train)
+        else:
+            order = sorted(range(len(jobs)), key=lambda i: jobs[i][1] != "cnn2d")
+            done = _take_jobs_with_helper(context, order, train)
+    failed = [i for i in sorted(done) if not done[i][0]]
+    if failed:
+        raise done[failed[0]][1]
+    trained = [{} for _ in folds]
+    for i, (f, kind, *_) in enumerate(jobs):
+        trained[f][kind] = done[i][1]
+    return trained
 
 
 def _one_hot(labels, class_count: int) -> np.ndarray:
@@ -249,13 +362,17 @@ class Method(NamedTuple):
     tuple of arrays for fusion), each depending on its own window alone, and
     a mask that is False where the window yields no row (an HRV window
     without enough beats).
-    fit(rows, labels, cfg, seed) -> components, trained on valid rows only.
+    cnns: the kinds of the CNNs the method trains, one per array of its rows in
+    their order; train_cnns trains them before fit.
+    fit(rows, labels, cfg, seed, cnns) -> components, trained on valid rows only,
+    given those CNNs as {kind: model}.
     predict(components, rows, cfg) -> proba[N, classes] of valid rows.
     `components` are the keys predict reads, i.e. what a bundle must hold.
     """
 
     window: str  # the PipelineConfig field holding this method's window length
     components: tuple
+    cnns: tuple
     features: Callable
     fit: Callable
     predict: Callable
@@ -270,33 +387,26 @@ def _every_window(to_rows) -> Callable:
 
 
 def _cnn_method(kind: str, to_tensor) -> Method:
-    def fit(x, y, cfg, seed):
-        return {kind: _train_cnn(kind, x, y, cfg, seed)}
+    def fit(x, y, cfg, seed, cnns):
+        return cnns
 
     def predict(components, x, cfg):
         return neuralnet.predict_proba(components[kind], x)
 
-    return Method("window_seconds", (kind,), _every_window(to_tensor), fit, predict)
+    return Method("window_seconds", (kind,), (kind,), _every_window(to_tensor), fit, predict)
 
 
 def _fusion_method(weighted: bool) -> Method:
     def to_rows(windows, cfg):
         return windows_to_snippets(windows, cfg), windows_to_images(windows, cfg)
 
-    def fit(rows, y, cfg, seed):
+    def fit(rows, y, cfg, seed, cnns):
         snippets, images = rows
-
-        def branch(kind, x):
-            model = _train_cnn(kind, x, y, cfg, seed)
-            return model, neuralnet.extract_features(model, x)
-
-        # The two branches share nothing until the fusion head
-        (cnn1d, f1), (cnn2d, f2) = _both(
-            lambda: branch("cnn1d", snippets), lambda: branch("cnn2d", images)
-        )
+        f1 = neuralnet.extract_features(cnns["cnn1d"], snippets)
+        f2 = neuralnet.extract_features(cnns["cnn2d"], images)
         weights = fusion.compute_fusion_weights(f1, f2) if weighted else None
         fused_std, stats = classifiers.standardize_fit(_fuse(f1, f2, weights))
-        parts = {"cnn1d": cnn1d, "cnn2d": cnn2d, "fusion_weights": weights, "stats": stats}
+        parts = {**cnns, "fusion_weights": weights, "stats": stats}
         return {**parts, **_fit_svm(fused_std, y, cfg, seed)}
 
     def predict(components, rows, cfg):
@@ -304,11 +414,12 @@ def _fusion_method(weighted: bool) -> Method:
 
     weights = ("fusion_weights",) if weighted else ()
     components = ("cnn1d", "cnn2d", *weights, "stats", "svm")
-    return Method("window_seconds", components, _every_window(to_rows), fit, predict)
+    cnns = ("cnn1d", "cnn2d")  # in the order of the rows (snippets, images)
+    return Method("window_seconds", components, cnns, _every_window(to_rows), fit, predict)
 
 
 def _hrv_method(key: str, fit_classifier, classify) -> Method:
-    def fit(X, y, cfg, seed):
+    def fit(X, y, cfg, seed, cnns):
         X_std, stats = classifiers.standardize_fit(X)
         return {"stats": stats, **fit_classifier(X_std, y, cfg, seed)}
 
@@ -319,7 +430,7 @@ def _hrv_method(key: str, fit_classifier, classify) -> Method:
     def features(windows, cfg, fs):
         return hrv_matrix(windows, fs)
 
-    return Method("hrv_window_seconds", ("stats", key), features, fit, predict)
+    return Method("hrv_window_seconds", ("stats", key), (), features, fit, predict)
 
 
 # Functions are looked up by module attribute at call time, so wrappers put
@@ -363,12 +474,20 @@ def featurize(windows, cfg: PipelineConfig, fs: float) -> Rows:
     return Rows(*method_spec(cfg.method).features(windows, cfg, fs), labels_of(windows))
 
 
-def fit_rows(rows: Rows, cfg: PipelineConfig, seed: int) -> dict:
-    """Train every component of the configured method on the valid rows only."""
+def fit_rows(rows: Rows, cfg: PipelineConfig, seed: int, cnns: dict | None = None) -> dict:
+    """Train every component of the configured method on the valid rows only, with
+    BLAS on one thread.
+
+    cnns are the method's CNNs as train_cnns trained them on these rows and seed;
+    without them, train_cnns trains them here first.
+    """
     if not rows.valid.any():
         raise PipelineError("hrv-features", ValueError("no window yielded enough beats"))
     kept = rows.kept()
-    return method_spec(cfg.method).fit(kept.x, kept.labels, cfg, seed)
+    with _one_blas_thread():
+        if cnns is None:
+            (cnns,) = train_cnns(rows, [(rows.valid, seed)], cfg)
+        return method_spec(cfg.method).fit(kept.x, kept.labels, cfg, seed, cnns)
 
 
 def predict_rows(components: dict, rows: Rows, cfg: PipelineConfig) -> np.ndarray:
@@ -380,9 +499,14 @@ def predict_rows(components: dict, rows: Rows, cfg: PipelineConfig) -> np.ndarra
     return proba
 
 
-def run_pipeline(test_subject: str, train: Rows, test: Rows, cfg: PipelineConfig) -> Metrics:
-    """Train on one fold's training rows; report metrics on its test subject's rows."""
-    components = fit_rows(train, cfg, fold_seed(cfg.seed, test_subject))
+def run_pipeline(
+    test_subject: str, train: Rows, test: Rows, cfg: PipelineConfig, cnns: dict | None = None
+) -> Metrics:
+    """Train on one fold's training rows; report metrics on its test subject's rows.
+
+    cnns are the fold's CNNs if train_cnns has trained them already (see fit_rows).
+    """
+    components = fit_rows(train, cfg, fold_seed(cfg.seed, test_subject), cnns)
     if not test.valid.any():
         raise PipelineError("predict", ValueError("no test window yielded a prediction"))
     proba = predict_rows(components, test, cfg)[test.valid]
@@ -393,21 +517,32 @@ def evaluate_loso(data: Dataset, cfg: PipelineConfig, fs: float, jobs: int = 1) 
     """LOSO evaluation of the configured method: one fold per subject, in subject order.
 
     Every window is featurized once; each fold trains on the other subjects'
-    rows and is tested on its own subject's rows.
+    rows and is tested on its own subject's rows. In one process, every fold's
+    CNNs are trained first, from one queue (see train_cnns); then each fold fits
+    the rest of its method and is scored. BLAS stays on one thread throughout.
+    The worker processes of jobs > 1 start with one BLAS thread too, and each
+    trains its fold's CNNs one after the other, forking no helper.
     """
     subjects = data.subjects
     if len(subjects) < 2:
         raise ValueError(f"LOSO needs at least 2 subjects, got {len(subjects)}")
     rows = featurize(data.windows, cfg, fs)
     owner = np.array([w.subject_id for w in data.windows])
-    tasks = ((s, rows.take(owner != s), rows.take(owner == s), cfg) for s in subjects)
-    if jobs > 1:
-        import multiprocessing
+    masks = [owner != s for s in subjects]  # each fold's training rows
+    with _one_blas_thread():
+        if jobs > 1:
+            import multiprocessing
 
-        with multiprocessing.Pool(min(jobs, len(subjects))) as pool:
-            metrics = pool.starmap(run_pipeline, tasks)
-    else:
-        metrics = [run_pipeline(*task) for task in tasks]
+            tasks = [(s, rows.take(m), rows.take(~m), cfg) for s, m in zip(subjects, masks)]
+            with multiprocessing.Pool(min(jobs, len(subjects))) as pool:
+                metrics = pool.starmap(run_pipeline, tasks)
+        else:
+            seeds = [fold_seed(cfg.seed, s) for s in subjects]
+            cnns = train_cnns(rows, list(zip(masks, seeds)), cfg)
+            metrics = [
+                run_pipeline(s, rows.take(m), rows.take(~m), cfg, fold_cnns)
+                for s, m, fold_cnns in zip(subjects, masks, cnns)
+            ]
     return RunResult(
         method=cfg.method,
         per_fold=tuple(zip(subjects, metrics)),

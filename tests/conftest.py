@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import multiprocessing
+import threading
+
 import pytest
 
 # One PASS/FAIL line per acceptance check, echoed after the pytest summary so
@@ -16,6 +19,7 @@ def pytest_terminal_summary(terminalreporter):
         for line in ACCEPTANCE_VERDICTS:
             terminalreporter.write_line(line)
 
+from ecgstress import pipeline
 from ecgstress.signal_core import (
     UNLABELED,
     Dataset,
@@ -134,8 +138,6 @@ def taint(data: Dataset, subject: str, offset: float = 5.0) -> Dataset:
 def fitted(monkeypatch):
     """The components of every pipeline.fit_rows call the test makes, in call order;
     a LOSO run serial in one process trains its folds in subject order."""
-    from ecgstress import pipeline
-
     fitted, real = [], pipeline.fit_rows
     monkeypatch.setattr(pipeline, "fit_rows", lambda *a: fitted.append(real(*a)) or fitted[-1])
     return fitted
@@ -145,3 +147,36 @@ def fitted(monkeypatch):
 def small_dataset():
     """2 subjects x 3 levels x 12 s of 1 s windows; fast enough for unit tests."""
     return make_dataset(n_subjects=2, duration_s=12.0)
+
+
+@pytest.fixture(scope="session")
+def blas_count():
+    """Getter of numpy's OpenBLAS thread count; None where there is none."""
+    threads = pipeline._blas_threads()
+    return threads[0] if threads else lambda: None
+
+
+@pytest.fixture
+def blas_threads():
+    """numpy's OpenBLAS thread count (get, set), at 2 for the test and restored after it."""
+    threads = pipeline._blas_threads()
+    if threads is None:
+        pytest.skip("numpy here loads no OpenBLAS with a thread setter")
+    get, set_ = threads
+    before = get()
+    set_(2)
+    yield get, set_
+    set_(before)
+
+
+@pytest.fixture(autouse=True)
+def nothing_left_running(blas_count):
+    """Fail a test that leaves a thread or a child process running, or the OpenBLAS
+    thread count changed."""
+    before, count = set(threading.enumerate()), blas_count()
+    yield
+    left = [t.name for t in threading.enumerate() if t not in before]
+    assert not left, f"threads still running after the test: {left}"
+    children = [p.name for p in multiprocessing.active_children()]
+    assert not children, f"child processes still running after the test: {children}"
+    assert blas_count() == count, f"OpenBLAS thread count {blas_count()}, was {count}"

@@ -275,7 +275,7 @@ def loop_detect_r_peaks(rec: EcgRecording) -> list[int]:
     integrated = np.convolve(deriv**2, np.ones(win) / win, mode="same")
     if integrated.max() < 1e-12:
         return []
-    refractory = int(round(0.200 * fs))
+    refractory = max(1, int(round(0.200 * fs)))
     running_peak = integrated[: int(2 * fs)].max()
     threshold = 0.45 * running_peak
     peaks = []

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from ecgstress import bundle as bundle_io
+from ecgstress import neuralnet
 from ecgstress.bundle import BundleError, load_bundle, save_bundle
 from ecgstress.cli import (
     EXIT_OK,
@@ -414,6 +415,28 @@ class TestTrainEvaluatePredict:
         rows = pred_out.read_text().strip().splitlines()
         assert rows[0] == "start_s,level,prob0,prob1,prob2"
         assert len(rows) == 1 + 6  # one row per 1 s window
+
+    def test_train_extracts_on_one_blas_thread(self, tmp_path, capsys, monkeypatch,
+                                               blas_threads):
+        """train fits on one BLAS thread; predict leaves the count as it finds it, since
+        its one large forward per recording gains from a second BLAS thread."""
+        seen, real = [], neuralnet.extract_features
+        monkeypatch.setattr(
+            neuralnet,
+            "extract_features",
+            lambda model, x: seen.append((len(x), blas_threads[0]())) or real(model, x),
+        )
+        data = write_data_dir(tmp_path / "data")
+        out = tmp_path / "bundle.json"
+        argv = ["train", "--data", str(data), "--out", str(out), "--method", "fusion_weighted"]
+        assert main([*argv, *FAST_ARGS]) == EXIT_OK
+        rec, _ = synth_ecg(0, 6.0, 256.0, 999)
+        save_recording(rec, tmp_path / "new.csv", tmp_path / "new.meta.json")
+        signal = ["--signal", str(tmp_path / "new.csv"), "--meta", str(tmp_path / "new.meta.json")]
+        assert main(["predict", "--bundle", str(out), *signal]) == EXIT_OK
+        # Two branches on the 72 training windows, then two on the 6 predicted ones
+        assert seen == [(72, 1), (72, 1), (6, 2), (6, 2)]
+        assert blas_threads[0]() == 2
 
     def test_train_refuses_overwrite(self, tmp_path, capsys):
         data = write_data_dir(tmp_path / "data")

@@ -1,5 +1,7 @@
 """Spectrograms, Lomb-Scargle PSD and R-peak detection."""
 
+import signal
+
 import numpy as np
 import pytest
 
@@ -183,6 +185,25 @@ class TestDetectRPeaks:
         rec = EcgRecording("s", 256.0, np.zeros(256))
         with pytest.raises(ValueError):
             detect_r_peaks(rec)
+
+    @pytest.mark.parametrize("fs", [1.0, 2.0, 2.4])
+    def test_ends_below_2_5_hz(self, fs):
+        """There round(0.2 * fs) is 0 samples; the scan still ends, its peaks ascending and
+        at least 200 ms apart. The oracle is not called: it once hung here too."""
+
+        def expire(signum, frame):
+            raise TimeoutError(f"detect_r_peaks at {fs} Hz still running after 5 s")
+
+        previous = signal.signal(signal.SIGALRM, expire)
+        signal.alarm(5)
+        try:
+            for seed in range(20):
+                x = np.random.default_rng([seed, 2]).standard_normal(20)
+                peaks = detect_r_peaks(EcgRecording("s", fs, x))
+                assert np.all(np.diff(peaks) / fs >= 0.2)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
 
     @pytest.mark.parametrize("kind", ["random", "plateau", "sparse_spikes", "flat", "synth"])
     @pytest.mark.parametrize("fs", [100.0, 256.0])

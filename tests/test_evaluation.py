@@ -31,34 +31,47 @@ def _window(subject, start=0, label=0):
 
 
 class TestFolds:
-    """The split evaluate_loso makes, with training stubbed out: fit_rows records the
-    rows each fold trains on, and every test row is predicted as its own label."""
+    """The split evaluate_loso makes, with training stubbed out: train_cnns records the
+    rows each fold's CNNs train on, fit_rows the rows each fold trains on, and every
+    test row is predicted as its own label."""
 
     cfg = PipelineConfig(method="cnn1d")  # its feature rows are the window samples
 
     @pytest.fixture
-    def trained_on(self, monkeypatch):
+    def queued(self):
+        return []
+
+    @pytest.fixture
+    def trained_on(self, monkeypatch, queued):
         trained_on = []
 
-        def fit_rows(rows, cfg, seed):
+        def train_cnns(rows, folds, cfg):
+            queued.extend((rows.take(mask), seed) for mask, seed in folds)
+            return [{} for _ in folds]
+
+        def fit_rows(rows, cfg, seed, cnns=None):
             trained_on.append(rows)
             return {}
 
         def predict_rows(components, rows, cfg):
             return np.eye(cfg.class_count)[rows.labels]
 
+        monkeypatch.setattr(pipeline, "train_cnns", train_cnns)
         monkeypatch.setattr(pipeline, "fit_rows", fit_rows)
         monkeypatch.setattr(pipeline, "predict_rows", predict_rows)
         return trained_on
 
-    def test_leak_rejected(self, trained_on):
+    def test_leak_rejected(self, trained_on, queued):
         data = make_dataset(n_subjects=3, duration_s=5.0)
         evaluate_loso(data, self.cfg, 256.0)
-        assert len(trained_on) == 3
-        for subject, rows in zip(data.subjects, trained_on):
+        assert len(trained_on) == len(queued) == 3
+        assert [seed for _, seed in queued] == [pipeline.fold_seed(0, s) for s in data.subjects]
+        # Each fold's CNNs and the rest of its method train on the other subjects' rows
+        for subject, rows, (cnn_rows, _) in zip(data.subjects, trained_on, queued):
             others = [w for w in data.windows if w.subject_id != subject]
-            np.testing.assert_array_equal(rows.x[:, 0], [w.samples for w in others])
-            np.testing.assert_array_equal(rows.labels, [w.label for w in others])
+            for fold_rows in (rows, cnn_rows):
+                np.testing.assert_array_equal(fold_rows.x[:, 0], [w.samples for w in others])
+                np.testing.assert_array_equal(fold_rows.labels, [w.label for w in others])
 
     def test_split_counts(self, trained_on):
         full = make_dataset(n_subjects=2, duration_s=6.0)

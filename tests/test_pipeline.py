@@ -1,7 +1,10 @@
 """Per-fold pipelines: seeding, modality tensors, grid search and LOSO runs."""
 
 import json
+import multiprocessing
+import os
 import threading
+import time
 import zlib
 
 import numpy as np
@@ -25,7 +28,7 @@ from ecgstress.pipeline import (
     windows_to_images,
     windows_to_snippets,
 )
-from ecgstress.evaluation import METHOD_DISPLAY, RunResult
+from ecgstress.evaluation import METHOD_DISPLAY, RunResult, compute_metrics
 from ecgstress.signal_core import Window
 
 from conftest import make_dataset, taint
@@ -200,7 +203,7 @@ class TestValidRows:
         """The feature rows each fit and predict call of svm_hrv receives."""
         seen = []
 
-        def fit(x, y, cfg, seed):
+        def fit(x, y, cfg, seed, cnns):
             seen.append(x)
             return {}
 
@@ -270,36 +273,51 @@ class TestRunPipeline:
         assert comps["fusion_weights"] is None
 
 
-@pytest.fixture
-def blas_threads():
-    """numpy's OpenBLAS thread count (get, set), at 2 for the test and restored after it."""
-    threads = pipeline._blas_threads()
-    if threads is None:
-        pytest.skip("numpy here loads no OpenBLAS with a thread setter")
-    get, set_ = threads
-    before = get()
-    set_(2)
-    yield get, set_
-    set_(before)
+class Record:
+    """Tuples appended to one file by whichever process makes them, so that what a
+    forked helper does is seen too; one short append is one atomic write."""
+
+    def __init__(self, path):
+        self.path = path
+        path.write_text("")
+
+    def add(self, *fields):
+        with open(self.path, "a") as f:
+            f.write(json.dumps(fields) + "\n")
+
+    def __call__(self) -> list:
+        return [tuple(json.loads(line)) for line in self.path.read_text().splitlines()]
+
+    def clear(self):
+        self.path.write_text("")
 
 
 @pytest.fixture
-def trainings(monkeypatch, blas_threads):
-    """(kind, thread id, BLAS threads) of every CNN training, in the order they start."""
-    seen, real = [], neuralnet.train
+def trainings(monkeypatch, blas_threads, tmp_path):
+    """Record of (kind, fold seed, process id, thread id, BLAS threads) of every CNN
+    training, in any process, in the order they start."""
+    record, real = Record(tmp_path / "trainings"), neuralnet.train
 
-    def train(model, *args):
+    def train(model, x, y, train_cfg):
         kind = "cnn1d" if len(model.input_shape) == 2 else "cnn2d"
-        seen.append((kind, threading.get_ident(), blas_threads[0]()))
-        return real(model, *args)
+        record.add(kind, train_cfg.seed, os.getpid(), threading.get_ident(), blas_threads[0]())
+        return real(model, x, y, train_cfg)
 
     monkeypatch.setattr(neuralnet, "train", train)
-    return seen
+    return record
 
 
-def sequential_fusion_fit(rows, cfg, seed):
-    """The fusion fit with its branches one after the other, each trained, then extracted."""
-    (snippets, images), y = rows.x, rows.labels
+def no_helper_left(baseline_threads):
+    return threading.active_count() == baseline_threads and not multiprocessing.active_children()
+
+
+def sequential_fit(rows, cfg, seed):
+    """A deep method's fit without the queue: its CNNs trained here one after the
+    other, then its features extracted and its head fitted."""
+    x, y = rows.x, rows.labels
+    if cfg.method in ("cnn1d", "cnn2d"):
+        return {cfg.method: pipeline._train_cnn(cfg.method, x, y, cfg, seed)}
+    snippets, images = x
     cnn1d = pipeline._train_cnn("cnn1d", snippets, y, cfg, seed)
     cnn2d = pipeline._train_cnn("cnn2d", images, y, cfg, seed)
     f1 = neuralnet.extract_features(cnn1d, snippets)
@@ -310,8 +328,27 @@ def sequential_fusion_fit(rows, cfg, seed):
     return {**parts, **pipeline._fit_svm(fused_std, y, cfg, seed)}
 
 
+def failing_train(failing: set, wait_for=None):
+    """A neuralnet.train stub that raises for each (kind, fold seed) in failing and
+    returns the model untrained otherwise. wait_for = (key, after): the job `key`
+    starts only once the job `after` has failed, in either process."""
+    failed = {key: multiprocessing.get_context("fork").Event() for key in failing}
+
+    def train(model, x, y, train_cfg):
+        key = ("cnn1d" if len(model.input_shape) == 2 else "cnn2d", train_cfg.seed)
+        if wait_for is not None and key == wait_for[0]:
+            assert failed[wait_for[1]].wait(timeout=30)
+        if key in failing:
+            failed[key].set()
+            raise TrainingError(f"{key[0]} diverged in fold {key[1]}")
+        return model
+
+    return train
+
+
 class TestFusionBranches:
-    """A fusion fit trains its two CNNs on two threads, with BLAS on one thread meanwhile."""
+    """One fusion fit trains its two CNNs through the queue of train_cnns: in this
+    process and one forked helper, with BLAS on one thread meanwhile."""
 
     @pytest.mark.parametrize("method", ["fusion_weighted", "fusion_avg"])
     def test_concurrent_fit_equals_sequential(self, small_dataset, blas_threads, trainings,
@@ -320,35 +357,29 @@ class TestFusionBranches:
         rows = featurize(fold_windows(small_dataset, "subj0")[0], cfg, 256.0)
         baseline = threading.active_count()
         concurrent = fit_rows(rows, cfg, 7)
-        assert threading.active_count() == baseline
+        assert no_helper_left(baseline)
         assert blas_threads[0]() == 2
-        assert sorted(kind for kind, *_ in trainings) == ["cnn1d", "cnn2d"]
-        assert len({ident for _, ident, _ in trainings}) == 2
-        assert [blas for *_, blas in trainings] == [1, 1]
-        assert encoded(concurrent) == encoded(sequential_fusion_fit(rows, cfg, 7))
+        seen = trainings()
+        assert sorted((kind, seed) for kind, seed, *_ in seen) == [("cnn1d", 7), ("cnn2d", 7)]
+        assert len({pid for _, _, pid, *_ in seen}) == 2
+        assert [blas for *_, blas in seen] == [1, 1]
+        assert encoded(concurrent) == encoded(sequential_fit(rows, cfg, 7))
 
     @pytest.mark.parametrize("failing", [("cnn1d",), ("cnn2d",), ("cnn1d", "cnn2d")])
     def test_training_error_on_either_thread(self, small_dataset, blas_threads, monkeypatch,
                                              failing):
-        cnn2d_failed = threading.Event()
-
-        def train(model, *args):
-            kind = "cnn1d" if len(model.input_shape) == 2 else "cnn2d"
-            if kind == "cnn1d" and "cnn2d" in failing:
-                assert cnn2d_failed.wait(timeout=30)  # cnn2d's error is raised first
-            if kind in failing:
-                cnn2d_failed.set()
-                raise TrainingError(f"{kind} diverged")
-            return model
-
-        monkeypatch.setattr(neuralnet, "train", train)
+        """The error reaches the caller from whichever process trained the job."""
+        keys = {(kind, 7) for kind in failing}
+        # When both fail, cnn2d's error comes first and cnn1d's is raised
+        wait_for = (("cnn1d", 7), ("cnn2d", 7)) if len(failing) == 2 else None
+        monkeypatch.setattr(neuralnet, "train", failing_train(keys, wait_for))
         cfg = fast_config("fusion_weighted")
         rows = featurize(fold_windows(small_dataset, "subj0")[0], cfg, 256.0)
         baseline = threading.active_count()
         with pytest.raises(PipelineError, match=f"{failing[0]} diverged") as err:
             fit_rows(rows, cfg, 7)
         assert err.value.stage == "cnn-training"
-        assert threading.active_count() == baseline
+        assert no_helper_left(baseline)
         assert blas_threads[0]() == 2
 
     def test_without_a_setter_the_caller_trains_in_order(self, small_dataset, trainings,
@@ -359,9 +390,208 @@ class TestFusionBranches:
         trainings.clear()
         monkeypatch.setattr(pipeline, "_blas_threads", lambda: None)
         in_order = fit_rows(rows, cfg, 7)
-        caller = threading.get_ident()
-        assert trainings == [("cnn1d", caller, 2), ("cnn2d", caller, 2)]
+        caller = os.getpid(), threading.get_ident()
+        assert trainings() == [("cnn1d", 7, *caller, 2), ("cnn2d", 7, *caller, 2)]
         assert encoded(in_order) == encoded(concurrent)
+
+
+class TestCnnQueue:
+    """At --jobs 1, evaluate_loso trains every fold's CNNs from one queue, in this
+    process and at most one forked helper, cnn2d first, with BLAS on one thread
+    for the whole run."""
+
+    @pytest.mark.parametrize("method", ["cnn1d", "cnn2d", "fusion_avg", "fusion_weighted"])
+    def test_loso_equals_sequential_folds(self, small_dataset, blas_threads, trainings, fitted,
+                                          method):
+        cfg = fast_config(method)
+        baseline = threading.active_count()
+        result = evaluate_loso(small_dataset, cfg, 256.0)
+        assert no_helper_left(baseline)
+        assert blas_threads[0]() == 2
+        seeds = [fold_seed(cfg.seed, s) for s in small_dataset.subjects]
+        kinds = pipeline.METHODS[method].cnns
+        seen = trainings()
+        assert sorted((kind, seed) for kind, seed, *_ in seen) == sorted(
+            (kind, seed) for seed in seeds for kind in kinds
+        )
+        # Each worker takes the jobs in queue order
+        for worker in {(pid, ident) for _, _, pid, ident, _ in seen}:
+            started = [kind for kind, _, *at, _ in seen if tuple(at) == worker]
+            assert started == sorted(started, key=lambda kind: kind != "cnn2d")
+        assert len({pid for _, _, pid, *_ in seen}) <= 2
+        assert {blas for *_, blas in seen} == {1}
+        reference = []
+        for subject, seed in zip(small_dataset.subjects, seeds):
+            train, test = (featurize(w, cfg, 256.0) for w in fold_windows(small_dataset, subject))
+            components = sequential_fit(train, cfg, seed)
+            proba = predict_rows(components, test, cfg)
+            metrics = compute_metrics(np.argmax(proba, axis=1), test.labels, cfg.class_count)
+            reference.append((encoded(components), subject, metrics.to_dict()))
+        assert [(encoded(c), s, m.to_dict()) for c, (s, m) in zip(fitted, result.per_fold)] == (
+            reference
+        )
+
+    @pytest.mark.parametrize(
+        "failing, wait_for, first",
+        [
+            # The later job in serial order fails first in time; the earlier one wins
+            ([("cnn2d", 1), ("cnn1d", 0)], (("cnn1d", 0), ("cnn2d", 1)), ("cnn1d", 0)),
+            ([("cnn2d", 0), ("cnn2d", 1)], None, ("cnn2d", 0)),
+            ([("cnn1d", 1), ("cnn2d", 1)], (("cnn1d", 1), ("cnn2d", 1)), ("cnn1d", 1)),
+            ([("cnn1d", 1)], None, ("cnn1d", 1)),
+        ],
+    )
+    def test_error_follows_serial_order(self, small_dataset, blas_threads, monkeypatch, failing,
+                                        wait_for, first):
+        cfg = fast_config("fusion_weighted")
+        seeds = [fold_seed(cfg.seed, s) for s in small_dataset.subjects]
+
+        def key(kind, fold):
+            return kind, seeds[fold]
+
+        wait_for = wait_for and (key(*wait_for[0]), key(*wait_for[1]))
+        monkeypatch.setattr(
+            neuralnet, "train", failing_train({key(*k) for k in failing}, wait_for)
+        )
+        baseline = threading.active_count()
+        message = f"{first[0]} diverged in fold {seeds[first[1]]}$"
+        with pytest.raises(PipelineError, match=message) as err:
+            evaluate_loso(small_dataset, cfg, 256.0)
+        assert err.value.stage == "cnn-training"
+        assert no_helper_left(baseline)
+        assert blas_threads[0]() == 2
+
+    def test_a_dead_helper_is_an_error(self, small_dataset, blas_threads, monkeypatch):
+        caller, real = os.getpid(), neuralnet.train
+
+        def train(model, *args):
+            if os.getpid() != caller:
+                os._exit(3)
+            return real(model, *args)
+
+        monkeypatch.setattr(neuralnet, "train", train)
+        baseline = threading.active_count()
+        with pytest.raises(RuntimeError, match="helper exited with code 3"):
+            evaluate_loso(small_dataset, fast_config("fusion_avg"), 256.0)
+        assert no_helper_left(baseline)
+        assert blas_threads[0]() == 2
+
+    def test_an_interrupt_ends_the_helper(self, small_dataset, blas_threads, monkeypatch):
+        caller = os.getpid()
+
+        def train(model, *args):
+            if os.getpid() == caller:
+                raise KeyboardInterrupt
+            time.sleep(20)  # the helper's job; ended by the caller, not waited for
+
+        monkeypatch.setattr(neuralnet, "train", train)
+        baseline, start = threading.active_count(), time.monotonic()
+        with pytest.raises(KeyboardInterrupt):
+            evaluate_loso(small_dataset, fast_config("fusion_avg"), 256.0)
+        assert time.monotonic() - start < 10
+        assert no_helper_left(baseline)
+        assert blas_threads[0]() == 2
+
+    def test_jobs_workers_train_their_fold_alone(self, small_dataset, trainings):
+        """A --jobs worker is daemonic and may fork no helper: it trains its fold's
+        CNNs itself, one after the other, on one BLAS thread."""
+        evaluate_loso(small_dataset, fast_config("fusion_avg"), 256.0, jobs=2)
+        seen = trainings()
+        assert len(seen) == 4
+        for seed in {seed for _, seed, *_ in seen}:
+            fold = [(kind, pid) for kind, s, pid, *_ in seen if s == seed]
+            assert [kind for kind, _ in fold] == ["cnn1d", "cnn2d"]
+            assert len({pid for _, pid in fold}) == 1
+        assert os.getpid() not in {pid for _, _, pid, *_ in seen}
+        assert {blas for *_, blas in seen} == {1}
+
+    def test_without_a_setter_the_caller_trains_in_serial_order(self, small_dataset, trainings,
+                                                                 monkeypatch):
+        cfg = fast_config("fusion_weighted")
+        queued = evaluate_loso(small_dataset, cfg, 256.0)
+        trainings.clear()
+        monkeypatch.setattr(pipeline, "_blas_threads", lambda: None)
+        serial = evaluate_loso(small_dataset, cfg, 256.0)
+        caller = os.getpid(), threading.get_ident()
+        assert trainings() == [
+            (kind, fold_seed(cfg.seed, s), *caller, 2)
+            for s in small_dataset.subjects
+            for kind in ("cnn1d", "cnn2d")
+        ]
+        assert json.dumps(serial.to_dict()) == json.dumps(queued.to_dict())
+
+    def test_without_a_setter_no_job_after_an_error_starts(self, small_dataset, blas_threads,
+                                                           monkeypatch):
+        cfg = fast_config("fusion_weighted")
+        seed = fold_seed(cfg.seed, "subj0")
+        started, stub = [], failing_train({("cnn2d", seed)})
+        monkeypatch.setattr(
+            neuralnet,
+            "train",
+            lambda model, *args: started.append(model.input_shape) or stub(model, *args),
+        )
+        monkeypatch.setattr(pipeline, "_blas_threads", lambda: None)
+        with pytest.raises(PipelineError, match=f"cnn2d diverged in fold {seed}"):
+            evaluate_loso(small_dataset, cfg, 256.0)
+        assert [len(shape) for shape in started] == [2, 3]  # subj0's cnn1d, then its cnn2d
+
+    def test_every_job_runs_once(self, blas_threads, monkeypatch, tmp_path):
+        """Two processes share the queue; each job is taken once and its model lands
+        in its own fold and kind."""
+        calls = Record(tmp_path / "calls")
+
+        def train(kind, x, y, cfg, seed):
+            calls.add(kind, int(seed), os.getpid())
+            return kind, seed, x
+
+        monkeypatch.setattr(pipeline, "_train_cnn", train)
+        # 300 folds of one row each; row f holds the value f in both inputs
+        folds = np.arange(300)
+        snippets = np.ones((300, 1, 4)) * folds[:, None, None]
+        images = np.ones((300, 1, 3, 3)) * folds[:, None, None, None]
+        rows = Rows((snippets, images), np.ones(300, dtype=bool), np.zeros(300, dtype=np.int64))
+        trained = pipeline.train_cnns(
+            rows, [(folds == f, f) for f in folds], fast_config("fusion_avg")
+        )
+        assert sorted((kind, f) for kind, f, _ in calls()) == sorted(
+            (kind, f) for f in range(300) for kind in ("cnn1d", "cnn2d")
+        )
+        assert len({pid for *_, pid in calls()}) <= 2
+        for f, models in enumerate(trained):
+            assert list(models) == ["cnn1d", "cnn2d"]
+            (k1, s1, x1), (k2, s2, x2) = models.values()
+            assert (k1, s1, k2, s2) == ("cnn1d", f, "cnn2d", f)
+            np.testing.assert_array_equal(x1, snippets[f:f + 1])
+            np.testing.assert_array_equal(x2, images[f:f + 1])
+        assert blas_threads[0]() == 2
+
+    def test_fold_extraction_runs_on_one_blas_thread(self, blas_threads, monkeypatch):
+        data = make_dataset(n_subjects=4, duration_s=16.0)
+        cfg = PipelineConfig(
+            method="fusion_weighted", cnn_train=TrainConfig(epochs=1, learning_rate=0.02), seed=1
+        )
+        seen, real = [], neuralnet.extract_features
+        monkeypatch.setattr(
+            neuralnet,
+            "extract_features",
+            lambda model, x: seen.append((len(x), blas_threads[0]())) or real(model, x),
+        )
+        evaluate_loso(data, cfg, 256.0)
+        assert seen.count((144, 1)) == 8  # each fold's two branches, on its 144 training rows
+        assert {blas for _, blas in seen} == {1}
+        assert blas_threads[0]() == 2
+
+
+def run_pipeline_at_one_blas_thread(*args):
+    """pipeline.run_pipeline, failing in a --jobs worker that starts with more than one
+    BLAS thread; module-level, so that the pool can send it."""
+    threads = pipeline._blas_threads()[0]()
+    if threads != 1:
+        raise AssertionError(f"worker started with {threads} BLAS threads")
+    return RUN_PIPELINE(*args)
+
+
+RUN_PIPELINE = pipeline.run_pipeline
 
 
 class TestEvaluateLoso:
@@ -378,6 +608,23 @@ class TestEvaluateLoso:
         serial = evaluate_loso(data, cfg, 256.0, jobs=1)
         parallel = evaluate_loso(data, cfg, 256.0, jobs=2)
         assert json.dumps(parallel.to_dict()) == json.dumps(serial.to_dict())
+
+    def test_a_worker_error_reaches_the_caller(self, small_dataset, monkeypatch):
+        """A PipelineError pickles with its stage, so the pool hands a worker's back."""
+        failing = {("cnn1d", fold_seed(1, s)) for s in small_dataset.subjects}
+        monkeypatch.setattr(neuralnet, "train", failing_train(failing))
+        with pytest.raises(PipelineError, match="cnn1d diverged in fold") as err:
+            evaluate_loso(small_dataset, fast_config("cnn1d"), 256.0, jobs=2)
+        assert err.value.stage == "cnn-training"
+
+    def test_workers_start_with_one_blas_thread(self, blas_threads, monkeypatch):
+        data = make_dataset(n_subjects=2, duration_s=24.0, window_seconds=4.0)
+        cfg = fast_config("knn_hrv")
+        serial = evaluate_loso(data, cfg, 256.0)
+        monkeypatch.setattr(pipeline, "run_pipeline", run_pipeline_at_one_blas_thread)
+        parallel = evaluate_loso(data, cfg, 256.0, jobs=2)
+        assert json.dumps(parallel.to_dict()) == json.dumps(serial.to_dict())
+        assert blas_threads[0]() == 2
 
     @pytest.mark.parametrize("method", ["cnn1d", "cnn2d", "fusion_avg"])
     def test_taint_reaches_only_the_fold_that_trains_on_it(self, small_dataset, fitted, method):
