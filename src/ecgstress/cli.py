@@ -326,7 +326,7 @@ def cmd_report(args) -> int:
         _guard_overwrite(args.out, force=True)
     results = []
     for path in args.results:
-        results.append(RunResult.from_dict(json.loads(Path(path).read_text())))
+        results.append(RunResult.from_dict(json.loads(Path(path).read_text()), path))
     report = render_report(results)
     if args.out:
         Path(args.out).write_text(report)

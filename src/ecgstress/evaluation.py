@@ -72,14 +72,20 @@ class RunResult:
         }
 
     @classmethod
-    def from_dict(cls, d):
-        return cls(
-            method=d["method"],
-            per_fold=tuple((s, Metrics.from_dict(m)) for s, m in d["per_fold"]),
-            mean=Metrics.from_dict(d["mean"]),
-            seed=d["seed"],
-            config_snapshot=d.get("config_snapshot", {}),
-        )
+    def from_dict(cls, d, source="the result document"):
+        """Inverse of to_dict; ValueError naming `source` on a document of another shape."""
+        try:
+            return cls(
+                method=d["method"],
+                per_fold=tuple((s, Metrics.from_dict(m)) for s, m in d["per_fold"]),
+                mean=Metrics.from_dict(d["mean"]),
+                seed=d["seed"],
+                config_snapshot=d.get("config_snapshot", {}),
+            )
+        except KeyError as exc:
+            raise ValueError(f"{source} has no key {exc}") from None
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"{source} is malformed: {exc}") from None
 
 
 def compute_metrics(preds, truth, class_count: int) -> Metrics:

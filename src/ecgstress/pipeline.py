@@ -30,7 +30,7 @@ class PipelineError(RuntimeError):
         super().__init__(f"stage '{stage}': {cause}")
         self.stage, self.cause = stage, cause
 
-    def __reduce__(self):  # so that a helper or --jobs worker can send it back
+    def __reduce__(self):  # so that a CNN queue helper can send it back
         return type(self), (self.stage, self.cause)
 
 
@@ -211,13 +211,10 @@ def _one_blas_thread():
 
 
 def _fork_context():
-    """multiprocessing's fork context, or None where no helper can be forked: the
-    platform has no fork, or this process is a daemonic --jobs worker."""
+    """multiprocessing's fork context, or None where the platform has no fork."""
     import multiprocessing  # here, so that runs that train no CNN do not load it
 
     if "fork" not in multiprocessing.get_all_start_methods():
-        return None
-    if multiprocessing.current_process().daemon:
         return None
     return multiprocessing.get_context("fork")
 
@@ -249,55 +246,59 @@ def _helper_main(order, state, lock, train, send) -> None:
     send.send(_take_jobs(order, state, lock, train))
 
 
-def _take_jobs_with_helper(context, order: list, train: Callable) -> dict:
-    """_take_jobs worked by this process and one forked helper; the helper's results
-    come back through a pipe once the queue is empty, and it has exited before this
-    returns or raises."""
-    state = np.ndarray(2, dtype=np.int64, buffer=mmap.mmap(-1, 16))  # shared with the helper
+def _take_jobs_with_helpers(context, order: list, train: Callable, helpers: int) -> dict:
+    """_take_jobs worked by this process and `helpers` forked helpers; each helper's
+    results come back through its own pipe once the queue is empty, and every helper
+    has exited before this returns or raises."""
+    state = np.ndarray(2, dtype=np.int64, buffer=mmap.mmap(-1, 16))  # shared with the helpers
     state[:] = 0, len(order)
     lock = context.Lock()
-    receive, send = context.Pipe(duplex=False)
-    helper = context.Process(
-        target=_helper_main, args=(order, state, lock, train, send), name="cnn-queue", daemon=True
-    )
-    helper.start()
-    send.close()  # the helper holds the only write end, so its exit ends receive
+    started = []  # (helper, the read end of its pipe)
     try:
+        for _ in range(helpers):
+            receive, send = context.Pipe(duplex=False)
+            helper = context.Process(target=_helper_main, name="cnn-queue", daemon=True,
+                                     args=(order, state, lock, train, send))
+            helper.start()
+            started.append((helper, receive))
+            send.close()  # before the next fork, so that this helper's exit alone ends receive
         done = _take_jobs(order, state, lock, train)
-        try:
-            done.update(receive.recv())
-        except EOFError:
-            helper.join()
-            raise RuntimeError(
-                f"the CNN training helper exited with code {helper.exitcode}"
-            ) from None
+        for helper, receive in started:
+            try:
+                done.update(receive.recv())
+            except EOFError:  # it died before sending
+                helper.join()
+                raise RuntimeError(f"a CNN helper exited with code {helper.exitcode}") from None
     except BaseException:
-        helper.terminate()  # an interrupt here: the helper's current job is dropped
+        for helper, _ in started:
+            helper.terminate()  # an interrupt here: the helpers' current jobs are dropped
         raise
     finally:
-        helper.join()
-        receive.close()
+        for helper, receive in started:
+            helper.join()
+            receive.close()
     return done
 
 
-def train_cnns(rows: Rows, folds: list, cfg: PipelineConfig) -> list[dict]:
+def train_cnns(rows: Rows, folds: list, cfg: PipelineConfig, processes: int = 2) -> list[dict]:
     """{kind: trained CNN} of each (mask, seed) fold: the configured method's CNNs,
     trained on the valid rows of `rows` that the fold's mask selects.
 
     In serial order, fold by fold and cnn1d before cnn2d, the trainings are the
-    jobs of one queue. With BLAS pinned to one thread, this process and one
-    forked helper process work through it, every cnn2d job first: cnn2d trains
-    about 2.5 times as long as cnn1d, and longest first leaves the least idle
-    time at the end (Graham, SIAM J. Appl. Math. 1969). The helper is a process,
-    not a thread, because a training step is many small numpy calls that hold
-    the GIL for much of the step: two threads wait on each other, and how long
-    depends on how soon the host wakes the waiting one. Without a setter to pin
-    BLAS, or where no helper can be forked, every job runs here in serial order.
-    Each training depends on its (kind, rows, seed) alone, so the models are the
-    same either way. A job copies its fold's rows of its own input when it
-    starts, so only the running jobs' copies are held at once.
+    jobs of one queue. With BLAS pinned to one thread, this process and
+    min(processes, jobs) - 1 forked helper processes work through it, every
+    cnn2d job first: cnn2d trains about 2.5 times as long as cnn1d, and longest
+    first leaves the least idle time at the end (Graham, SIAM J. Appl. Math.
+    1969). A helper is a process, not a thread, because a training step is many
+    small numpy calls that hold the GIL for much of the step: two threads wait
+    on each other, and how long depends on how soon the host wakes the waiting
+    one. Without a setter to pin BLAS, or where no helper can be forked, every
+    job runs here in serial order. Each training depends on its (kind, rows,
+    seed) alone, so the models are the same either way. A job copies its fold's
+    rows of its own input when it starts, so only the running jobs' copies are
+    held at once.
 
-    The helper has exited before this returns or raises. If jobs fail, the error
+    Every helper has exited before this returns or raises. If jobs fail, the error
     serial order meets first is raised; once a job has failed, no job after it
     in serial order starts.
     """
@@ -311,13 +312,14 @@ def train_cnns(rows: Rows, folds: list, cfg: PipelineConfig) -> list[dict]:
         _, kind, keep, seed = jobs[i]
         return _train_cnn(kind, inputs[kind][keep], rows.labels[keep], cfg, seed)
 
+    helpers = min(processes, len(jobs)) - 1
     with _one_blas_thread() as pinned:
-        context = _fork_context() if pinned and len(jobs) > 1 else None
+        context = _fork_context() if pinned and helpers > 0 else None
         if context is None:
             done = _take_jobs(list(range(len(jobs))), [0, len(jobs)], nullcontext(), train)
         else:
             order = sorted(range(len(jobs)), key=lambda i: jobs[i][1] != "cnn2d")
-            done = _take_jobs_with_helper(context, order, train)
+            done = _take_jobs_with_helpers(context, order, train, helpers)
     failed = [i for i in sorted(done) if not done[i][0]]
     if failed:
         raise done[failed[0]][1]
@@ -517,32 +519,23 @@ def evaluate_loso(data: Dataset, cfg: PipelineConfig, fs: float, jobs: int = 1) 
     """LOSO evaluation of the configured method: one fold per subject, in subject order.
 
     Every window is featurized once; each fold trains on the other subjects'
-    rows and is tested on its own subject's rows. In one process, every fold's
-    CNNs are trained first, from one queue (see train_cnns); then each fold fits
-    the rest of its method and is scored. BLAS stays on one thread throughout.
-    The worker processes of jobs > 1 start with one BLAS thread too, and each
-    trains its fold's CNNs one after the other, forking no helper.
+    rows and is tested on its own subject's rows. Every fold's CNNs are trained
+    first, from one queue worked by at most max(jobs, 2) processes (see
+    train_cnns); then, in this process, each fold fits the rest of its method
+    and is scored. BLAS stays on one thread throughout.
     """
     subjects = data.subjects
     if len(subjects) < 2:
         raise ValueError(f"LOSO needs at least 2 subjects, got {len(subjects)}")
     rows = featurize(data.windows, cfg, fs)
     owner = np.array([w.subject_id for w in data.windows])
-    masks = [owner != s for s in subjects]  # each fold's training rows
+    folds = [(owner != s, fold_seed(cfg.seed, s)) for s in subjects]  # training rows, seed
     with _one_blas_thread():
-        if jobs > 1:
-            import multiprocessing
-
-            tasks = [(s, rows.take(m), rows.take(~m), cfg) for s, m in zip(subjects, masks)]
-            with multiprocessing.Pool(min(jobs, len(subjects))) as pool:
-                metrics = pool.starmap(run_pipeline, tasks)
-        else:
-            seeds = [fold_seed(cfg.seed, s) for s in subjects]
-            cnns = train_cnns(rows, list(zip(masks, seeds)), cfg)
-            metrics = [
-                run_pipeline(s, rows.take(m), rows.take(~m), cfg, fold_cnns)
-                for s, m, fold_cnns in zip(subjects, masks, cnns)
-            ]
+        cnns = train_cnns(rows, folds, cfg, max(jobs, 2))
+        metrics = [
+            run_pipeline(s, rows.take(m), rows.take(~m), cfg, fold_cnns)
+            for s, (m, _), fold_cnns in zip(subjects, folds, cnns)
+        ]
     return RunResult(
         method=cfg.method,
         per_fold=tuple(zip(subjects, metrics)),

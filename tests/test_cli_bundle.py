@@ -22,6 +22,7 @@ from ecgstress.cli import (
 )
 from ecgstress.classifiers import SvmModel
 from ecgstress.dsp import SpectrogramParams
+from ecgstress.evaluation import RunResult, compute_metrics
 from ecgstress.pipeline import (
     METHODS,
     PipelineConfig,
@@ -627,6 +628,50 @@ class TestTrainEvaluatePredict:
         data = write_data_dir(tmp_path / "data", n_subjects=1)
         code = main(["evaluate", "--data", str(data), "--method", "knn_hrv"])
         assert code == EXIT_USAGE
+
+
+def _result_doc() -> dict:
+    """A well-formed result document of two folds."""
+    metrics = compute_metrics([0, 1, 2, 1], [0, 1, 2, 2], 3)
+    result = RunResult("svm_hrv", (("subj0", metrics), ("subj1", metrics)), metrics, seed=1)
+    return json.loads(json.dumps(result.to_dict()))
+
+
+def _fold_without(key: str) -> list:
+    doc = _result_doc()
+    del doc["per_fold"][1][1][key]
+    return doc["per_fold"]
+
+
+class TestReportValidation:
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            ({}, "has no key 'method'"),
+            ([], "is malformed: list indices"),
+            ({**_result_doc(), "mean": {}}, "has no key 'accuracy'"),
+            ({**_result_doc(), "per_fold": _fold_without("recall_macro")},
+             "has no key 'recall_macro'"),
+            ({**_result_doc(), "method": "bogus"}, "is malformed: unknown method tag 'bogus'"),
+        ],
+        ids=["empty-object", "list", "empty-mean", "fold-missing-score", "unknown-method"],
+    )
+    def test_malformed_result_is_a_usage_error(self, tmp_path, capsys, doc, message):
+        path = tmp_path / "result.json"
+        path.write_text(json.dumps(doc))
+        assert main(["report", str(path)]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == "" and "Traceback" not in captured.err
+        assert captured.err.startswith(f"error: {path} {message}")
+        assert captured.err.count("\n") == 1
+
+    def test_well_formed_result_loads_unchanged(self, tmp_path, capsys):
+        doc = _result_doc()
+        path = tmp_path / "result.json"
+        path.write_text(json.dumps(doc))
+        assert RunResult.from_dict(json.loads(path.read_text()), str(path)).to_dict() == doc
+        assert main(["report", str(path)]) == EXIT_OK
+        assert "HRV + Linear SVM" in capsys.readouterr().out
 
 
 class TestBundle:

@@ -45,7 +45,7 @@ class TestFolds:
     def trained_on(self, monkeypatch, queued):
         trained_on = []
 
-        def train_cnns(rows, folds, cfg):
+        def train_cnns(rows, folds, cfg, processes=2):
             queued.extend((rows.take(mask), seed) for mask, seed in folds)
             return [{} for _ in folds]
 

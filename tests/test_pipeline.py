@@ -307,6 +307,14 @@ def trainings(monkeypatch, blas_threads, tmp_path):
     return record
 
 
+@pytest.fixture
+def helpers_started(monkeypatch, tmp_path):
+    """Process ids of the CNN queue helpers started, each recorded as it starts."""
+    record, real = Record(tmp_path / "helpers"), pipeline._helper_main
+    monkeypatch.setattr(pipeline, "_helper_main", lambda *a: record.add(os.getpid()) or real(*a))
+    return lambda: {pid for (pid,) in record()}
+
+
 def no_helper_left(baseline_threads):
     return threading.active_count() == baseline_threads and not multiprocessing.active_children()
 
@@ -396,8 +404,8 @@ class TestFusionBranches:
 
 
 class TestCnnQueue:
-    """At --jobs 1, evaluate_loso trains every fold's CNNs from one queue, in this
-    process and at most one forked helper, cnn2d first, with BLAS on one thread
+    """evaluate_loso trains every fold's CNNs from one queue, in this process and the
+    helpers it forks (one at --jobs 1 and 2), cnn2d first, with BLAS on one thread
     for the whole run."""
 
     @pytest.mark.parametrize("method", ["cnn1d", "cnn2d", "fusion_avg", "fusion_weighted"])
@@ -462,6 +470,7 @@ class TestCnnQueue:
         assert blas_threads[0]() == 2
 
     def test_a_dead_helper_is_an_error(self, small_dataset, blas_threads, monkeypatch):
+        """With one helper, and with two (--jobs 3 on four subjects)."""
         caller, real = os.getpid(), neuralnet.train
 
         def train(model, *args):
@@ -470,40 +479,80 @@ class TestCnnQueue:
             return real(model, *args)
 
         monkeypatch.setattr(neuralnet, "train", train)
-        baseline = threading.active_count()
-        with pytest.raises(RuntimeError, match="helper exited with code 3"):
-            evaluate_loso(small_dataset, fast_config("fusion_avg"), 256.0)
-        assert no_helper_left(baseline)
-        assert blas_threads[0]() == 2
+        for data, jobs in ((small_dataset, 1), (make_dataset(n_subjects=4, duration_s=12.0), 3)):
+            baseline = threading.active_count()
+            with pytest.raises(RuntimeError, match="helper exited with code 3"):
+                evaluate_loso(data, fast_config("fusion_avg"), 256.0, jobs=jobs)
+            assert no_helper_left(baseline)
+            assert blas_threads[0]() == 2
 
     def test_an_interrupt_ends_the_helper(self, small_dataset, blas_threads, monkeypatch):
+        """With one helper, and with two (--jobs 3 on four subjects)."""
         caller = os.getpid()
 
         def train(model, *args):
             if os.getpid() == caller:
                 raise KeyboardInterrupt
-            time.sleep(20)  # the helper's job; ended by the caller, not waited for
+            time.sleep(20)  # a helper's job; ended by the caller, not waited for
 
         monkeypatch.setattr(neuralnet, "train", train)
-        baseline, start = threading.active_count(), time.monotonic()
-        with pytest.raises(KeyboardInterrupt):
-            evaluate_loso(small_dataset, fast_config("fusion_avg"), 256.0)
-        assert time.monotonic() - start < 10
+        for data, jobs in ((small_dataset, 1), (make_dataset(n_subjects=4, duration_s=12.0), 3)):
+            baseline, start = threading.active_count(), time.monotonic()
+            with pytest.raises(KeyboardInterrupt):
+                evaluate_loso(data, fast_config("fusion_avg"), 256.0, jobs=jobs)
+            assert time.monotonic() - start < 10
+            assert no_helper_left(baseline)
+            assert blas_threads[0]() == 2
+
+    @pytest.mark.parametrize(
+        "method, subjects, jobs, helpers",
+        [
+            ("fusion_avg", 2, 1, 1),  # 4 jobs: --jobs 1 keeps one helper
+            ("fusion_avg", 2, 2, 1),
+            ("fusion_avg", 4, 3, 2),  # 8 jobs
+            ("cnn1d", 2, 3, 1),  # 2 jobs: never more helpers than jobs - 1
+        ],
+    )
+    def test_helper_count(self, trainings, helpers_started, method, subjects, jobs, helpers):
+        """--jobs N trains on at most max(N, 2) processes: this one and the helpers it
+        forks, one process per job at most."""
+        data = make_dataset(n_subjects=subjects, duration_s=12.0)
+        baseline = threading.active_count()
+        evaluate_loso(data, fast_config(method), 256.0, jobs=jobs)
+        assert no_helper_left(baseline)
+        forked = helpers_started()
+        assert len(forked) == helpers
+        seen = trainings()
+        assert len(seen) == subjects * len(METHODS[method].cnns)
+        assert {pid for _, _, pid, *_ in seen} <= forked | {os.getpid()}
+        assert {blas for *_, blas in seen} == {1}
+
+    @pytest.mark.parametrize("processes", [3, 4])
+    def test_a_single_fit_forks_one_helper(self, small_dataset, trainings, helpers_started,
+                                           processes):
+        """A single fit's two jobs get one helper, however many processes it may use."""
+        cfg = fast_config("fusion_weighted")
+        rows = featurize(fold_windows(small_dataset, "subj0")[0], cfg, 256.0)
+        pipeline.train_cnns(rows, [(rows.valid, 7)], cfg, processes)
+        assert len(helpers_started()) == 1
+        assert sorted(kind for kind, *_ in trainings()) == ["cnn1d", "cnn2d"]
+        assert {blas for *_, blas in trainings()} == {1}
+
+    def test_two_helpers_keep_serial_error_order(self, blas_threads, helpers_started,
+                                                 monkeypatch):
+        """With two helpers, the error serial order meets first is raised once both
+        have exited, though a later job fails first in time."""
+        data = make_dataset(n_subjects=4, duration_s=12.0)
+        cfg = fast_config("fusion_weighted")
+        seeds = [fold_seed(cfg.seed, s) for s in data.subjects]
+        first, later = ("cnn1d", seeds[1]), ("cnn2d", seeds[3])
+        monkeypatch.setattr(neuralnet, "train", failing_train({first, later}, (first, later)))
+        baseline = threading.active_count()
+        with pytest.raises(PipelineError, match=f"cnn1d diverged in fold {seeds[1]}$"):
+            evaluate_loso(data, cfg, 256.0, jobs=3)
+        assert len(helpers_started()) == 2
         assert no_helper_left(baseline)
         assert blas_threads[0]() == 2
-
-    def test_jobs_workers_train_their_fold_alone(self, small_dataset, trainings):
-        """A --jobs worker is daemonic and may fork no helper: it trains its fold's
-        CNNs itself, one after the other, on one BLAS thread."""
-        evaluate_loso(small_dataset, fast_config("fusion_avg"), 256.0, jobs=2)
-        seen = trainings()
-        assert len(seen) == 4
-        for seed in {seed for _, seed, *_ in seen}:
-            fold = [(kind, pid) for kind, s, pid, *_ in seen if s == seed]
-            assert [kind for kind, _ in fold] == ["cnn1d", "cnn2d"]
-            assert len({pid for _, pid in fold}) == 1
-        assert os.getpid() not in {pid for _, _, pid, *_ in seen}
-        assert {blas for *_, blas in seen} == {1}
 
     def test_without_a_setter_the_caller_trains_in_serial_order(self, small_dataset, trainings,
                                                                  monkeypatch):
@@ -536,8 +585,8 @@ class TestCnnQueue:
         assert [len(shape) for shape in started] == [2, 3]  # subj0's cnn1d, then its cnn2d
 
     def test_every_job_runs_once(self, blas_threads, monkeypatch, tmp_path):
-        """Two processes share the queue; each job is taken once and its model lands
-        in its own fold and kind."""
+        """Two processes, then three, share the queue; each job is taken once and its
+        model lands in its own fold and kind."""
         calls = Record(tmp_path / "calls")
 
         def train(kind, x, y, cfg, seed):
@@ -550,19 +599,21 @@ class TestCnnQueue:
         snippets = np.ones((300, 1, 4)) * folds[:, None, None]
         images = np.ones((300, 1, 3, 3)) * folds[:, None, None, None]
         rows = Rows((snippets, images), np.ones(300, dtype=bool), np.zeros(300, dtype=np.int64))
-        trained = pipeline.train_cnns(
-            rows, [(folds == f, f) for f in folds], fast_config("fusion_avg")
-        )
-        assert sorted((kind, f) for kind, f, _ in calls()) == sorted(
-            (kind, f) for f in range(300) for kind in ("cnn1d", "cnn2d")
-        )
-        assert len({pid for *_, pid in calls()}) <= 2
-        for f, models in enumerate(trained):
-            assert list(models) == ["cnn1d", "cnn2d"]
-            (k1, s1, x1), (k2, s2, x2) = models.values()
-            assert (k1, s1, k2, s2) == ("cnn1d", f, "cnn2d", f)
-            np.testing.assert_array_equal(x1, snippets[f:f + 1])
-            np.testing.assert_array_equal(x2, images[f:f + 1])
+        for processes in (2, 3):
+            calls.clear()
+            trained = pipeline.train_cnns(
+                rows, [(folds == f, f) for f in folds], fast_config("fusion_avg"), processes
+            )
+            assert sorted((kind, f) for kind, f, _ in calls()) == sorted(
+                (kind, f) for f in range(300) for kind in ("cnn1d", "cnn2d")
+            )
+            assert len({pid for *_, pid in calls()}) <= processes
+            for f, models in enumerate(trained):
+                assert list(models) == ["cnn1d", "cnn2d"]
+                (k1, s1, x1), (k2, s2, x2) = models.values()
+                assert (k1, s1, k2, s2) == ("cnn1d", f, "cnn2d", f)
+                np.testing.assert_array_equal(x1, snippets[f:f + 1])
+                np.testing.assert_array_equal(x2, images[f:f + 1])
         assert blas_threads[0]() == 2
 
     def test_fold_extraction_runs_on_one_blas_thread(self, blas_threads, monkeypatch):
@@ -583,11 +634,11 @@ class TestCnnQueue:
 
 
 def run_pipeline_at_one_blas_thread(*args):
-    """pipeline.run_pipeline, failing in a --jobs worker that starts with more than one
-    BLAS thread; module-level, so that the pool can send it."""
+    """pipeline.run_pipeline, failing where BLAS runs on more than one thread: every
+    fold runs in the caller, under the pin evaluate_loso holds."""
     threads = pipeline._blas_threads()[0]()
     if threads != 1:
-        raise AssertionError(f"worker started with {threads} BLAS threads")
+        raise AssertionError(f"fold ran with {threads} BLAS threads")
     return RUN_PIPELINE(*args)
 
 
@@ -602,15 +653,24 @@ class TestEvaluateLoso:
         assert result.config_snapshot["method"] == "cnn1d"
 
     @pytest.mark.parametrize("method", sorted(METHODS))
-    def test_parallel_matches_serial(self, small_dataset, method):
+    def test_parallel_matches_serial(self, small_dataset, fitted, monkeypatch, method):
+        """At --jobs 1, 2 and 3, every fold's trained components and the result equal
+        those of a run that trains every job here in serial order."""
         data = dataset_for(method, small_dataset)
         cfg = fast_config(method)
-        serial = evaluate_loso(data, cfg, 256.0, jobs=1)
-        parallel = evaluate_loso(data, cfg, 256.0, jobs=2)
-        assert json.dumps(parallel.to_dict()) == json.dumps(serial.to_dict())
+        with monkeypatch.context() as no_fork:
+            no_fork.setattr(pipeline, "_fork_context", lambda: None)
+            serial = evaluate_loso(data, cfg, 256.0)
+        folds = len(data.subjects)
+        reference = [encoded(c) for c in fitted]
+        assert len(reference) == folds
+        for jobs in (1, 2, 3):
+            parallel = evaluate_loso(data, cfg, 256.0, jobs=jobs)
+            assert json.dumps(parallel.to_dict()) == json.dumps(serial.to_dict())
+            assert [encoded(c) for c in fitted[-folds:]] == reference
 
     def test_a_worker_error_reaches_the_caller(self, small_dataset, monkeypatch):
-        """A PipelineError pickles with its stage, so the pool hands a worker's back."""
+        """A PipelineError pickles with its stage, so a helper hands its error back."""
         failing = {("cnn1d", fold_seed(1, s)) for s in small_dataset.subjects}
         monkeypatch.setattr(neuralnet, "train", failing_train(failing))
         with pytest.raises(PipelineError, match="cnn1d diverged in fold") as err:
