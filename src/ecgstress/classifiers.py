@@ -57,7 +57,7 @@ class SvmModel:
 
 
 def train_linear_svm(
-    X, y, lam=0.01, epochs=200, learning_rate=0.1, seed=0
+    X, y, lam=0.01, epochs=200, learning_rate=0.1
 ) -> SvmModel | tuple[SvmModel, ...]:
     """One-vs-rest linear SVMs via deterministic full-batch subgradient descent.
 
@@ -65,8 +65,7 @@ def train_linear_svm(
     which gives one SvmModel, or a sequence of L values, which gives one
     SvmModel per λ in grid order. Every (λ, class) pair trains at once as one
     column of W (d, L·C): column l·C + c is class c against the rest under
-    the l-th λ. Zero init, so the seed only matters for API symmetry with the
-    other trainers.
+    the l-th λ. Zero init and full batches leave nothing to seed.
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)

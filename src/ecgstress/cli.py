@@ -326,7 +326,11 @@ def cmd_report(args) -> int:
         _guard_overwrite(args.out, force=True)
     results = []
     for path in args.results:
-        results.append(RunResult.from_dict(json.loads(Path(path).read_text()), path))
+        try:
+            doc = json.loads(Path(path).read_text())
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path} is not JSON: {exc}") from None
+        results.append(RunResult.from_dict(doc, path))
     report = render_report(results)
     if args.out:
         Path(args.out).write_text(report)

@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .signal_core import UNLABELED, LabelTrack
+from .signal_core import LabelTrack
 
 # The scalar fields of Metrics, in their JSON key order
 SCORES = ("accuracy", "precision_macro", "recall_macro", "f1_macro")
@@ -130,75 +130,36 @@ class UndefinedAlphaError(ValueError):
     pass
 
 
-def krippendorff_alpha(
-    tracks: list[LabelTrack], metric: str = "ordinal", missing: str = "category"
-) -> float:
-    """Krippendorff's alpha over aligned rater tracks.
+def krippendorff_alpha(tracks: list[LabelTrack]) -> float:
+    """Ordinal Krippendorff's alpha over aligned rater tracks.
 
-    With missing="category" (default), unlabeled cells participate as their
-    own lowest ordinal value: a rater declining to label is itself a codable
-    judgment, and this treatment reproduces published agreement figures for
-    partially labeled stress ratings. With missing="exclude", unlabeled cells
-    are dropped and items with fewer than two remaining labels are excluded.
-    The ordinal distance uses the cumulative-margin formulation over the
-    coincidence matrix.
+    Unlabeled cells participate as their own lowest ordinal value: a rater
+    declining to label is itself a codable judgment, and this treatment
+    reproduces published agreement figures for partially labeled stress
+    ratings. The coincidence matrix comes from the items x values count
+    matrix C as (C^T C - diag(colsum C)) / (raters - 1); the ordinal distance
+    uses the cumulative-margin formulation.
     """
-    if metric not in ("ordinal", "nominal"):
-        raise ValueError(f"unsupported metric '{metric}'")
-    if missing not in ("category", "exclude"):
-        raise ValueError(f"unsupported missing-data mode '{missing}'")
     if len(tracks) < 2:
         raise ValueError("need at least 2 rater tracks")
     n_items = len(tracks[0].segments)
     if any(len(t.segments) != n_items for t in tracks):
         raise ValueError("rater tracks must have equal segment counts")
-
-    units = []
-    for i in range(n_items):
-        vals = [t.segments[i].level for t in tracks]
-        if missing == "exclude":
-            vals = [v for v in vals if v != UNLABELED]
-        if len(vals) >= 2:
-            units.append(vals)
-    if not units:
+    if n_items == 0:
         raise UndefinedAlphaError("no item has two or more labels")
 
-    values = sorted({v for unit in units for v in unit})
-    v_index = {v: i for i, v in enumerate(values)}
-    k = len(values)
-
-    coincidence = np.zeros((k, k))
-    for unit in units:
-        m = len(unit)
-        counts = np.zeros(k)
-        for v in unit:
-            counts[v_index[v]] += 1
-        pair = np.outer(counts, counts) - np.diag(counts)
-        coincidence += pair / (m - 1)
-
-    margins = coincidence.sum(axis=0)
-    total = margins.sum()
-    if total <= 1:
-        raise UndefinedAlphaError("not enough pairable values")
-
-    delta = np.zeros((k, k))
-    for c in range(k):
-        for g in range(c + 1, k):
-            if metric == "nominal":
-                delta[c, g] = delta[g, c] = 1.0
-            else:
-                cum = margins[c : g + 1].sum() - (margins[c] + margins[g]) / 2.0
-                delta[c, g] = delta[g, c] = cum**2
-
-    d_observed = sum(
-        coincidence[c, g] * delta[c, g] for c in range(k) for g in range(c + 1, k)
-    )
-    d_expected = sum(
-        margins[c] * margins[g] * delta[c, g] for c in range(k) for g in range(c + 1, k)
-    )
+    levels = np.array([[s.level for s in t.segments] for t in tracks]).T  # (items, raters)
+    counts = (levels[:, :, None] == np.unique(levels)).sum(axis=1)
+    margins = counts.sum(axis=0)
+    coincidence = (counts.T @ counts - np.diag(margins)) / (len(tracks) - 1)
+    # delta[c, g] = (n_c + ... + n_g - (n_c + n_g) / 2)^2 = (mid[g] - mid[c])^2
+    mid = np.cumsum(margins) - margins / 2.0
+    delta = (mid[:, None] - mid[None, :]) ** 2
+    d_observed = np.sum(coincidence * delta)
+    d_expected = np.sum(np.outer(margins, margins) * delta)
     if d_expected == 0:
         return 1.0
-    return float(1.0 - (total - 1.0) * d_observed / d_expected)
+    return float(1.0 - (margins.sum() - 1.0) * d_observed / d_expected)
 
 
 def _pct(v: float) -> str:

@@ -85,18 +85,12 @@ def compute_fusion_weights(F1, F2) -> FusionWeights:
     return FusionWeights(w1=principal_weights(F1), w2=principal_weights(F2))
 
 
-def weighted_fuse(F1, F2, weights: FusionWeights | None = None) -> np.ndarray:
-    """Column-wise weighted sum w1*F1 + w2*F2.
-
-    Weights default to the principal eigenvectors of each modality's Gram
-    matrix; pass precomputed (training-fold) weights at test time.
-    """
+def weighted_fuse(F1, F2, weights: FusionWeights) -> np.ndarray:
+    """Column-wise weighted sum w1*F1 + w2*F2 under the training fold's weights."""
     F1 = np.asarray(F1, dtype=np.float64)
     F2 = np.asarray(F2, dtype=np.float64)
     if F1.shape != F2.shape:
         raise ValueError(f"shape mismatch: {F1.shape} vs {F2.shape}")
-    if weights is None:
-        weights = compute_fusion_weights(F1, F2)
     if len(weights.w1) != F1.shape[1]:
         raise ValueError(
             f"weight length {len(weights.w1)} does not match feature dim {F1.shape[1]}"

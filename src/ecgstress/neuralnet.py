@@ -333,8 +333,8 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.learning_rate < 0:
-            raise ValueError("learning_rate must be nonnegative")
+        if not (0 <= self.learning_rate < np.inf):
+            raise ValueError("learning_rate must be finite and nonnegative")
         if not (0 <= self.momentum < 1):
             raise ValueError("momentum must be in [0, 1)")
         if self.epochs <= 0 or self.batch_size <= 0:

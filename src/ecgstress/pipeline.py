@@ -113,12 +113,10 @@ def _fit_svm(X, y, cfg: PipelineConfig, seed: int) -> dict:
     grid = tuple(cfg.svm_lambda_grid)
     best_lam = grid[0]
     if len(np.unique(y[tr])) >= 2 and len(va) > 0:
-        models = classifiers.train_linear_svm(
-            X[tr], y[tr], lam=grid, epochs=cfg.svm_epochs, seed=seed
-        )
+        models = classifiers.train_linear_svm(X[tr], y[tr], lam=grid, epochs=cfg.svm_epochs)
         scores = [float(np.mean(classifiers.svm_predict(m, X[va]) == y[va])) for m in models]
         best_lam = grid[scores.index(max(scores))]  # the first best on a tie
-    model = classifiers.train_linear_svm(X, y, lam=best_lam, epochs=cfg.svm_epochs, seed=seed)
+    model = classifiers.train_linear_svm(X, y, lam=best_lam, epochs=cfg.svm_epochs)
     return {"svm": model, "svm_lambda": best_lam}
 
 

@@ -1,4 +1,4 @@
-"""Recordings, labels, windowing, consensus labeling and synthetic ECG generation."""
+"""Recordings, labels, windowing and consensus labeling."""
 
 from __future__ import annotations
 
@@ -8,7 +8,7 @@ import itertools
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 
@@ -280,7 +280,7 @@ def save_label_track(track: LabelTrack, path) -> None:
             writer.writerow([seg.start_s, seg.end_s, level])
 
 
-def consensus_labels(tracks: list[LabelTrack], segment_s: float = 10.0) -> LabelTrack:
+def consensus_labels(tracks: list[LabelTrack]) -> LabelTrack:
     """Keep only segments on which every rater agrees on the same level.
 
     A segment on which any rater is unlabeled, or on which raters disagree,
@@ -332,67 +332,3 @@ def segment_windows(rec: EcgRecording, labels: LabelTrack, window_seconds: float
             )
     return windows
 
-
-# Synthetic generator parameters: mean heart rate per stress level, chosen so the
-# classes are separable by beat rate alone.
-LEVEL_MEAN_HR_BPM = {0: 60.0, 1: 90.0, 2: 120.0}
-_RR_JITTER_FRAC = 0.03
-_NOISE_STD_MV = 0.02
-_SPIKE_WIDTH_S = 0.02
-_SPIKE_AMP_MV = 1.0
-_TWAVE_AMP_MV = 0.3
-_TWAVE_WIDTH_S = 0.05
-_TWAVE_DELAY_FRAC = 0.35
-
-
-def synth_ecg(class_level: int, duration_s: float, fs: float, seed: int):
-    """Deterministic pulse-train ECG surrogate for one stress level.
-
-    Returns (EcgRecording, LabelTrack) where the track labels the full
-    duration with class_level. Beat rate is 60/90/120 bpm for levels 0/1/2
-    with seeded RR jitter and additive Gaussian noise.
-    """
-    if class_level not in LEVEL_MEAN_HR_BPM:
-        raise ValueError(f"class_level must be 0, 1 or 2, got {class_level}")
-    if duration_s <= 0:
-        raise ValueError("duration_s must be positive")
-    rng = np.random.default_rng([int(seed) & 0xFFFFFFFF, class_level, 0x5EC6])
-    mean_rr = 60.0 / LEVEL_MEAN_HR_BPM[class_level]
-
-    beat_times = []
-    t = mean_rr * (0.5 + 0.2 * rng.random())
-    while t < duration_s:
-        beat_times.append(t)
-        t += mean_rr * (1.0 + _RR_JITTER_FRAC * rng.standard_normal())
-    beat_times = np.array(beat_times)
-
-    n = int(round(duration_s * fs))
-    time = np.arange(n) / fs
-    samples = np.zeros(n)
-
-    def add_bump(center, amp, width):
-        # Truncated Gaussian support keeps this O(n_beats * width)
-        lo = max(0, int((center - 4 * width) * fs))
-        hi = min(n, int((center + 4 * width) * fs) + 1)
-        samples[lo:hi] += amp * np.exp(-0.5 * ((time[lo:hi] - center) / width) ** 2)
-
-    # Each beat is an R spike followed by a T-wave bump whose delay scales
-    # with the RR interval, mimicking rate-dependent QT shortening; the
-    # R-to-T spacing gives every window a beat-rate cue even when it holds a
-    # single beat.
-    for bt in beat_times:
-        add_bump(bt, _SPIKE_AMP_MV, _SPIKE_WIDTH_S)
-        add_bump(bt + _TWAVE_DELAY_FRAC * mean_rr, _TWAVE_AMP_MV, _TWAVE_WIDTH_S)
-    samples += _NOISE_STD_MV * rng.standard_normal(n)
-
-    rec = EcgRecording(
-        subject_id=f"synth-{class_level}-{seed}",
-        sample_rate_hz=float(fs),
-        samples=samples,
-        task=Task.OTHER,
-    )
-    track = LabelTrack(
-        rater_id="consensus",
-        segments=(LabelSegment(0.0, duration_s, class_level),),
-    )
-    return rec, track

@@ -27,8 +27,8 @@ from ecgstress.signal_core import (
     LabelTrack,
     Window,
     segment_windows,
-    synth_ecg,
 )
+from oracles import synth_ecg
 
 # Three annotators rating a 6-minute session in 10-second segments with
 # ordinal levels 0 (low), 1 (medium), 2 (high); None marks a segment the

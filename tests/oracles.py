@@ -12,12 +12,14 @@ test can install it as that layer class's `forward` or `backward`. The max-pool 
 its forward and backward are installed together.
 
 `loop_train_linear_svm`, `knn_predict`, `loop_compute_metrics`,
-`frame_stft` and `loop_detect_r_peaks` are the earlier loop forms of the
-whole-array SVM, KNN, metrics, STFT and R-peak scan: one class, one query
-row, one confusion cell, one frame and one sample at a time. `one_lambda_train_linear_svm` is the SVM trainer before it
+`frame_stft`, `loop_detect_r_peaks` and `loop_krippendorff_alpha` are the
+earlier loop forms of the whole-array SVM, KNN, metrics, STFT, R-peak scan
+and ordinal alpha: one class, one query row, one confusion cell, one frame,
+one sample and one item at a time. `one_lambda_train_linear_svm` is the SVM trainer before it
 took a λ grid: all classes of one λ per call, the reference the stacked grid
-must match bit for bit. `hinge_objective`, `level_at`, `synth_beat_count` and
-`save_recording` are helpers only tests use.
+must match bit for bit. `synth_ecg` is the seeded pulse-train recording
+every fixture is built from; `hinge_objective`, `level_at`,
+`synth_beat_count` and `save_recording` are helpers only tests use.
 """
 
 from __future__ import annotations
@@ -31,11 +33,11 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from ecgstress.evaluation import Metrics
 from ecgstress.signal_core import (
-    _RR_JITTER_FRAC,
-    LEVEL_MEAN_HR_BPM,
     UNLABELED,
     EcgRecording,
+    LabelSegment,
     LabelTrack,
+    Task,
 )
 
 
@@ -299,6 +301,103 @@ def loop_detect_r_peaks(rec: EcgRecording) -> list[int]:
                 continue
         i += 1
     return peaks
+
+
+def loop_krippendorff_alpha(tracks: list[LabelTrack]) -> float:
+    """Ordinal alpha, unlabeled counted as the lowest value, one item at a time."""
+    units = [[t.segments[i].level for t in tracks] for i in range(len(tracks[0].segments))]
+    values = sorted({v for unit in units for v in unit})
+    v_index = {v: i for i, v in enumerate(values)}
+    k = len(values)
+
+    coincidence = np.zeros((k, k))
+    for unit in units:
+        counts = np.zeros(k)
+        for v in unit:
+            counts[v_index[v]] += 1
+        coincidence += (np.outer(counts, counts) - np.diag(counts)) / (len(unit) - 1)
+
+    margins = coincidence.sum(axis=0)
+    delta = np.zeros((k, k))
+    for c in range(k):
+        for g in range(c + 1, k):
+            cum = margins[c : g + 1].sum() - (margins[c] + margins[g]) / 2.0
+            delta[c, g] = delta[g, c] = cum**2
+
+    d_observed = sum(
+        coincidence[c, g] * delta[c, g] for c in range(k) for g in range(c + 1, k)
+    )
+    d_expected = sum(
+        margins[c] * margins[g] * delta[c, g] for c in range(k) for g in range(c + 1, k)
+    )
+    if d_expected == 0:
+        return 1.0
+    return float(1.0 - (margins.sum() - 1.0) * d_observed / d_expected)
+
+
+# Synthetic generator parameters: mean heart rate per stress level, chosen so the
+# classes are separable by beat rate alone.
+LEVEL_MEAN_HR_BPM = {0: 60.0, 1: 90.0, 2: 120.0}
+_RR_JITTER_FRAC = 0.03
+_NOISE_STD_MV = 0.02
+_SPIKE_WIDTH_S = 0.02
+_SPIKE_AMP_MV = 1.0
+_TWAVE_AMP_MV = 0.3
+_TWAVE_WIDTH_S = 0.05
+_TWAVE_DELAY_FRAC = 0.35
+
+
+def synth_ecg(class_level: int, duration_s: float, fs: float, seed: int):
+    """Deterministic pulse-train ECG surrogate for one stress level.
+
+    Returns (EcgRecording, LabelTrack) where the track labels the full
+    duration with class_level. Beat rate is 60/90/120 bpm for levels 0/1/2
+    with seeded RR jitter and additive Gaussian noise.
+    """
+    if class_level not in LEVEL_MEAN_HR_BPM:
+        raise ValueError(f"class_level must be 0, 1 or 2, got {class_level}")
+    if duration_s <= 0:
+        raise ValueError("duration_s must be positive")
+    rng = np.random.default_rng([int(seed) & 0xFFFFFFFF, class_level, 0x5EC6])
+    mean_rr = 60.0 / LEVEL_MEAN_HR_BPM[class_level]
+
+    beat_times = []
+    t = mean_rr * (0.5 + 0.2 * rng.random())
+    while t < duration_s:
+        beat_times.append(t)
+        t += mean_rr * (1.0 + _RR_JITTER_FRAC * rng.standard_normal())
+    beat_times = np.array(beat_times)
+
+    n = int(round(duration_s * fs))
+    time = np.arange(n) / fs
+    samples = np.zeros(n)
+
+    def add_bump(center, amp, width):
+        # Truncated Gaussian support keeps this O(n_beats * width)
+        lo = max(0, int((center - 4 * width) * fs))
+        hi = min(n, int((center + 4 * width) * fs) + 1)
+        samples[lo:hi] += amp * np.exp(-0.5 * ((time[lo:hi] - center) / width) ** 2)
+
+    # Each beat is an R spike followed by a T-wave bump whose delay scales
+    # with the RR interval, mimicking rate-dependent QT shortening; the
+    # R-to-T spacing gives every window a beat-rate cue even when it holds a
+    # single beat.
+    for bt in beat_times:
+        add_bump(bt, _SPIKE_AMP_MV, _SPIKE_WIDTH_S)
+        add_bump(bt + _TWAVE_DELAY_FRAC * mean_rr, _TWAVE_AMP_MV, _TWAVE_WIDTH_S)
+    samples += _NOISE_STD_MV * rng.standard_normal(n)
+
+    rec = EcgRecording(
+        subject_id=f"synth-{class_level}-{seed}",
+        sample_rate_hz=float(fs),
+        samples=samples,
+        task=Task.OTHER,
+    )
+    track = LabelTrack(
+        rater_id="consensus",
+        segments=(LabelSegment(0.0, duration_s, class_level),),
+    )
+    return rec, track
 
 
 def synth_beat_count(class_level: int, duration_s: float, fs: float, seed: int) -> int:

@@ -72,8 +72,8 @@ class TestSvm:
 
     def test_determinism(self):
         X, y = _blobs(seed=3)
-        a = train_linear_svm(X, y, seed=0)
-        b = train_linear_svm(X, y, seed=0)
+        a = train_linear_svm(X, y)
+        b = train_linear_svm(X, y)
         np.testing.assert_array_equal(a.weights, b.weights)
         np.testing.assert_array_equal(a.biases, b.biases)
 

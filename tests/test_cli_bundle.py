@@ -37,11 +37,10 @@ from ecgstress.signal_core import (
     EcgRecording,
     Window,
     save_label_track,
-    synth_ecg,
 )
 
 from conftest import make_dataset, make_rater_tracks
-from oracles import save_recording
+from oracles import save_recording, synth_ecg
 
 
 def write_data_dir(root, n_subjects=2, duration_s=12.0, base_seed=100):
@@ -205,6 +204,8 @@ BAD_FLAGS = {
     "hrv-window-zero": ["--hrv-window-seconds", "0"],
     "jobs-zero": ["--jobs", "0"],
     "jobs-negative": ["--jobs=-2"],
+    "learning-rate-nan": ["--learning-rate", "nan"],
+    "learning-rate-inf": ["--learning-rate", "inf"],
 }
 
 
@@ -663,6 +664,17 @@ class TestReportValidation:
         captured = capsys.readouterr()
         assert captured.out == "" and "Traceback" not in captured.err
         assert captured.err.startswith(f"error: {path} {message}")
+        assert captured.err.count("\n") == 1
+
+    def test_not_json_names_the_file(self, tmp_path, capsys):
+        good = tmp_path / "good.json"
+        good.write_text(json.dumps(_result_doc()))
+        path = tmp_path / "result.json"
+        path.write_text("nope")
+        assert main(["report", str(good), str(path)]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == "" and "Traceback" not in captured.err
+        assert captured.err.startswith(f"error: {path} is not JSON: Expecting value")
         assert captured.err.count("\n") == 1
 
     def test_well_formed_result_loads_unchanged(self, tmp_path, capsys):

@@ -13,8 +13,8 @@ from ecgstress.dsp import (
     rr_intervals,
     stft_spectrogram,
 )
-from ecgstress.signal_core import EcgRecording, synth_ecg
-from oracles import frame_stft, loop_detect_r_peaks, synth_beat_count
+from ecgstress.signal_core import EcgRecording
+from oracles import frame_stft, loop_detect_r_peaks, synth_beat_count, synth_ecg
 
 
 class TestSpectrogramParams:

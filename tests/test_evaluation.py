@@ -23,7 +23,7 @@ from ecgstress.signal_core import (
 )
 
 from conftest import make_dataset
-from oracles import loop_compute_metrics
+from oracles import loop_compute_metrics, loop_krippendorff_alpha
 
 
 def _window(subject, start=0, label=0):
@@ -204,26 +204,31 @@ class TestKrippendorffAlpha:
                 tracks.append(LabelTrack(f"r{j}", segs))
             assert krippendorff_alpha(tracks) <= 1.0 + 1e-12
 
-    def test_exclude_mode_differs(self, rater_tracks):
-        a_cat = krippendorff_alpha(rater_tracks, missing="category")
-        a_exc = krippendorff_alpha(rater_tracks, missing="exclude")
-        assert a_cat != a_exc
-
-    def test_nominal_metric_runs(self, rater_tracks):
-        alpha = krippendorff_alpha(rater_tracks, metric="nominal")
-        assert -1.0 <= alpha <= 1.0
+    def test_matches_loop_oracle(self, rater_tracks):
+        rng = np.random.default_rng(2011)
+        tables = [[[s.level for s in t.segments] for t in rater_tracks]]
+        tables += [
+            rng.choice([UNLABELED, 0, 1, 2], size=(rng.integers(2, 5), rng.integers(1, 31)))
+            for _ in range(1200)
+        ]
+        for table in tables:
+            tracks = [
+                LabelTrack(f"r{j}", tuple(
+                    LabelSegment(10.0 * i, 10.0 * (i + 1), int(lv)) for i, lv in enumerate(row)
+                ))
+                for j, row in enumerate(table)
+            ]
+            assert abs(krippendorff_alpha(tracks) - loop_krippendorff_alpha(tracks)) <= 1e-12
 
     def test_undefined_when_nothing_pairable(self):
-        a = LabelTrack("a", (LabelSegment(0, 10, 1),))
-        b = LabelTrack("b", (LabelSegment(0, 10, UNLABELED),))
-        with pytest.raises(UndefinedAlphaError):
-            krippendorff_alpha([a, b], missing="exclude")
+        a = LabelTrack("a", ())
+        b = LabelTrack("b", ())
+        with pytest.raises(UndefinedAlphaError, match="no item"):
+            krippendorff_alpha([a, b])
 
     def test_input_validation(self, rater_tracks):
         with pytest.raises(ValueError):
             krippendorff_alpha(rater_tracks[:1])
-        with pytest.raises(ValueError):
-            krippendorff_alpha(rater_tracks, metric="interval")
         short = LabelTrack("s", rater_tracks[0].segments[:5])
         with pytest.raises(ValueError):
             krippendorff_alpha([rater_tracks[0], short])

@@ -148,8 +148,9 @@ class TestWeightedFuse:
         np.testing.assert_allclose(lhs, rhs, atol=1e-12)
 
     def test_shape_mismatch_names_shapes(self):
+        u = np.array([1.0, 0.0, 0.0])
         with pytest.raises(ValueError, match=r"\(2, 3\).*\(2, 4\)"):
-            weighted_fuse(np.zeros((2, 3)), np.zeros((2, 4)))
+            weighted_fuse(np.zeros((2, 3)), np.zeros((2, 4)), FusionWeights(w1=u, w2=u))
 
     def test_weight_length_checked(self):
         u = np.array([1.0, 0.0])

@@ -10,7 +10,8 @@ from ecgstress.hrv import (
     hrv_vector,
     time_features,
 )
-from ecgstress.signal_core import Window, segment_windows, synth_ecg
+from ecgstress.signal_core import Window, segment_windows
+from oracles import synth_ecg
 
 
 class TestTimeFeatures:

@@ -142,7 +142,7 @@ class TestGridSearch:
     def test_svm_lambda(self, monkeypatch):
         trained = []
 
-        def train(X, y, lam, epochs, seed):
+        def train(X, y, lam, epochs):
             # A grid gives one model per λ, a single λ one model; a model is its λ here
             trained.append(lam)
             return tuple(lam) if np.ndim(lam) else lam

@@ -1,6 +1,7 @@
 """Recordings, label tracks, consensus, windowing and the synthetic generator."""
 
 import csv
+import hashlib
 import json
 
 import numpy as np
@@ -22,9 +23,8 @@ from ecgstress.signal_core import (
     load_recording,
     save_label_track,
     segment_windows,
-    synth_ecg,
 )
-from oracles import level_at, save_recording, synth_beat_count
+from oracles import level_at, save_recording, synth_beat_count, synth_ecg
 
 
 def write_recording_csv(path, values):
@@ -382,6 +382,17 @@ class TestSynthEcg:
         a, _ = synth_ecg(0, 10.0, 256.0, 1)
         b, _ = synth_ecg(0, 10.0, 256.0, 2)
         assert not np.array_equal(a.samples, b.samples)
+
+    def test_samples_pinned(self):
+        # Every fixture is built from these samples; the digest was recorded when
+        # the generator still lived in src/, so moving it changed no sample
+        digest = hashlib.sha256()
+        for level in range(3):
+            rec, _ = synth_ecg(level, 5.0, 256.0, 3)
+            digest.update(rec.samples.astype("<f8").tobytes())
+        assert digest.hexdigest() == (
+            "482601641c192ad7d8f550862413ffe8b91eb65a59114fc43ed6fc2d532346e0"
+        )
 
     def test_invalid_args(self):
         with pytest.raises(ValueError):

@@ -20,9 +20,9 @@ import ecgstress
 from ecgstress import bundle, classifiers, cli, fusion, hrv, neuralnet, pipeline  # noqa: F401
 from ecgstress.neuralnet import TrainConfig
 from ecgstress.pipeline import PipelineConfig
-from ecgstress.signal_core import synth_ecg
 
 from conftest import make_dataset
+from oracles import synth_ecg
 
 ROOT = Path(__file__).resolve().parents[1]
 TRACING = runpy.run_path(str(ROOT / "perfbench" / "tracing.py"))
