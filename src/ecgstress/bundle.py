@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import base64
 import datetime
 import json
 import math
@@ -17,18 +18,50 @@ from .dsp import SpectrogramParams
 from .fusion import FusionWeights
 from .pipeline import METHODS
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2  # version 1 stored arrays as nested JSON lists; it still loads
+
+# Array dtype by numpy kind; "<i8" holds knn.train_y, "<f8" every other array
+_DTYPES = {"f": "<f8", "i": "<i8"}
 
 
 class BundleError(ValueError):
     pass
 
 
+def _pack(a: np.ndarray) -> dict:
+    """An array as {"dtype", "shape", "b64"}: its little-endian bytes in base64."""
+    dtype = _DTYPES.get(a.dtype.kind)
+    if dtype is None:
+        raise TypeError(f"cannot store a {a.dtype} array in a bundle")
+    if not np.isfinite(a).all():
+        raise ValueError("cannot save a non-finite value in a bundle")
+    data = np.ascontiguousarray(a, dtype=dtype).tobytes()
+    return {"dtype": dtype, "shape": list(a.shape), "b64": base64.b64encode(data).decode("ascii")}
+
+
+def _array(value) -> np.ndarray:
+    """The array of a version-1 nested list or of a _pack object; the latter must be finite."""
+    if isinstance(value, list):
+        return np.asarray(value)
+    dtype, shape = value["dtype"], value["shape"]
+    if dtype not in _DTYPES.values():
+        raise BundleError(f"unknown array dtype {dtype!r}")
+    if not isinstance(shape, list) or any(type(n) is not int or n < 0 for n in shape):
+        raise BundleError(f"array shape must be a list of sizes, got {shape!r}")
+    data = base64.b64decode(value["b64"], validate=True)
+    if len(data) != 8 * math.prod(shape):
+        raise BundleError(f"array of shape {shape} holds {len(data)} bytes")
+    arr = np.frombuffer(data, dtype=dtype).reshape(shape)
+    if not np.isfinite(arr).all():
+        raise BundleError("bundle array holds a non-finite value")
+    return arr
+
+
 def _cnn(build, shape_key: str, shape_of):
     """Codec of a CNN: its input shape under shape_key, plus its parameter tensors."""
 
     def encode(model) -> dict:
-        params = [a.tolist() for a in model.parameters()]
+        params = [_pack(a) for a in model.parameters()]
         return {shape_key: shape_of(model.input_shape), "params": params}
 
     def decode(section: dict, doc: dict):
@@ -37,7 +70,7 @@ def _cnn(build, shape_key: str, shape_of):
         if len(params) != len(stored):
             raise BundleError(f"expected {len(params)} parameter tensors, found {len(stored)}")
         for p, values in zip(params, stored):
-            arr = np.asarray(values, dtype=np.float64)
+            arr = _array(values)
             if arr.shape != p.shape:
                 raise BundleError(f"parameter shape {arr.shape} does not match model {p.shape}")
             p[...] = arr
@@ -47,15 +80,16 @@ def _cnn(build, shape_key: str, shape_of):
 
 
 def _record(cls):
-    """Codec of a dataclass (or dict) of scalars and arrays; arrays are stored as lists."""
+    """Codec of a dataclass (or dict) of scalars and arrays; arrays are stored by _pack."""
 
     def encode(value) -> dict:
         if not isinstance(value, dict):
             value = {f.name: getattr(value, f.name) for f in fields(value)}
-        return {k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in value.items()}
+        return {k: _pack(v) if isinstance(v, np.ndarray) else v for k, v in value.items()}
 
     def decode(section: dict, doc: dict):
-        return cls(**{k: np.asarray(v) if isinstance(v, list) else v for k, v in section.items()})
+        return cls(**{k: _array(v) if isinstance(v, (list, dict)) else v
+                      for k, v in section.items()})
 
     return encode, decode
 
@@ -137,7 +171,7 @@ def load_bundle(path) -> dict:
     except (OSError, json.JSONDecodeError) as exc:
         raise BundleError(f"cannot read bundle {path}: {exc}") from exc
     version = doc.get("format_version") if isinstance(doc, dict) else None
-    if version != FORMAT_VERSION:
+    if type(version) is not int or version not in (1, FORMAT_VERSION):
         raise BundleError(f"unrecognized bundle format_version {version!r}")
     missing = [key for key in HEADER_KEYS if key not in doc]
     if missing:
@@ -160,7 +194,7 @@ def load_bundle(path) -> dict:
     except (KeyError, TypeError, ValueError) as exc:
         raise BundleError(f"malformed bundle {path}: {exc!r}") from exc
     stats, svm = components.get("stats"), components.get("svm")
-    if stats is not None and svm is not None and svm.weights.shape[1] != len(stats.mean):
+    if stats is not None and svm is not None and svm.weights.shape[1:] != stats.mean.shape:
         raise BundleError("SVM feature dimension does not match standardization stats")
     return {
         "method": method,

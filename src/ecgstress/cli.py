@@ -203,12 +203,12 @@ def cmd_label(args) -> int:
     if len(tracks) < 2:
         print("error: need at least 2 rater files", file=sys.stderr)
         return EXIT_USAGE
+    consensus = consensus_labels(tracks)  # refuses raters on different segment grids
     try:
         alpha = krippendorff_alpha(tracks)
         print(f"krippendorff_alpha_ordinal={alpha:.4f}")
     except UndefinedAlphaError as exc:
         print(f"warning: alpha undefined: {exc}", file=sys.stderr)
-    consensus = consensus_labels(tracks)
     if not consensus.segments:
         print("warning: consensus track is empty (raters never fully agree)", file=sys.stderr)
     save_label_track(consensus, args.out)

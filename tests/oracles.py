@@ -20,10 +20,13 @@ took a λ grid: all classes of one λ per call, the reference the stacked grid
 must match bit for bit. `synth_ecg` is the seeded pulse-train recording
 every fixture is built from; `hinge_objective`, `level_at`,
 `synth_beat_count` and `save_recording` are helpers only tests use.
+`bundle_as_v1` writes a bundle document back in format version 1, whose
+arrays are nested JSON lists.
 """
 
 from __future__ import annotations
 
+import base64
 import csv
 import json
 from pathlib import Path
@@ -429,3 +432,20 @@ def save_recording(rec: EcgRecording, signal_path, meta_path) -> None:
             indent=2,
         )
     )
+
+
+def bundle_as_v1(doc: dict) -> dict:
+    """A format-2 bundle document with every array object written as the nested
+    list that format 1 stored, and format_version 1."""
+
+    def v1(value):
+        if isinstance(value, dict) and set(value) == {"dtype", "shape", "b64"}:
+            data = base64.b64decode(value["b64"], validate=True)
+            return np.frombuffer(data, dtype=value["dtype"]).reshape(value["shape"]).tolist()
+        if isinstance(value, dict):
+            return {k: v1(v) for k, v in value.items()}
+        if isinstance(value, list):
+            return [v1(v) for v in value]
+        return value
+
+    return {**v1(doc), "format_version": 1}

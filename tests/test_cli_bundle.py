@@ -1,5 +1,6 @@
 """CLI subcommands, configuration handling and bundle persistence."""
 
+import base64
 import csv
 import json
 
@@ -35,12 +36,14 @@ from ecgstress.pipeline import (
 from ecgstress.neuralnet import TrainConfig
 from ecgstress.signal_core import (
     EcgRecording,
+    LabelSegment,
+    LabelTrack,
     Window,
     save_label_track,
 )
 
 from conftest import make_dataset, make_rater_tracks
-from oracles import save_recording, synth_ecg
+from oracles import bundle_as_v1, save_recording, synth_ecg
 
 
 def write_data_dir(root, n_subjects=2, duration_s=12.0, base_seed=100):
@@ -345,6 +348,20 @@ class TestIngestAndLabel:
         out = tmp_path / "consensus.csv"
         assert main(["label", *paths, "--out", str(out)]) == EXIT_OK
         assert "alpha_ordinal=1.0000" in capsys.readouterr().out
+
+    def test_label_refuses_different_grids_before_printing(self, tmp_path, capsys):
+        paths = []
+        for rater, cut in (("a", 10.0), ("b", 5.0)):
+            segments = (LabelSegment(0.0, cut, 1), LabelSegment(cut, 20.0, 2))
+            paths.append(tmp_path / f"{rater}.csv")
+            save_label_track(LabelTrack(rater, segments), paths[-1])
+        out = tmp_path / "consensus.csv"
+        code = main(["label", *map(str, paths), "--out", str(out)])
+        assert code == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and "segment grid differs" in captured.err
+        assert not out.exists()
 
 
 class TestOutputCheckedFirst:
@@ -766,7 +783,7 @@ class TestBundle:
             load_bundle(path)
 
     def test_format_version_constant(self):
-        assert bundle_io.FORMAT_VERSION == 1
+        assert bundle_io.FORMAT_VERSION == 2
 
     def test_failed_save_keeps_existing_bundle(self, tmp_path):
         path = tmp_path / "bundle.json"
@@ -787,14 +804,29 @@ class TestBundle:
         assert list(tmp_path.iterdir()) == [path]
 
     def test_save_refuses_non_finite_values(self, tmp_path):
+        self._assert_save_refused(tmp_path, np.full((3, 2), np.nan), 0.1, "non-finite")
+
+    @pytest.mark.parametrize(
+        "weights, lam, message",
+        [
+            (np.array([[0.0, 1.0], [0.0, -np.inf], [0.0, 0.0]]), 0.1, "non-finite"),
+            (np.zeros((3, 2)), np.inf, "JSON compliant"),
+        ],
+        ids=["array-inf", "scalar-inf"],
+    )
+    def test_save_refuses_infinite_values(self, tmp_path, weights, lam, message):
+        self._assert_save_refused(tmp_path, weights, lam, message)
+
+    def _assert_save_refused(self, tmp_path, weights, lam, message):
+        """save_bundle of an svm_hrv bundle raises ValueError and leaves the old file alone."""
         path = tmp_path / "bundle.json"
         path.write_text('{"previous": true}')
-        nan_svm = SvmModel(weights=np.full((3, 2), np.nan), biases=np.zeros(3), lam=0.1)
-        with pytest.raises(ValueError, match="JSON compliant"):
+        bad_svm = SvmModel(weights=weights, biases=np.zeros(3), lam=lam)
+        with pytest.raises(ValueError, match=message):
             save_bundle(
                 path,
                 method="svm_hrv",
-                components={"svm": nan_svm},
+                components={"svm": bad_svm},
                 window_seconds=4.0,
                 sample_rate_hz=256.0,
                 feature_dim=32,
@@ -804,20 +836,18 @@ class TestBundle:
         assert path.read_text() == '{"previous": true}'
         assert list(tmp_path.iterdir()) == [path]
 
-    @pytest.mark.parametrize("method", sorted(METHODS))
-    def test_bundle_predicts_like_memory(self, tmp_path, small_dataset, method):
+    def _saved(self, path, small_dataset, method):
+        """Components of method trained on a small data set, saved to path."""
         cfg = PipelineConfig(
             method=method, cnn_train=TrainConfig(epochs=2, learning_rate=0.02), seed=1
         )
-        spec = METHODS[method]
-        window_s = spec.window_seconds(cfg)
+        window_s = METHODS[method].window_seconds(cfg)
         data = (
             small_dataset
             if window_s == 1.0
             else make_dataset(n_subjects=2, duration_s=24.0, window_seconds=window_s)
         )
         comps = fit_rows(featurize(data.windows, cfg, 256.0), cfg, fold_seed(cfg.seed, ""))
-        path = tmp_path / "bundle.json"
         save_bundle(
             path,
             method=method,
@@ -828,6 +858,12 @@ class TestBundle:
             spectrogram=cfg.spectrogram,
             seed=cfg.seed,
         )
+        return comps, cfg, data
+
+    @pytest.mark.parametrize("method", sorted(METHODS))
+    def test_bundle_predicts_like_memory(self, tmp_path, small_dataset, method):
+        path = tmp_path / "bundle.json"
+        comps, cfg, data = self._saved(path, small_dataset, method)
         loaded = load_bundle(path)
         wlen = data.windows[0].length_samples
         flat = Window("flat", 0, wlen, 0, np.zeros(wlen))
@@ -840,6 +876,49 @@ class TestBundle:
         np.testing.assert_array_equal(valid, loaded_valid)
         assert valid[:-1].all()
 
+    @pytest.mark.parametrize("method", sorted(METHODS))
+    def test_version_1_bundle_loads_bit_equal(self, tmp_path, capsys, small_dataset, method):
+        path, old = tmp_path / "bundle.json", tmp_path / "v1.json"
+        comps, _, _ = self._saved(path, small_dataset, method)
+        doc = json.loads(path.read_text())
+        assert doc["format_version"] == 2
+        old.write_text(json.dumps(bundle_as_v1(doc), allow_nan=False))
+        loaded, loaded_v1 = load_bundle(path)["components"], load_bundle(old)["components"]
+        assert exact_arrays(loaded) == exact_arrays({k: comps[k] for k in loaded})
+        assert exact_arrays(loaded_v1) == exact_arrays(loaded)
+        rec, _ = synth_ecg(1, 12.0, 256.0, 21)
+        save_recording(rec, tmp_path / "sig.csv", tmp_path / "sig.meta.json")
+        outputs = []
+        for bundle_path in (path, old):
+            out = tmp_path / f"{bundle_path.stem}.csv"
+            argv = ["predict", "--bundle", str(bundle_path), "--signal", str(tmp_path / "sig.csv"),
+                    "--meta", str(tmp_path / "sig.meta.json"), "--out", str(out)]
+            assert main(argv) == EXIT_OK
+            outputs.append((out.read_bytes(), capsys.readouterr()))
+        assert outputs[0] == outputs[1]
+        assert len(outputs[0][0].splitlines()) > 1
+
+
+def exact_arrays(components) -> dict:
+    """Every CNN parameter and record field of components, arrays as dtype, shape and bytes."""
+    out = {}
+    for key, comp in components.items():
+        if hasattr(comp, "parameters"):
+            items = enumerate(comp.parameters())
+        else:
+            items = (comp if isinstance(comp, dict) else vars(comp)).items()
+        for name, v in items:
+            exact = (v.dtype.str, v.shape, v.tobytes()) if isinstance(v, np.ndarray) else v
+            out[f"{key}.{name}"] = (type(v), exact)
+    return out
+
+
+def packed(values, **fields) -> dict:
+    """The format-2 object of a float64 array of values, with any of its fields replaced."""
+    data = np.asarray(values, dtype=np.float64)
+    b64 = base64.b64encode(data.tobytes()).decode("ascii")
+    return {"dtype": "<f8", "shape": list(data.shape), "b64": b64, **fields}
+
 
 BUNDLE_HEADER = {
     "format_version": 1,
@@ -849,6 +928,36 @@ BUNDLE_HEADER = {
     "spectrogram": {"window_len": 64, "hop": 16, "window_fn": "hanning"},
     "seed": 0,
 }
+
+
+def svm_bundle_v2(**weights) -> dict:
+    """A format-2 svm_hrv bundle whose svm.weights object has the given fields replaced."""
+    return {
+        **BUNDLE_HEADER,
+        "format_version": 2,
+        "method": "svm_hrv",
+        "stats": {"mean": packed([0.0]), "std": packed([1.0])},
+        "svm": {"weights": packed([[0.5]] * 3, **weights), "biases": packed([0.0] * 3), "lam": 0.1},
+    }
+
+
+THREE_WEIGHTS_B64 = packed([[0.5]] * 3)["b64"]
+
+
+def assert_predict_refuses(tmp_path, capsys, doc, message):
+    """load_bundle raises BundleError matching message, and predict exits 2 with no traceback."""
+    path = tmp_path / "bundle.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(BundleError, match=message):
+        load_bundle(path)
+    rec, _ = synth_ecg(0, 8.0, 256.0, 3)
+    save_recording(rec, tmp_path / "sig.csv", tmp_path / "sig.meta.json")
+    argv = ["predict", "--bundle", str(path), "--signal", str(tmp_path / "sig.csv")]
+    code = main([*argv, "--meta", str(tmp_path / "sig.meta.json")])
+    assert code == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "Traceback" not in captured.err
 
 
 class TestBundleValidation:
@@ -866,6 +975,8 @@ class TestBundleValidation:
                 "malformed bundle",
             ),
             ([1], "format_version"),
+            ({**BUNDLE_HEADER, "format_version": True, "method": "svm_hrv"}, "format_version True"),
+            ({**BUNDLE_HEADER, "format_version": 2.0, "method": "svm_hrv"}, "format_version 2.0"),
             ({**BUNDLE_HEADER, "method": ["svm_hrv"]}, "method must be a string"),
             (
                 {**BUNDLE_HEADER, "method": "svm_hrv", "window_seconds": "4"},
@@ -902,25 +1013,78 @@ class TestBundleValidation:
                 },
                 "non-finite constant NaN",
             ),
+            (
+                {
+                    **BUNDLE_HEADER,
+                    "method": "svm_hrv",
+                    "stats": {"mean": [0.0], "std": [1.0]},
+                    "svm": {"weights": [0.5] * 3, "biases": [0.0] * 3, "lam": 0.1},
+                },
+                "SVM feature dimension",
+            ),
         ],
         ids=[
             "truncated", "unknown-method", "missing-component", "malformed-section", "not-a-dict",
+            "version-bool", "version-float",
             "method-list", "window-str", "window-null", "window-negative", "rate-bool",
-            "rate-infinite", "feature-dim-float", "seed-bool", "seed-str", "weights-nan",
+            "rate-infinite", "feature-dim-float", "seed-bool", "seed-str", "weights-nan", "weights-1d",
         ],
     )
     def test_predict_rejects_bad_bundle(self, tmp_path, capsys, doc, message):
+        assert_predict_refuses(tmp_path, capsys, doc, message)
+
+    @pytest.mark.parametrize(
+        "weights, message",
+        [
+            ({"b64": THREE_WEIGHTS_B64[:-1]}, "Incorrect padding"),
+            ({"b64": THREE_WEIGHTS_B64[:-4]}, r"shape \[3, 1\] holds 21 bytes"),
+            ({"b64": "*" + THREE_WEIGHTS_B64[1:]}, "Only base64 data"),
+            ({"b64": THREE_WEIGHTS_B64 + "\n"}, "Only base64 data"),
+            ({"shape": [3, 2]}, r"shape \[3, 2\] holds 24 bytes"),
+            ({"shape": [3]}, "SVM feature dimension"),
+            ({"dtype": ">f8"}, "unknown array dtype '>f8'"),
+            ({"dtype": "<f4"}, "unknown array dtype '<f4'"),
+            ({"dtype": "object"}, "unknown array dtype 'object'"),
+            ({"shape": [-3, -1]}, "array shape must be a list of sizes"),
+            ({"shape": [3, True]}, "array shape must be a list of sizes"),
+            ({"shape": "3"}, "array shape must be a list of sizes"),
+            ({"shape": 3}, "array shape must be a list of sizes"),
+            ({"shape": [3.0, 1]}, "array shape must be a list of sizes"),
+            ({"b64": packed([[0.5], [float("nan")], [0.5]])["b64"]}, "non-finite"),
+            ({"b64": packed([[0.5], [0.5], [-float("inf")]])["b64"]}, "non-finite"),
+            ({"b64": 3}, "malformed bundle"),
+            ({"dtype": None}, "unknown array dtype None"),
+        ],
+        ids=[
+            "b64-padding-cut", "b64-truncated", "b64-non-base64", "b64-newline",
+            "byte-count", "shape-mismatch", "dtype-big-endian", "dtype-f4", "dtype-object",
+            "shape-negative", "shape-bool", "shape-str", "shape-int", "shape-float",
+            "bits-nan", "bits-inf", "b64-not-str", "dtype-null",
+        ],
+    )
+    def test_predict_rejects_bad_array(self, tmp_path, capsys, weights, message):
+        assert_predict_refuses(tmp_path, capsys, svm_bundle_v2(**weights), message)
+
+    def test_predict_rejects_missing_array_field(self, tmp_path, capsys):
+        doc = svm_bundle_v2()
+        del doc["svm"]["weights"]["b64"]
+        assert_predict_refuses(tmp_path, capsys, doc, "malformed bundle")
+
+    def test_well_formed_v2_section_loads(self, tmp_path):
         path = tmp_path / "bundle.json"
-        path.write_text(json.dumps(doc))
-        with pytest.raises(BundleError, match=message):
-            load_bundle(path)
-        rec, _ = synth_ecg(0, 8.0, 256.0, 3)
-        save_recording(rec, tmp_path / "sig.csv", tmp_path / "sig.meta.json")
-        argv = ["predict", "--bundle", str(path), "--signal", str(tmp_path / "sig.csv")]
-        code = main([*argv, "--meta", str(tmp_path / "sig.meta.json")])
-        assert code == EXIT_USAGE
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and "Traceback" not in err
+        path.write_text(json.dumps(svm_bundle_v2()))
+        svm = load_bundle(path)["components"]["svm"]
+        np.testing.assert_array_equal(svm.weights, [[0.5]] * 3)
+        assert svm.weights.dtype == np.float64
+
+    def test_predict_rejects_cnn_tensor_of_wrong_shape(self, tmp_path, capsys):
+        model = neuralnet.build_cnn1d(256, feature_dim=32, seed=0)
+        section = bundle_io.CODECS["cnn1d"][0](model)
+        first = section["params"][0]
+        first["shape"] = [int(np.prod(first["shape"]))]  # same bytes, flattened
+        doc = {**BUNDLE_HEADER, "format_version": 2, "method": "cnn1d", "window_seconds": 1.0,
+               "cnn1d": section}
+        assert_predict_refuses(tmp_path, capsys, doc, "does not match model")
 
 
 class TestPredictTimeline:
