@@ -175,6 +175,11 @@ def load_data_dir(data_dir, window_seconds: float):
             )
         track = load_label_track(labels_path)
         windows.extend(segment_windows(rec, track, window_seconds))
+    if not windows:
+        raise IngestionError(
+            f"no {window_seconds:g}-s window fits in a labelled segment of any recording in "
+            f"{data_dir}"
+        )
     return Dataset(windows=tuple(windows)), fs
 
 

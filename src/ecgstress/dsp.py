@@ -95,6 +95,7 @@ def lomb_scargle(times_s, values, freqs_hz) -> np.ndarray:
 
 _INTEGRATION_S = 0.150
 _REFRACTORY_S = 0.200
+MIN_DETECTION_S = 2.0  # the shortest recording detect_r_peaks takes
 
 
 def detect_r_peaks(rec: EcgRecording) -> list[int]:
@@ -104,8 +105,8 @@ def detect_r_peaks(rec: EcgRecording) -> list[int]:
     signals. Consecutive peaks are at least 200 ms apart.
     """
     fs = rec.sample_rate_hz
-    if rec.duration_s < 2.0:
-        raise ValueError("recording must be at least 2 seconds long")
+    if rec.duration_s < MIN_DETECTION_S:
+        raise ValueError(f"recording must be at least {MIN_DETECTION_S:g} seconds long")
     x = rec.samples
 
     deriv = np.empty_like(x)

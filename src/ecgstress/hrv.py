@@ -6,7 +6,7 @@ import logging
 
 import numpy as np
 
-from .dsp import detect_r_peaks, lomb_scargle, rr_intervals
+from .dsp import MIN_DETECTION_S, detect_r_peaks, lomb_scargle, rr_intervals
 from .signal_core import EcgRecording, Task, Window
 
 log = logging.getLogger(__name__)
@@ -27,6 +27,16 @@ VLF_BAND = (0.0033, 0.04)
 LF_BAND = (0.04, 0.15)
 HF_BAND = (0.15, 0.40)
 FREQ_GRID = np.linspace(0.0033, 0.40, 512)
+
+
+def _band_slice(lo: float, hi: float) -> slice:
+    """The FREQ_GRID points f with lo <= f <= hi: one run, since the grid ascends."""
+    inside = np.flatnonzero((FREQ_GRID >= lo) & (FREQ_GRID <= hi))
+    return slice(inside[0], inside[-1] + 1) if len(inside) else slice(0, 0)
+
+
+# VLF, LF and HF as slices of the grid, fixed at import
+BAND_SLICES = tuple(_band_slice(*band) for band in (VLF_BAND, LF_BAND, HF_BAND))
 
 
 class InsufficientBeatsError(ValueError):
@@ -62,16 +72,8 @@ def freq_features(times_s, rr_s):
     if len(rr) < 3:
         raise InsufficientBeatsError(f"need at least 3 RR intervals, got {len(rr)}")
     power = lomb_scargle(times_s, rr, FREQ_GRID)
-
-    def band_power(lo, hi):
-        mask = (FREQ_GRID >= lo) & (FREQ_GRID <= hi)
-        if mask.sum() < 2:
-            return 0.0
-        return float(np.trapezoid(power[mask], FREQ_GRID[mask]))
-
-    vlf = band_power(*VLF_BAND)
-    lf = band_power(*LF_BAND)
-    hf = band_power(*HF_BAND)
+    # A band of fewer than 2 grid points integrates to 0.0
+    vlf, lf, hf = (float(np.trapezoid(power[s], FREQ_GRID[s])) for s in BAND_SLICES)
     tp = float(np.trapezoid(power, FREQ_GRID))
     return vlf, lf, hf, tp
 
@@ -80,7 +82,8 @@ def hrv_vector(window: Window, fs: float) -> np.ndarray | None:
     """9-feature HRV vector for one window in FEATURE_NAMES order, or None when too few beats.
 
     Windows with fewer than 3 detected peaks are skipped (logged), never
-    imputed.
+    imputed. A window shorter than R-peak detection's minimum is a ValueError
+    naming the setting that sets its length.
     """
     rec = EcgRecording(
         subject_id=window.subject_id,
@@ -88,6 +91,11 @@ def hrv_vector(window: Window, fs: float) -> np.ndarray | None:
         samples=window.samples,
         task=Task.OTHER,
     )
+    if rec.duration_s < MIN_DETECTION_S:
+        raise ValueError(
+            f"hrv_window_seconds must be at least {MIN_DETECTION_S:g} (R-peak detection's "
+            f"minimum), got a {rec.duration_s:g}-s HRV window"
+        )
     peaks = detect_r_peaks(rec)
     # freq_features needs >= 3 intervals, i.e. >= 4 peaks
     if len(peaks) < 4:

@@ -210,14 +210,14 @@ def _one_blas_thread():
 
 def _fork_context():
     """multiprocessing's fork context, or None where the platform has no fork."""
-    import multiprocessing  # here, so that runs that train no CNN do not load it
+    import multiprocessing  # here, so that runs that fork no helper do not load it
 
     if "fork" not in multiprocessing.get_all_start_methods():
         return None
     return multiprocessing.get_context("fork")
 
 
-def _take_jobs(order: list, state, lock, train: Callable) -> dict:
+def _take_jobs(order: list, state, lock, run: Callable) -> dict:
     """{job: (True, result) or (False, error)} of the jobs this worker takes from the
     queue `order`; state = [next position in order, first failed job] is shared by
     every worker of the queue, under lock. A job after a failed one in serial order
@@ -232,19 +232,19 @@ def _take_jobs(order: list, state, lock, train: Callable) -> dict:
             if i > state[1]:
                 continue
         try:
-            done[i] = (True, train(i))
-        except Exception as exc:  # raised by train_cnns once every worker is done
+            done[i] = (True, run(i))
+        except Exception as exc:  # raised by _run_jobs once every worker is done
             done[i] = (False, exc)
             with lock:
                 state[1] = min(state[1], i)
 
 
-def _helper_main(order, state, lock, train, send) -> None:
+def _helper_main(order, state, lock, run, send) -> None:
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # the caller handles an interrupt and ends this
-    send.send(_take_jobs(order, state, lock, train))
+    send.send(_take_jobs(order, state, lock, run))
 
 
-def _take_jobs_with_helpers(context, order: list, train: Callable, helpers: int) -> dict:
+def _take_jobs_with_helpers(context, order: list, run: Callable, helpers: int) -> dict:
     """_take_jobs worked by this process and `helpers` forked helpers; each helper's
     results come back through its own pipe once the queue is empty, and every helper
     has exited before this returns or raises."""
@@ -255,18 +255,18 @@ def _take_jobs_with_helpers(context, order: list, train: Callable, helpers: int)
     try:
         for _ in range(helpers):
             receive, send = context.Pipe(duplex=False)
-            helper = context.Process(target=_helper_main, name="cnn-queue", daemon=True,
-                                     args=(order, state, lock, train, send))
+            helper = context.Process(target=_helper_main, name="job-queue", daemon=True,
+                                     args=(order, state, lock, run, send))
             helper.start()
             started.append((helper, receive))
             send.close()  # before the next fork, so that this helper's exit alone ends receive
-        done = _take_jobs(order, state, lock, train)
+        done = _take_jobs(order, state, lock, run)
         for helper, receive in started:
             try:
                 done.update(receive.recv())
             except EOFError:  # it died before sending
                 helper.join()
-                raise RuntimeError(f"a CNN helper exited with code {helper.exitcode}") from None
+                raise RuntimeError(f"a queue helper exited with code {helper.exitcode}") from None
     except BaseException:
         for helper, _ in started:
             helper.terminate()  # an interrupt here: the helpers' current jobs are dropped
@@ -278,27 +278,44 @@ def _take_jobs_with_helpers(context, order: list, train: Callable, helpers: int)
     return done
 
 
+def _run_jobs(run: Callable, count: int, helpers: int, key: Callable | None = None) -> list:
+    """[run(0), ..., run(count - 1)]: the jobs of one queue, taken in the order `key`
+    sorts them by this process and min(helpers, count - 1) forked helper processes.
+    With no helper, or where none can be forked, every job runs here in serial
+    order (0, 1, ...).
+
+    Every helper has exited before this returns or raises. If jobs fail, the error
+    serial order meets first is raised; once a job has failed, no job after it in
+    serial order starts.
+    """
+    helpers = min(helpers, count - 1)
+    context = _fork_context() if helpers > 0 else None
+    if context is None:
+        done = _take_jobs(list(range(count)), [0, count], nullcontext(), run)
+    else:
+        done = _take_jobs_with_helpers(context, sorted(range(count), key=key), run, helpers)
+    failed = [i for i in sorted(done) if not done[i][0]]
+    if failed:
+        raise done[failed[0]][1]
+    return [done[i][1] for i in range(count)]
+
+
 def train_cnns(rows: Rows, folds: list, cfg: PipelineConfig, processes: int = 2) -> list[dict]:
     """{kind: trained CNN} of each (mask, seed) fold: the configured method's CNNs,
     trained on the valid rows of `rows` that the fold's mask selects.
 
     In serial order, fold by fold and cnn1d before cnn2d, the trainings are the
-    jobs of one queue. With BLAS pinned to one thread, this process and
-    min(processes, jobs) - 1 forked helper processes work through it, every
-    cnn2d job first: cnn2d trains about 2.5 times as long as cnn1d, and longest
-    first leaves the least idle time at the end (Graham, SIAM J. Appl. Math.
-    1969). A helper is a process, not a thread, because a training step is many
-    small numpy calls that hold the GIL for much of the step: two threads wait
-    on each other, and how long depends on how soon the host wakes the waiting
-    one. Without a setter to pin BLAS, or where no helper can be forked, every
-    job runs here in serial order. Each training depends on its (kind, rows,
-    seed) alone, so the models are the same either way. A job copies its fold's
-    rows of its own input when it starts, so only the running jobs' copies are
-    held at once.
-
-    Every helper has exited before this returns or raises. If jobs fail, the error
-    serial order meets first is raised; once a job has failed, no job after it
-    in serial order starts.
+    jobs of one queue (see _run_jobs). With BLAS pinned to one thread, this
+    process and up to processes - 1 forked helper processes work through it,
+    every cnn2d job first: cnn2d trains about 2.5 times as long as cnn1d, and
+    longest first leaves the least idle time at the end (Graham, SIAM J. Appl.
+    Math. 1969). A helper is a process, not a thread, because a training step is
+    many small numpy calls that hold the GIL for much of the step: two threads
+    wait on each other, and how long depends on how soon the host wakes the
+    waiting one. Without a setter to pin BLAS, every job runs here in serial
+    order. Each training depends on its (kind, rows, seed) alone, so the models
+    are the same either way. A job copies its fold's rows of its own input when
+    it starts, so only the running jobs' copies are held at once.
     """
     arrays = rows.x if isinstance(rows.x, tuple) else (rows.x,)
     inputs = dict(zip(method_spec(cfg.method).cnns, arrays))  # each CNN kind's input
@@ -310,20 +327,12 @@ def train_cnns(rows: Rows, folds: list, cfg: PipelineConfig, processes: int = 2)
         _, kind, keep, seed = jobs[i]
         return _train_cnn(kind, inputs[kind][keep], rows.labels[keep], cfg, seed)
 
-    helpers = min(processes, len(jobs)) - 1
     with _one_blas_thread() as pinned:
-        context = _fork_context() if pinned and helpers > 0 else None
-        if context is None:
-            done = _take_jobs(list(range(len(jobs))), [0, len(jobs)], nullcontext(), train)
-        else:
-            order = sorted(range(len(jobs)), key=lambda i: jobs[i][1] != "cnn2d")
-            done = _take_jobs_with_helpers(context, order, train, helpers)
-    failed = [i for i in sorted(done) if not done[i][0]]
-    if failed:
-        raise done[failed[0]][1]
+        models = _run_jobs(train, len(jobs), processes - 1 if pinned else 0,
+                           key=lambda i: jobs[i][1] != "cnn2d")
     trained = [{} for _ in folds]
-    for i, (f, kind, *_) in enumerate(jobs):
-        trained[f][kind] = done[i][1]
+    for (f, kind, *_), model in zip(jobs, models):
+        trained[f][kind] = model
     return trained
 
 
@@ -344,12 +353,24 @@ def fusion_predict(components: dict, rows) -> np.ndarray:
     return classifiers.svm_predict(components["svm"], components["stats"].transform(fused))
 
 
+# Windows per job of hrv_matrix's queue: a window takes about 0.5 ms, so a job
+# is long next to taking it from the queue, and the last job leaves one process
+# idle only briefly
+_HRV_CHUNK = 16
+
+
 def hrv_matrix(windows, fs: float):
-    """HRV feature rows of the windows, and which of them yielded one (the rest stay zero)."""
+    """HRV feature rows of the windows, and which of them yielded one (the rest stay zero).
+
+    Chunks of consecutive windows are the jobs of one queue that this process and
+    one forked helper work through (see _run_jobs). Each vector depends on its own
+    window alone, so the rows are the same whichever process computes them.
+    """
+    chunks = [windows[i:i + _HRV_CHUNK] for i in range(0, len(windows), _HRV_CHUNK)]
+    vectors = _run_jobs(lambda c: [hrv_vector(w, fs) for w in chunks[c]], len(chunks), 1)
     X = np.zeros((len(windows), len(FEATURE_NAMES)))
     valid = np.zeros(len(windows), dtype=bool)
-    for i, w in enumerate(windows):
-        vector = hrv_vector(w, fs)
+    for i, vector in enumerate(v for chunk in vectors for v in chunk):
         if vector is not None:
             X[i], valid[i] = vector, True
     return X, valid

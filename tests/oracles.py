@@ -17,7 +17,9 @@ earlier loop forms of the whole-array SVM, KNN, metrics, STFT, R-peak scan
 and ordinal alpha: one class, one query row, one confusion cell, one frame,
 one sample and one item at a time. `one_lambda_train_linear_svm` is the SVM trainer before it
 took a λ grid: all classes of one λ per call, the reference the stacked grid
-must match bit for bit. `synth_ecg` is the seeded pulse-train recording
+must match bit for bit. `mask_freq_features` is the HRV band integration
+before its bands became slices: a boolean mask of the grid per band and call.
+`synth_ecg` is the seeded pulse-train recording
 every fixture is built from; `hinge_objective`, `level_at`,
 `synth_beat_count` and `save_recording` are helpers only tests use.
 `bundle_as_v1` writes a bundle document back in format version 1, whose
@@ -304,6 +306,22 @@ def loop_detect_r_peaks(rec: EcgRecording) -> list[int]:
                 continue
         i += 1
     return peaks
+
+
+def mask_freq_features(times_s, rr_s):
+    """hrv.freq_features with each band masked out of the grid on every call."""
+    from ecgstress.hrv import FREQ_GRID, HF_BAND, LF_BAND, VLF_BAND, lomb_scargle
+
+    power = lomb_scargle(times_s, np.asarray(rr_s, dtype=np.float64), FREQ_GRID)
+
+    def band_power(lo, hi):
+        mask = (FREQ_GRID >= lo) & (FREQ_GRID <= hi)
+        if mask.sum() < 2:
+            return 0.0
+        return float(np.trapezoid(power[mask], FREQ_GRID[mask]))
+
+    bands = tuple(band_power(*band) for band in (VLF_BAND, LF_BAND, HF_BAND))
+    return (*bands, float(np.trapezoid(power, FREQ_GRID)))
 
 
 def loop_krippendorff_alpha(tracks: list[LabelTrack]) -> float:

@@ -647,6 +647,45 @@ class TestTrainEvaluatePredict:
         code = main(["evaluate", "--data", str(data), "--method", "knn_hrv"])
         assert code == EXIT_USAGE
 
+    @pytest.mark.parametrize(
+        "command, flags",
+        [
+            ("evaluate", ["--window-seconds", "1e9"]),
+            ("evaluate", ["--method", "svm_hrv", "--hrv-window-seconds", "1e9"]),
+            ("train", ["--method", "cnn1d", "--window-seconds", "1e9"]),
+            ("train", ["--method", "svm_hrv", "--hrv-window-seconds", "1e9"]),
+        ],
+    )
+    def test_no_window_fits(self, tmp_path, capsys, monkeypatch, command, flags):
+        """A window longer than every labelled segment is one usage error, naming the
+        window length and the data directory, raised before any featurizing."""
+        data = write_data_dir(tmp_path / "data")
+        out = tmp_path / "out.json"
+
+        def must_not_run(*args):
+            raise AssertionError("featurized with no window")
+
+        monkeypatch.setattr("ecgstress.pipeline.featurize", must_not_run)
+        code = main([command, "--data", str(data), "--out", str(out), *flags])
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err == (
+            f"error: no 1e+09-s window fits in a labelled segment of any recording in {data}\n"
+        )
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["train", "evaluate"])
+    def test_hrv_window_under_detection_minimum(self, tmp_path, capsys, command):
+        data = write_data_dir(tmp_path / "data")
+        out = tmp_path / "out.json"
+        argv = [command, "--data", str(data), "--out", str(out), "--method", "svm_hrv"]
+        code = main([*argv, "--hrv-window-seconds", "1.5"])
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err == (
+            "error: hrv_window_seconds must be at least 2 (R-peak detection's minimum), "
+            "got a 1.5-s HRV window\n"
+        )
+        assert not out.exists()
+
 
 def _result_doc() -> dict:
     """A well-formed result document of two folds."""

@@ -4,14 +4,20 @@ import numpy as np
 import pytest
 
 from ecgstress.hrv import (
+    BAND_SLICES,
     FEATURE_NAMES,
+    FREQ_GRID,
+    HF_BAND,
+    LF_BAND,
+    VLF_BAND,
     InsufficientBeatsError,
+    _band_slice,
     freq_features,
     hrv_vector,
     time_features,
 )
 from ecgstress.signal_core import Window, segment_windows
-from oracles import synth_ecg
+from oracles import mask_freq_features, synth_ecg
 
 
 class TestTimeFeatures:
@@ -96,6 +102,44 @@ class TestFreqFeatures:
     def test_too_few_intervals(self):
         with pytest.raises(InsufficientBeatsError):
             freq_features([1.0, 2.0], [1.0, 1.0])
+
+
+def _grid_edges():
+    """(lo, hi) bands around grid points: on a point, one ulp either side of it, between
+    two points, past either end, and bands of 0, 1 and 2 points."""
+    g = FREQ_GRID
+    out = [(lo, hi) for lo, hi in (VLF_BAND, LF_BAND, HF_BAND)]
+    for k in (0, 1, 47, 48, 188, 189, 510, 511):
+        for lo in (g[k], np.nextafter(g[k], -1), np.nextafter(g[k], 1)):
+            for hi in (g[k], g[min(k + 1, 511)], np.nextafter(g[min(k + 1, 511)], -1), g[-1] + 1):
+                out.append((lo, hi))
+    out += [(0.0, g[0] / 2), (g[-1] * 2, 1.0), ((g[3] + g[4]) / 2, (g[4] + g[5]) / 2), (0.2, 0.1)]
+    return out
+
+
+class TestBandSlices:
+    """The band slices hold exactly the grid points lo <= f <= hi, and band powers
+    integrated over them equal those integrated over masks, bit for bit."""
+
+    def test_slice_is_the_mask(self):
+        for lo, hi in _grid_edges():
+            mask = (FREQ_GRID >= lo) & (FREQ_GRID <= hi)
+            got = np.arange(len(FREQ_GRID))[_band_slice(lo, hi)]
+            assert got.tolist() == np.flatnonzero(mask).tolist(), (lo, hi)
+
+    def test_bands(self):
+        assert BAND_SLICES == tuple(_band_slice(*b) for b in (VLF_BAND, LF_BAND, HF_BAND))
+        for s in BAND_SLICES:
+            assert s.stop - s.start >= 2
+
+    def test_powers_equal_masked_integrals(self):
+        rng = np.random.default_rng(21)
+        series = [_modulated_rr(f) for f in (0.01, 0.04, 0.10, 0.15, 0.25, 0.40)]
+        for n in (4, 7, 40):
+            rr = 0.6 + 0.4 * rng.random(n)
+            series.append((np.cumsum(rr), rr))
+        for times, rr in series:
+            assert freq_features(times, rr) == mask_freq_features(times, rr)
 
 
 class TestHrvVector:

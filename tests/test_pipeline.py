@@ -23,6 +23,7 @@ from ecgstress.pipeline import (
     fit_rows,
     fold_seed,
     hrv_matrix,
+    hrv_vector,
     predict_rows,
     run_pipeline,
     windows_to_images,
@@ -193,6 +194,90 @@ class TestHrvMatrix:
             return encoded(train_alone(windows, cfg, "t"))
 
         assert train([*flat, *data.windows]) == train(data.windows)
+
+    @staticmethod
+    def windows_with_flat_ones():
+        """54 four-second windows, every seventh of them flat (no row): four chunks."""
+        data = make_dataset(n_subjects=3, duration_s=24.0, window_seconds=4.0)
+        return [
+            Window(w.subject_id, w.start_sample, w.length_samples, w.label, np.zeros(1024))
+            if i % 7 == 3 else w
+            for i, w in enumerate(data.windows)
+        ]
+
+    @pytest.mark.parametrize("chunk, count, helpers", [(16, 54, 1), (1, 54, 1), (16, 16, 0)])
+    def test_queue_equals_serial(self, helpers_started, monkeypatch, chunk, count, helpers):
+        """The rows through the queue equal, bit for bit, those of a run with no fork,
+        flat windows skipped alike: with chunks of 16 windows and of one, this process
+        and one helper work through the queue; a single chunk runs here alone."""
+        windows = self.windows_with_flat_ones()[:count]
+        monkeypatch.setattr(pipeline, "_HRV_CHUNK", chunk)
+        baseline = threading.active_count()
+        X, valid = hrv_matrix(windows, 256.0)
+        assert no_helper_left(baseline)
+        assert len(helpers_started()) == helpers
+        with monkeypatch.context() as no_fork:
+            no_fork.setattr(pipeline, "_fork_context", lambda: None)
+            X_serial, valid_serial = hrv_matrix(windows, 256.0)
+        assert len(helpers_started()) == helpers
+        assert X.tobytes() == X_serial.tobytes()
+        assert valid.tolist() == valid_serial.tolist()
+        assert valid.tolist() == [i % 7 != 3 for i in range(count)]
+        assert not X[~valid].any()
+
+    @pytest.mark.parametrize("forks", [True, False])
+    def test_first_error_in_window_order(self, monkeypatch, forks):
+        """hrv_vector raises in chunks 1 and 3: chunk 1's error is raised, also when
+        chunk 3 fails first in time (with the helper), and no child is left running."""
+        windows = self.windows_with_flat_ones()
+        failing = {id(windows[20]): 1, id(windows[50]): 3}  # window -> its chunk
+        chunk3_failed = multiprocessing.get_context("fork").Event()
+        real = pipeline.hrv_vector
+
+        def vector(w, fs):
+            chunk = failing.get(id(w))
+            if chunk == 1 and forks:
+                assert chunk3_failed.wait(timeout=30)
+            if chunk == 3:
+                chunk3_failed.set()
+            if chunk is not None:
+                raise ValueError(f"no vector in chunk {chunk}")
+            return real(w, fs)
+
+        monkeypatch.setattr(pipeline, "hrv_vector", vector)
+        if not forks:
+            monkeypatch.setattr(pipeline, "_fork_context", lambda: None)
+        baseline = threading.active_count()
+        with pytest.raises(ValueError, match="^no vector in chunk 1$"):
+            hrv_matrix(windows, 256.0)
+        assert no_helper_left(baseline)
+        assert chunk3_failed.is_set() == forks  # serially, nothing after chunk 1 starts
+
+    def test_short_window_error_from_the_helper(self, helpers_started, monkeypatch):
+        """A window under R-peak detection's minimum raises a ValueError naming
+        hrv_window_seconds; it arrives unchanged when the helper meets it first."""
+        windows = make_dataset(n_subjects=2, duration_s=12.0, window_seconds=1.5).windows
+        with pytest.raises(ValueError) as direct:
+            hrv_vector(windows[0], 256.0)
+        assert "hrv_window_seconds must be at least 2" in str(direct.value)
+        caller, real = os.getpid(), pipeline.hrv_vector
+        helper_failed = multiprocessing.get_context("fork").Event()
+
+        def vector(w, fs):
+            if os.getpid() == caller:  # waits until the helper has failed, then yields nothing
+                assert helper_failed.wait(timeout=30)
+                return None
+            helper_failed.set()
+            return real(w, fs)
+
+        monkeypatch.setattr(pipeline, "hrv_vector", vector)
+        baseline = threading.active_count()
+        with pytest.raises(ValueError) as through_helper:
+            hrv_matrix(windows, 256.0)
+        assert no_helper_left(baseline)
+        assert len(helpers_started()) == 1
+        assert type(through_helper.value) is ValueError
+        assert str(through_helper.value) == str(direct.value)
 
 
 class TestValidRows:
@@ -699,10 +784,12 @@ class TestEvaluateLoso:
         assert [tainted[0] == clean[0], tainted[1] == clean[1]] == [True, False]
 
     @pytest.mark.parametrize("method", ["svm_hrv", "knn_hrv", "fusion_weighted"])
-    def test_hrv_vector_computed_once_per_window(self, small_dataset, method, monkeypatch):
-        """A LOSO run featurizes every window once: one hrv_vector call per window, or
-        one STFT call for all of a fusion run's spectrograms. Each fold then trains
-        exactly what train_alone trains on that fold's windows."""
+    def test_hrv_vector_computed_once_per_window(self, small_dataset, method, monkeypatch,
+                                                 tmp_path):
+        """A LOSO run featurizes every window once: one hrv_vector call per window, in
+        this process or the helper, or one STFT call for all of a fusion run's
+        spectrograms. Each fold then trains exactly what train_alone trains on that
+        fold's windows."""
         data = (
             small_dataset
             if method == "fusion_weighted"
@@ -711,10 +798,11 @@ class TestEvaluateLoso:
         cfg = fast_config(method)
         per_fold = [(s, run_fold(data, s, cfg)) for s in data.subjects]
         alone = [encoded(train_alone(fold_windows(data, s)[0], cfg, s)) for s in data.subjects]
-        calls, stft_calls, trained = [], [], []
+        # A forked helper shares this process's addresses, so id(w) names the same window
+        calls, stft_calls, trained = Record(tmp_path / "hrv_calls"), [], []
         real, real_stft = pipeline.hrv_vector, pipeline.stft_spectrogram
         real_fit = pipeline.fit_rows
-        monkeypatch.setattr(pipeline, "hrv_vector", lambda w, fs: calls.append(w) or real(w, fs))
+        monkeypatch.setattr(pipeline, "hrv_vector", lambda w, fs: calls.add(id(w)) or real(w, fs))
         monkeypatch.setattr(
             pipeline, "stft_spectrogram", lambda x, p: stft_calls.append(x) or real_stft(x, p)
         )
@@ -723,12 +811,12 @@ class TestEvaluateLoso:
         )
         result = evaluate_loso(data, cfg, 256.0)
         if method == "fusion_weighted":
-            assert calls == [] and len(stft_calls) == 1
+            assert calls() == [] and len(stft_calls) == 1
             assert stft_calls[0].shape == (len(data.windows), 256)
         else:
             assert stft_calls == []
-            assert len(calls) == len(data.windows)
-            assert {id(w) for w in calls} == {id(w) for w in data.windows}
+            assert len(calls()) == len(data.windows)
+            assert {i for (i,) in calls()} == {id(w) for w in data.windows}
         assert [encoded(c) for c in trained] == alone
         assert [(s, m.to_dict()) for s, m in result.per_fold] == [
             (s, m.to_dict()) for s, m in per_fold
