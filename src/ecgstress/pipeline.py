@@ -193,7 +193,10 @@ def _one_blas_thread():
     The CNNs' GEMMs (9 to 144 columns) are too small to share among BLAS threads, so
     a second core pays only when it runs other work. The count is process-wide:
     only the thread that enters the block may set it, and processes forked inside
-    the block start with one thread.
+    the block start with one thread. A count already at one is neither set nor
+    restored, so a pin nested in another, or entered in a forked helper, never calls
+    the setter: after a fork, any call to it (even to one thread) starts a new
+    OpenBLAS worker, which spins for about 128 ms of CPU on the other core.
     """
     threads = _blas_threads()
     if threads is None:
@@ -201,6 +204,9 @@ def _one_blas_thread():
         return
     get, set_ = threads
     before = get()
+    if before == 1:
+        yield True
+        return
     set_(1)
     try:
         yield True
@@ -217,26 +223,34 @@ def _fork_context():
     return multiprocessing.get_context("fork")
 
 
-def _take_jobs(order: list, state, lock, run: Callable) -> dict:
-    """{job: (True, result) or (False, error)} of the jobs this worker takes from the
-    queue `order`; state = [next position in order, first failed job] is shared by
-    every worker of the queue, under lock. A job after a failed one in serial order
-    does not start."""
-    done = {}
-    while True:
-        with lock:
-            if state[0] == len(order):
-                return done
+def _next_job(order: list, state, lock):
+    """The next job of the queue `order` that may start, or None once it is empty;
+    state = [next position in order, first failed job] is shared by every worker of
+    the queue, under lock. A job after a failed one in serial order does not start."""
+    with lock:
+        while state[0] < len(order):
             i = order[state[0]]
             state[0] += 1
-            if i > state[1]:
-                continue
+            if i < state[1]:
+                return i
+    return None
+
+
+def _take_jobs(order: list, state, lock, run: Callable, i=None) -> dict:
+    """{job: (True, result) or (False, error)} of the jobs this worker takes from the
+    queue (see _next_job), starting with job i if it has taken that one already."""
+    done = {}
+    if i is None:
+        i = _next_job(order, state, lock)
+    while i is not None:
         try:
             done[i] = (True, run(i))
         except Exception as exc:  # raised by _run_jobs once every worker is done
             done[i] = (False, exc)
             with lock:
                 state[1] = min(state[1], i)
+        i = _next_job(order, state, lock)
+    return done
 
 
 def _helper_main(order, state, lock, run, send) -> None:
@@ -247,9 +261,10 @@ def _helper_main(order, state, lock, run, send) -> None:
 def _take_jobs_with_helpers(context, order: list, run: Callable, helpers: int) -> dict:
     """_take_jobs worked by this process and `helpers` forked helpers; each helper's
     results come back through its own pipe once the queue is empty, and every helper
-    has exited before this returns or raises."""
+    has exited before this returns or raises. This process takes the first job
+    before any helper starts, so it runs at least one."""
     state = np.ndarray(2, dtype=np.int64, buffer=mmap.mmap(-1, 16))  # shared with the helpers
-    state[:] = 0, len(order)
+    state[:] = 1, len(order)
     lock = context.Lock()
     started = []  # (helper, the read end of its pipe)
     try:
@@ -260,7 +275,7 @@ def _take_jobs_with_helpers(context, order: list, run: Callable, helpers: int) -
             helper.start()
             started.append((helper, receive))
             send.close()  # before the next fork, so that this helper's exit alone ends receive
-        done = _take_jobs(order, state, lock, run)
+        done = _take_jobs(order, state, lock, run, order[0])
         for helper, receive in started:
             try:
                 done.update(receive.recv())
@@ -280,9 +295,9 @@ def _take_jobs_with_helpers(context, order: list, run: Callable, helpers: int) -
 
 def _run_jobs(run: Callable, count: int, helpers: int, key: Callable | None = None) -> list:
     """[run(0), ..., run(count - 1)]: the jobs of one queue, taken in the order `key`
-    sorts them by this process and min(helpers, count - 1) forked helper processes.
-    With no helper, or where none can be forked, every job runs here in serial
-    order (0, 1, ...).
+    sorts them by this process and min(helpers, count - 1) forked helper processes;
+    this process runs the first of them. With no helper, or where none can be
+    forked, every job runs here in serial order (0, 1, ...).
 
     Every helper has exited before this returns or raises. If jobs fail, the error
     serial order meets first is raised; once a job has failed, no job after it in
@@ -312,7 +327,9 @@ def train_cnns(rows: Rows, folds: list, cfg: PipelineConfig, processes: int = 2)
     Math. 1969). A helper is a process, not a thread, because a training step is
     many small numpy calls that hold the GIL for much of the step: two threads
     wait on each other, and how long depends on how soon the host wakes the
-    waiting one. Without a setter to pin BLAS, every job runs here in serial
+    waiting one. The pin is set here only when no enclosing one holds it: inside
+    evaluate_loso's, the count is already one and is not set again (see
+    _one_blas_thread). Without a setter to pin BLAS, every job runs here in serial
     order. Each training depends on its (kind, rows, seed) alone, so the models
     are the same either way. A job copies its fold's rows of its own input when
     it starts, so only the running jobs' copies are held at once.
@@ -540,21 +557,27 @@ def evaluate_loso(data: Dataset, cfg: PipelineConfig, fs: float, jobs: int = 1) 
     Every window is featurized once; each fold trains on the other subjects'
     rows and is tested on its own subject's rows. Every fold's CNNs are trained
     first, from one queue worked by at most max(jobs, 2) processes (see
-    train_cnns); then, in this process, each fold fits the rest of its method
-    and is scored. BLAS stays on one thread throughout.
+    train_cnns); then each fold, a job of a second such queue taken in subject
+    order, fits the rest of its method and is scored, and sends back only its
+    metrics. The results are the same as one process's, since each fold depends
+    on its rows, seed and CNNs alone. BLAS is set to one thread once, before
+    featurization, and stays there throughout; without a setter to pin it, every
+    fold runs here in subject order.
     """
     subjects = data.subjects
     if len(subjects) < 2:
         raise ValueError(f"LOSO needs at least 2 subjects, got {len(subjects)}")
-    rows = featurize(data.windows, cfg, fs)
-    owner = np.array([w.subject_id for w in data.windows])
-    folds = [(owner != s, fold_seed(cfg.seed, s)) for s in subjects]  # training rows, seed
-    with _one_blas_thread():
+    with _one_blas_thread() as pinned:
+        rows = featurize(data.windows, cfg, fs)
+        owner = np.array([w.subject_id for w in data.windows])
+        folds = [(owner != s, fold_seed(cfg.seed, s)) for s in subjects]  # training rows, seed
         cnns = train_cnns(rows, folds, cfg, max(jobs, 2))
-        metrics = [
-            run_pipeline(s, rows.take(m), rows.take(~m), cfg, fold_cnns)
-            for s, (m, _), fold_cnns in zip(subjects, folds, cnns)
-        ]
+
+        def score(f):
+            mask = folds[f][0]
+            return run_pipeline(subjects[f], rows.take(mask), rows.take(~mask), cfg, cnns[f])
+
+        metrics = _run_jobs(score, len(folds), max(jobs, 2) - 1 if pinned else 0)
     return RunResult(
         method=cfg.method,
         per_fold=tuple(zip(subjects, metrics)),

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import fcntl
 import multiprocessing
+import pickle
 import threading
 
 import pytest
@@ -134,13 +136,48 @@ def taint(data: Dataset, subject: str, offset: float = 5.0) -> Dataset:
     )
 
 
+class Record:
+    """Tuples appended to one file by whichever process makes them, so that what a
+    forked helper does is seen too; each tuple is pickled, and written whole under
+    an exclusive lock."""
+
+    def __init__(self, path):
+        self.path = path
+        path.write_bytes(b"")
+
+    def add(self, *fields):
+        with open(self.path, "ab") as f:
+            fcntl.flock(f, fcntl.LOCK_EX)  # released when the file closes, after the flush
+            f.write(pickle.dumps(fields).hex().encode() + b"\n")
+
+    def __call__(self) -> list:
+        return [pickle.loads(bytes.fromhex(line)) for line in self.path.read_text().splitlines()]
+
+    def clear(self):
+        self.path.write_bytes(b"")
+
+
 @pytest.fixture
-def fitted(monkeypatch):
-    """The components of every pipeline.fit_rows call the test makes, in call order;
-    a LOSO run serial in one process trains its folds in subject order."""
-    fitted, real = [], pipeline.fit_rows
-    monkeypatch.setattr(pipeline, "fit_rows", lambda *a: fitted.append(real(*a)) or fitted[-1])
-    return fitted
+def fitted(monkeypatch, tmp_path):
+    """fitted() is the components of every pipeline.fit_rows call the test has made, in
+    this process or a helper: run by run, each run's folds in fold order. A run is one train_cnns
+    call (a LOSO run's, or the one a single fit makes); the helpers that score its
+    folds are forked after it, so they know its number and its folds' seeds."""
+    record, run = Record(tmp_path / "fitted"), {"number": 0, "seeds": []}
+    real_train, real_fit = pipeline.train_cnns, pipeline.fit_rows
+
+    def train_cnns(rows, folds, *args):
+        run.update(number=run["number"] + 1, seeds=[seed for _, seed in folds])
+        return real_train(rows, folds, *args)
+
+    def fit_rows(rows, cfg, seed, *args):
+        components = real_fit(rows, cfg, seed, *args)
+        record.add(run["number"], run["seeds"].index(seed), components)
+        return components
+
+    monkeypatch.setattr(pipeline, "train_cnns", train_cnns)
+    monkeypatch.setattr(pipeline, "fit_rows", fit_rows)
+    return lambda: [components for *_, components in sorted(record(), key=lambda r: r[:2])]
 
 
 @pytest.fixture(scope="session")

@@ -344,7 +344,8 @@ def test_09_no_leakage_taint(fitted):
         return ok and a["svm_lambda"] == b["svm_lambda"]
 
     # Folds train in subject order: clean subj0, clean subj1, tainted subj0, tainted subj1
-    ok = len(fitted) == 4 and same(fitted[0], fitted[2]) and not same(fitted[1], fitted[3])
+    fits = fitted()
+    ok = len(fits) == 4 and same(fits[0], fits[2]) and not same(fits[1], fits[3])
     elapsed = time.perf_counter() - start
     ok = ok and elapsed < 120.0
     _verdict(f"acceptance-09 no-leakage taint ({elapsed:.0f}s)", ok)

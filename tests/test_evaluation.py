@@ -22,7 +22,7 @@ from ecgstress.signal_core import (
     Window,
 )
 
-from conftest import make_dataset
+from conftest import Record, make_dataset
 from oracles import loop_compute_metrics, loop_krippendorff_alpha
 
 
@@ -32,8 +32,8 @@ def _window(subject, start=0, label=0):
 
 class TestFolds:
     """The split evaluate_loso makes, with training stubbed out: train_cnns records the
-    rows each fold's CNNs train on, fit_rows the rows each fold trains on, and every
-    test row is predicted as its own label."""
+    rows each fold's CNNs train on, fit_rows the rows each fold trains on (in this
+    process or a helper), and every test row is predicted as its own label."""
 
     cfg = PipelineConfig(method="cnn1d")  # its feature rows are the window samples
 
@@ -42,15 +42,16 @@ class TestFolds:
         return []
 
     @pytest.fixture
-    def trained_on(self, monkeypatch, queued):
-        trained_on = []
+    def trained_on(self, monkeypatch, queued, tmp_path):
+        """The rows of every fit_rows call, in fold order."""
+        fits = Record(tmp_path / "fits")
 
         def train_cnns(rows, folds, cfg, processes=2):
             queued.extend((rows.take(mask), seed) for mask, seed in folds)
             return [{} for _ in folds]
 
         def fit_rows(rows, cfg, seed, cnns=None):
-            trained_on.append(rows)
+            fits.add(seed, rows)
             return {}
 
         def predict_rows(components, rows, cfg):
@@ -59,15 +60,20 @@ class TestFolds:
         monkeypatch.setattr(pipeline, "train_cnns", train_cnns)
         monkeypatch.setattr(pipeline, "fit_rows", fit_rows)
         monkeypatch.setattr(pipeline, "predict_rows", predict_rows)
-        return trained_on
+
+        def in_fold_order():
+            seeds = [seed for _, seed in queued]
+            return [rows for _, rows in sorted(fits(), key=lambda fit: seeds.index(fit[0]))]
+
+        return in_fold_order
 
     def test_leak_rejected(self, trained_on, queued):
         data = make_dataset(n_subjects=3, duration_s=5.0)
         evaluate_loso(data, self.cfg, 256.0)
-        assert len(trained_on) == len(queued) == 3
+        assert len(trained_on()) == len(queued) == 3
         assert [seed for _, seed in queued] == [pipeline.fold_seed(0, s) for s in data.subjects]
         # Each fold's CNNs and the rest of its method train on the other subjects' rows
-        for subject, rows, (cnn_rows, _) in zip(data.subjects, trained_on, queued):
+        for subject, rows, (cnn_rows, _) in zip(data.subjects, trained_on(), queued):
             others = [w for w in data.windows if w.subject_id != subject]
             for fold_rows in (rows, cnn_rows):
                 np.testing.assert_array_equal(fold_rows.x[:, 0], [w.samples for w in others])
@@ -87,7 +93,7 @@ class TestFolds:
         result = evaluate_loso(data, self.cfg, 256.0)
         totals = [int(m.confusion.sum()) for _, m in result.per_fold]
         assert sum(totals) == len(data.windows)
-        for total, rows in zip(totals, trained_on):
+        for total, rows in zip(totals, trained_on()):
             assert total + len(rows.labels) == len(data.windows)
 
     def test_single_subject_rejected(self, monkeypatch):

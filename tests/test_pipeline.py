@@ -32,7 +32,7 @@ from ecgstress.pipeline import (
 from ecgstress.evaluation import METHOD_DISPLAY, RunResult, compute_metrics
 from ecgstress.signal_core import Window
 
-from conftest import make_dataset, taint
+from conftest import Record, make_dataset, taint
 
 FAST_TRAIN = TrainConfig(epochs=2, learning_rate=0.02, batch_size=32)
 
@@ -215,11 +215,12 @@ class TestHrvMatrix:
         baseline = threading.active_count()
         X, valid = hrv_matrix(windows, 256.0)
         assert no_helper_left(baseline)
-        assert len(helpers_started()) == helpers
+        forked = [len(pids) for pids in helpers_started()]
+        assert forked == [helpers] * (helpers > 0)
         with monkeypatch.context() as no_fork:
             no_fork.setattr(pipeline, "_fork_context", lambda: None)
             X_serial, valid_serial = hrv_matrix(windows, 256.0)
-        assert len(helpers_started()) == helpers
+        assert [len(pids) for pids in helpers_started()] == forked
         assert X.tobytes() == X_serial.tobytes()
         assert valid.tolist() == valid_serial.tolist()
         assert valid.tolist() == [i % 7 != 3 for i in range(count)]
@@ -275,7 +276,7 @@ class TestHrvMatrix:
         with pytest.raises(ValueError) as through_helper:
             hrv_matrix(windows, 256.0)
         assert no_helper_left(baseline)
-        assert len(helpers_started()) == 1
+        assert [len(pids) for pids in helpers_started()] == [1]
         assert type(through_helper.value) is ValueError
         assert str(through_helper.value) == str(direct.value)
 
@@ -358,25 +359,6 @@ class TestRunPipeline:
         assert comps["fusion_weights"] is None
 
 
-class Record:
-    """Tuples appended to one file by whichever process makes them, so that what a
-    forked helper does is seen too; one short append is one atomic write."""
-
-    def __init__(self, path):
-        self.path = path
-        path.write_text("")
-
-    def add(self, *fields):
-        with open(self.path, "a") as f:
-            f.write(json.dumps(fields) + "\n")
-
-    def __call__(self) -> list:
-        return [tuple(json.loads(line)) for line in self.path.read_text().splitlines()]
-
-    def clear(self):
-        self.path.write_text("")
-
-
 @pytest.fixture
 def trainings(monkeypatch, blas_threads, tmp_path):
     """Record of (kind, fold seed, process id, thread id, BLAS threads) of every CNN
@@ -394,10 +376,28 @@ def trainings(monkeypatch, blas_threads, tmp_path):
 
 @pytest.fixture
 def helpers_started(monkeypatch, tmp_path):
-    """Process ids of the CNN queue helpers started, each recorded as it starts."""
-    record, real = Record(tmp_path / "helpers"), pipeline._helper_main
-    monkeypatch.setattr(pipeline, "_helper_main", lambda *a: record.add(os.getpid()) or real(*a))
-    return lambda: {pid for (pid,) in record()}
+    """One set per job queue that forked helpers, in the order the queues ran: the
+    process ids of its helpers, each recorded as it starts. A queue's number is
+    counted in this process before its helpers are forked, so they inherit it."""
+    record, queues = Record(tmp_path / "helpers"), [0]
+    real_queue, real_main = pipeline._take_jobs_with_helpers, pipeline._helper_main
+
+    def take_jobs_with_helpers(*args):
+        queues[0] += 1
+        return real_queue(*args)
+
+    monkeypatch.setattr(pipeline, "_take_jobs_with_helpers", take_jobs_with_helpers)
+    monkeypatch.setattr(
+        pipeline, "_helper_main", lambda *a: record.add(queues[0], os.getpid()) or real_main(*a)
+    )
+
+    def started():
+        pids = {}
+        for queue, pid in record():
+            pids.setdefault(queue, set()).add(pid)
+        return [pids[queue] for queue in sorted(pids)]
+
+    return started
 
 
 def no_helper_left(baseline_threads):
@@ -520,7 +520,7 @@ class TestCnnQueue:
             proba = predict_rows(components, test, cfg)
             metrics = compute_metrics(np.argmax(proba, axis=1), test.labels, cfg.class_count)
             reference.append((encoded(components), subject, metrics.to_dict()))
-        assert [(encoded(c), s, m.to_dict()) for c, (s, m) in zip(fitted, result.per_fold)] == (
+        assert [(encoded(c), s, m.to_dict()) for c, (s, m) in zip(fitted(), result.per_fold)] == (
             reference
         )
 
@@ -598,19 +598,26 @@ class TestCnnQueue:
             ("cnn1d", 2, 3, 1),  # 2 jobs: never more helpers than jobs - 1
         ],
     )
-    def test_helper_count(self, trainings, helpers_started, method, subjects, jobs, helpers):
-        """--jobs N trains on at most max(N, 2) processes: this one and the helpers it
-        forks, one process per job at most."""
+    def test_helper_count(self, trainings, helpers_started, monkeypatch, tmp_path, method,
+                          subjects, jobs, helpers):
+        """--jobs N trains, then scores the folds, on at most max(N, 2) processes: this
+        one and the helpers each queue forks, one process per job at most."""
+        folds, real = Record(tmp_path / "folds"), pipeline.run_pipeline
+        monkeypatch.setattr(
+            pipeline, "run_pipeline", lambda s, *a: folds.add(s, os.getpid()) or real(s, *a)
+        )
         data = make_dataset(n_subjects=subjects, duration_s=12.0)
         baseline = threading.active_count()
         evaluate_loso(data, fast_config(method), 256.0, jobs=jobs)
         assert no_helper_left(baseline)
-        forked = helpers_started()
-        assert len(forked) == helpers
+        cnn_queue, fold_queue = helpers_started()
+        assert (len(cnn_queue), len(fold_queue)) == (helpers, helpers)
         seen = trainings()
         assert len(seen) == subjects * len(METHODS[method].cnns)
-        assert {pid for _, _, pid, *_ in seen} <= forked | {os.getpid()}
+        assert {pid for _, _, pid, *_ in seen} <= cnn_queue | {os.getpid()}
         assert {blas for *_, blas in seen} == {1}
+        assert sorted(s for s, _ in folds()) == list(data.subjects)
+        assert {pid for _, pid in folds()} <= fold_queue | {os.getpid()}
 
     @pytest.mark.parametrize("processes", [3, 4])
     def test_a_single_fit_forks_one_helper(self, small_dataset, trainings, helpers_started,
@@ -619,7 +626,7 @@ class TestCnnQueue:
         cfg = fast_config("fusion_weighted")
         rows = featurize(fold_windows(small_dataset, "subj0")[0], cfg, 256.0)
         pipeline.train_cnns(rows, [(rows.valid, 7)], cfg, processes)
-        assert len(helpers_started()) == 1
+        assert [len(pids) for pids in helpers_started()] == [1]
         assert sorted(kind for kind, *_ in trainings()) == ["cnn1d", "cnn2d"]
         assert {blas for *_, blas in trainings()} == {1}
 
@@ -635,7 +642,7 @@ class TestCnnQueue:
         baseline = threading.active_count()
         with pytest.raises(PipelineError, match=f"cnn1d diverged in fold {seeds[1]}$"):
             evaluate_loso(data, cfg, 256.0, jobs=3)
-        assert len(helpers_started()) == 2
+        assert [len(pids) for pids in helpers_started()] == [2]  # no fold starts
         assert no_helper_left(baseline)
         assert blas_threads[0]() == 2
 
@@ -701,26 +708,28 @@ class TestCnnQueue:
                 np.testing.assert_array_equal(x2, images[f:f + 1])
         assert blas_threads[0]() == 2
 
-    def test_fold_extraction_runs_on_one_blas_thread(self, blas_threads, monkeypatch):
+    def test_fold_extraction_runs_on_one_blas_thread(self, blas_threads, monkeypatch, tmp_path):
+        """In this process or a helper, every fold extracts its features at one BLAS thread."""
         data = make_dataset(n_subjects=4, duration_s=16.0)
         cfg = PipelineConfig(
             method="fusion_weighted", cnn_train=TrainConfig(epochs=1, learning_rate=0.02), seed=1
         )
-        seen, real = [], neuralnet.extract_features
+        seen, real = Record(tmp_path / "extractions"), neuralnet.extract_features
         monkeypatch.setattr(
             neuralnet,
             "extract_features",
-            lambda model, x: seen.append((len(x), blas_threads[0]())) or real(model, x),
+            lambda model, x: seen.add(len(x), blas_threads[0]()) or real(model, x),
         )
         evaluate_loso(data, cfg, 256.0)
-        assert seen.count((144, 1)) == 8  # each fold's two branches, on its 144 training rows
-        assert {blas for _, blas in seen} == {1}
+        assert seen().count((144, 1)) == 8  # each fold's two branches, on its 144 training rows
+        assert {blas for _, blas in seen()} == {1}
         assert blas_threads[0]() == 2
 
 
 def run_pipeline_at_one_blas_thread(*args):
     """pipeline.run_pipeline, failing where BLAS runs on more than one thread: every
-    fold runs in the caller, under the pin evaluate_loso holds."""
+    fold runs in the caller under the pin evaluate_loso holds, or in a helper forked
+    while it holds."""
     threads = pipeline._blas_threads()[0]()
     if threads != 1:
         raise AssertionError(f"fold ran with {threads} BLAS threads")
@@ -739,20 +748,21 @@ class TestEvaluateLoso:
 
     @pytest.mark.parametrize("method", sorted(METHODS))
     def test_parallel_matches_serial(self, small_dataset, fitted, monkeypatch, method):
-        """At --jobs 1, 2 and 3, every fold's trained components and the result equal
-        those of a run that trains every job here in serial order."""
+        """At --jobs 1, 2 and 3, every fold's trained components and the result, its
+        per-fold metrics included, equal those of a run that trains and scores every
+        fold here in serial order."""
         data = dataset_for(method, small_dataset)
         cfg = fast_config(method)
         with monkeypatch.context() as no_fork:
             no_fork.setattr(pipeline, "_fork_context", lambda: None)
             serial = evaluate_loso(data, cfg, 256.0)
         folds = len(data.subjects)
-        reference = [encoded(c) for c in fitted]
+        reference = [encoded(c) for c in fitted()]
         assert len(reference) == folds
         for jobs in (1, 2, 3):
             parallel = evaluate_loso(data, cfg, 256.0, jobs=jobs)
             assert json.dumps(parallel.to_dict()) == json.dumps(serial.to_dict())
-            assert [encoded(c) for c in fitted[-folds:]] == reference
+            assert [encoded(c) for c in fitted()[-folds:]] == reference
 
     def test_a_worker_error_reaches_the_caller(self, small_dataset, monkeypatch):
         """A PipelineError pickles with its stage, so a helper hands its error back."""
@@ -778,18 +788,19 @@ class TestEvaluateLoso:
         cfg = fast_config(method)
         evaluate_loso(small_dataset, cfg, 256.0)
         evaluate_loso(taint(small_dataset, "subj0"), cfg, 256.0)
-        assert len(fitted) == 4
-        clean, tainted = [encoded(c) for c in fitted[:2]], [encoded(c) for c in fitted[2:]]
+        fits = fitted()
+        assert len(fits) == 4
+        clean, tainted = [encoded(c) for c in fits[:2]], [encoded(c) for c in fits[2:]]
         # Which folds are unchanged: the one testing subj0, not the one training on it
         assert [tainted[0] == clean[0], tainted[1] == clean[1]] == [True, False]
 
     @pytest.mark.parametrize("method", ["svm_hrv", "knn_hrv", "fusion_weighted"])
-    def test_hrv_vector_computed_once_per_window(self, small_dataset, method, monkeypatch,
-                                                 tmp_path):
+    def test_hrv_vector_computed_once_per_window(self, small_dataset, fitted, method,
+                                                 monkeypatch, tmp_path):
         """A LOSO run featurizes every window once: one hrv_vector call per window, in
         this process or the helper, or one STFT call for all of a fusion run's
-        spectrograms. Each fold then trains exactly what train_alone trains on that
-        fold's windows."""
+        spectrograms. Each fold, in this process or a helper, then trains exactly what
+        train_alone trains on that fold's windows."""
         data = (
             small_dataset
             if method == "fusion_weighted"
@@ -799,16 +810,13 @@ class TestEvaluateLoso:
         per_fold = [(s, run_fold(data, s, cfg)) for s in data.subjects]
         alone = [encoded(train_alone(fold_windows(data, s)[0], cfg, s)) for s in data.subjects]
         # A forked helper shares this process's addresses, so id(w) names the same window
-        calls, stft_calls, trained = Record(tmp_path / "hrv_calls"), [], []
+        calls, stft_calls = Record(tmp_path / "hrv_calls"), []
         real, real_stft = pipeline.hrv_vector, pipeline.stft_spectrogram
-        real_fit = pipeline.fit_rows
         monkeypatch.setattr(pipeline, "hrv_vector", lambda w, fs: calls.add(id(w)) or real(w, fs))
         monkeypatch.setattr(
             pipeline, "stft_spectrogram", lambda x, p: stft_calls.append(x) or real_stft(x, p)
         )
-        monkeypatch.setattr(
-            pipeline, "fit_rows", lambda *a: trained.append(real_fit(*a)) or trained[-1]
-        )
+        fits_before = len(fitted())
         result = evaluate_loso(data, cfg, 256.0)
         if method == "fusion_weighted":
             assert calls() == [] and len(stft_calls) == 1
@@ -817,9 +825,125 @@ class TestEvaluateLoso:
             assert stft_calls == []
             assert len(calls()) == len(data.windows)
             assert {i for (i,) in calls()} == {id(w) for w in data.windows}
-        assert [encoded(c) for c in trained] == alone
+        assert [encoded(c) for c in fitted()[fits_before:]] == alone
         assert [(s, m.to_dict()) for s, m in result.per_fold] == [
             (s, m.to_dict()) for s, m in per_fold
         ]
         parallel = evaluate_loso(data, cfg, 256.0, jobs=2)
         assert json.dumps(parallel.to_dict()) == json.dumps(result.to_dict())
+
+
+class TestFoldQueue:
+    """evaluate_loso scores its folds as the jobs of a second queue, in subject order,
+    worked by this process and the same number of helpers as the CNN queue."""
+
+    def test_this_process_runs_the_first_job(self, helpers_started, monkeypatch, tmp_path):
+        """The first job in queue order is this process's, though here the helper runs
+        a job before this process takes any: it was taken before the helper was forked."""
+        caller, ran = os.getpid(), Record(tmp_path / "ran")
+        helper_ran = multiprocessing.get_context("fork").Event()
+        real = pipeline._take_jobs
+
+        def take_jobs(*args):
+            if os.getpid() == caller:
+                assert helper_ran.wait(timeout=30)
+            return real(*args)
+
+        def run(i):
+            ran.add(i, os.getpid())
+            if os.getpid() != caller:
+                helper_ran.set()
+
+        monkeypatch.setattr(pipeline, "_take_jobs", take_jobs)
+        pipeline._run_jobs(run, 3, 1, key=lambda i: -i)
+        assert [len(pids) for pids in helpers_started()] == [1]
+        assert (2, os.getpid()) in ran()
+        assert sorted(i for i, _ in ran()) == [0, 1, 2]
+
+    @pytest.mark.parametrize("jobs", [1, 3])
+    def test_error_follows_serial_order(self, helpers_started, monkeypatch, jobs):
+        """Folds 1 and 3 fail, fold 3 first in time: fold 1's error is raised, once
+        every helper has exited."""
+        data = make_dataset(n_subjects=4, duration_s=24.0, window_seconds=4.0)
+        fold3_failed = multiprocessing.get_context("fork").Event()
+        real = pipeline.run_pipeline
+
+        def run(subject, *args):
+            if subject == "subj1":
+                assert fold3_failed.wait(timeout=30)
+            if subject == "subj3":
+                fold3_failed.set()
+            if subject in ("subj1", "subj3"):
+                raise PipelineError("predict", ValueError(f"{subject} failed"))
+            return real(subject, *args)
+
+        monkeypatch.setattr(pipeline, "run_pipeline", run)
+        baseline = threading.active_count()
+        with pytest.raises(PipelineError, match="subj1 failed$") as err:
+            evaluate_loso(data, fast_config("knn_hrv"), 256.0, jobs=jobs)
+        assert err.value.stage == "predict"
+        assert no_helper_left(baseline)
+        assert fold3_failed.is_set()
+        assert len(helpers_started()[-1]) == min(max(jobs, 2) - 1, 3)  # the fold queue's
+
+
+class TestBlasPin:
+    """The OpenBLAS count is set once per run, in this process, and never in a helper:
+    after a fork, any call to the setter starts a new OpenBLAS worker."""
+
+    @pytest.fixture
+    def sets(self, monkeypatch, tmp_path):
+        """Record of (process id, count) of every call to a fake OpenBLAS thread setter,
+        in any process; the fake count, sets.count[0], is 2 to start with."""
+        record, count = Record(tmp_path / "sets"), [2]
+
+        def set_(n):
+            record.add(os.getpid(), n)
+            count[0] = n
+
+        monkeypatch.setattr(pipeline, "_blas_threads", lambda: (lambda: count[0], set_))
+        record.count = count
+        return record
+
+    @pytest.mark.parametrize(
+        "method, jobs, forked",
+        [
+            ("fusion_avg", 1, [1, 1]),  # the CNN queue, then the fold queue
+            ("fusion_avg", 3, [2, 2]),
+            ("svm_hrv", 1, [1, 1]),  # hrv_matrix's queue, then the fold queue
+            ("svm_hrv", 3, [1, 2]),
+        ],
+    )
+    def test_one_set_per_run(self, sets, helpers_started, monkeypatch, method, jobs, forked):
+        """To one thread before any queue forks, then back after the folds."""
+        if method == "fusion_avg":
+            data = make_dataset(n_subjects=4, duration_s=12.0)
+        else:
+            data = make_dataset(n_subjects=4, duration_s=24.0, window_seconds=4.0)
+        real = pipeline._take_jobs_with_helpers
+        monkeypatch.setattr(
+            pipeline, "_take_jobs_with_helpers", lambda *a: sets.add(os.getpid(), "fork") or real(*a)
+        )
+        baseline = threading.active_count()
+        evaluate_loso(data, fast_config(method), 256.0, jobs=jobs)
+        assert no_helper_left(baseline)
+        assert [len(pids) for pids in helpers_started()] == forked
+        caller = os.getpid()
+        assert sets() == [(caller, 1), *[(caller, "fork")] * len(forked), (caller, 2)]
+
+    def test_a_count_at_one_is_left_alone(self, sets, helpers_started, small_dataset):
+        """As under OPENBLAS_NUM_THREADS=1: no set at all, and the queues still fork."""
+        sets.count[0] = 1
+        evaluate_loso(small_dataset, fast_config("fusion_avg"), 256.0)
+        assert [len(pids) for pids in helpers_started()] == [1, 1]
+        assert sets() == []
+
+    def test_a_single_fit_sets_and_restores(self, sets, small_dataset):
+        """train_cnns and fit_rows, called outside a pin, each pin for themselves."""
+        cfg = fast_config("fusion_weighted")
+        rows = featurize(fold_windows(small_dataset, "subj0")[0], cfg, 256.0)
+        pipeline.train_cnns(rows, [(rows.valid, 7)], cfg)
+        assert sets() == [(os.getpid(), 1), (os.getpid(), 2)]
+        sets.clear()
+        fit_rows(rows, cfg, 7)
+        assert sets() == [(os.getpid(), 1), (os.getpid(), 2)]
