@@ -377,7 +377,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--force", action="store_true")
-    _add_settings(p, unread=("jobs",))  # train fits one model in this process
+    _add_settings(p, unread=("jobs",))  # fit_rows forks one helper for a fusion fit's two CNNs
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("evaluate", help="LOSO evaluation with a markdown report")

@@ -2,15 +2,9 @@
 
 from __future__ import annotations
 
-import ctypes
-import mmap
-import os
-import signal
 import zlib
 from collections.abc import Callable
-from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field, asdict
-from functools import cache
 from typing import NamedTuple
 
 import numpy as np
@@ -19,6 +13,7 @@ from . import classifiers, fusion, neuralnet
 from .dsp import SpectrogramParams, normalize_spectrogram, stft_spectrogram
 from .evaluation import Metrics, RunResult, compute_metrics, mean_metrics
 from .hrv import FEATURE_NAMES, hrv_vector
+from .jobs import one_blas_thread, run_jobs
 from .neuralnet import TrainConfig
 from .signal_core import Dataset
 
@@ -147,192 +142,22 @@ def _train_cnn(kind: str, x, y, cfg: PipelineConfig, seed: int) -> neuralnet.Mod
     return model
 
 
-# Thread-count getter and setter of numpy's OpenBLAS, by build: scipy-openblas wheels,
-# 64-bit-integer builds, then plain builds
-_BLAS_THREAD_CALLS = (
-    "scipy_openblas_{}_num_threads64_",
-    "openblas_{}_num_threads64_",
-    "openblas_{}_num_threads",
-)
-
-
-@cache
-def _blas_threads():
-    """(get, set) of the thread count of the OpenBLAS loaded in this process, or None.
-
-    Looked up once: numpy, imported above, has loaded its BLAS by the first call.
-    """
-    try:
-        with open("/proc/self/maps") as maps:
-            fields = [line.rstrip("\n").split(maxsplit=5) for line in maps]
-    except OSError:
-        return None
-    libraries = dict.fromkeys(
-        f[5] for f in fields if len(f) == 6 and "openblas" in os.path.basename(f[5]).lower()
-    )
-    for path in libraries:
-        try:
-            lib = ctypes.CDLL(path)
-        except OSError:
-            continue
-        for name in _BLAS_THREAD_CALLS:
-            get = getattr(lib, name.format("get"), None)
-            set_ = getattr(lib, name.format("set"), None)
-            if get is not None and set_ is not None:
-                get.argtypes, get.restype = [], ctypes.c_int
-                set_.argtypes, set_.restype = [ctypes.c_int], None
-                return get, set_
-    return None
-
-
-@contextmanager
-def _one_blas_thread():
-    """numpy's OpenBLAS on one thread inside the block, and its previous count restored
-    after; yields whether it could be set.
-
-    The CNNs' GEMMs (9 to 144 columns) are too small to share among BLAS threads, so
-    a second core pays only when it runs other work. The count is process-wide:
-    only the thread that enters the block may set it, and processes forked inside
-    the block start with one thread. A count already at one is neither set nor
-    restored, so a pin nested in another, or entered in a forked helper, never calls
-    the setter: after a fork, any call to it (even to one thread) starts a new
-    OpenBLAS worker, which spins for about 128 ms of CPU on the other core.
-    """
-    threads = _blas_threads()
-    if threads is None:
-        yield False
-        return
-    get, set_ = threads
-    before = get()
-    if before == 1:
-        yield True
-        return
-    set_(1)
-    try:
-        yield True
-    finally:
-        set_(before)
-
-
-def _fork_context():
-    """multiprocessing's fork context, or None where the platform has no fork."""
-    import multiprocessing  # here, so that runs that fork no helper do not load it
-
-    if "fork" not in multiprocessing.get_all_start_methods():
-        return None
-    return multiprocessing.get_context("fork")
-
-
-def _next_job(order: list, state, lock):
-    """The next job of the queue `order` that may start, or None once it is empty;
-    state = [next position in order, first failed job] is shared by every worker of
-    the queue, under lock. A job after a failed one in serial order does not start."""
-    with lock:
-        while state[0] < len(order):
-            i = order[state[0]]
-            state[0] += 1
-            if i < state[1]:
-                return i
-    return None
-
-
-def _take_jobs(order: list, state, lock, run: Callable, i=None) -> dict:
-    """{job: (True, result) or (False, error)} of the jobs this worker takes from the
-    queue (see _next_job), starting with job i if it has taken that one already."""
-    done = {}
-    if i is None:
-        i = _next_job(order, state, lock)
-    while i is not None:
-        try:
-            done[i] = (True, run(i))
-        except Exception as exc:  # raised by _run_jobs once every worker is done
-            done[i] = (False, exc)
-            with lock:
-                state[1] = min(state[1], i)
-        i = _next_job(order, state, lock)
-    return done
-
-
-def _helper_main(order, state, lock, run, send) -> None:
-    signal.signal(signal.SIGINT, signal.SIG_IGN)  # the caller handles an interrupt and ends this
-    send.send(_take_jobs(order, state, lock, run))
-
-
-def _take_jobs_with_helpers(context, order: list, run: Callable, helpers: int) -> dict:
-    """_take_jobs worked by this process and `helpers` forked helpers; each helper's
-    results come back through its own pipe once the queue is empty, and every helper
-    has exited before this returns or raises. This process takes the first job
-    before any helper starts, so it runs at least one."""
-    state = np.ndarray(2, dtype=np.int64, buffer=mmap.mmap(-1, 16))  # shared with the helpers
-    state[:] = 1, len(order)
-    lock = context.Lock()
-    started = []  # (helper, the read end of its pipe)
-    try:
-        for _ in range(helpers):
-            receive, send = context.Pipe(duplex=False)
-            helper = context.Process(target=_helper_main, name="job-queue", daemon=True,
-                                     args=(order, state, lock, run, send))
-            helper.start()
-            started.append((helper, receive))
-            send.close()  # before the next fork, so that this helper's exit alone ends receive
-        done = _take_jobs(order, state, lock, run, order[0])
-        for helper, receive in started:
-            try:
-                done.update(receive.recv())
-            except EOFError:  # it died before sending
-                helper.join()
-                raise RuntimeError(f"a queue helper exited with code {helper.exitcode}") from None
-    except BaseException:
-        for helper, _ in started:
-            helper.terminate()  # an interrupt here: the helpers' current jobs are dropped
-        raise
-    finally:
-        for helper, receive in started:
-            helper.join()
-            receive.close()
-    return done
-
-
-def _run_jobs(run: Callable, count: int, helpers: int, key: Callable | None = None) -> list:
-    """[run(0), ..., run(count - 1)]: the jobs of one queue, taken in the order `key`
-    sorts them by this process and min(helpers, count - 1) forked helper processes;
-    this process runs the first of them. With no helper, or where none can be
-    forked, every job runs here in serial order (0, 1, ...).
-
-    Every helper has exited before this returns or raises. If jobs fail, the error
-    serial order meets first is raised; once a job has failed, no job after it in
-    serial order starts.
-    """
-    helpers = min(helpers, count - 1)
-    context = _fork_context() if helpers > 0 else None
-    if context is None:
-        done = _take_jobs(list(range(count)), [0, count], nullcontext(), run)
-    else:
-        done = _take_jobs_with_helpers(context, sorted(range(count), key=key), run, helpers)
-    failed = [i for i in sorted(done) if not done[i][0]]
-    if failed:
-        raise done[failed[0]][1]
-    return [done[i][1] for i in range(count)]
-
-
-def train_cnns(rows: Rows, folds: list, cfg: PipelineConfig, processes: int = 2) -> list[dict]:
+def train_cnns(rows: Rows, folds: list, cfg: PipelineConfig, helpers: int) -> list[dict]:
     """{kind: trained CNN} of each (mask, seed) fold: the configured method's CNNs,
     trained on the valid rows of `rows` that the fold's mask selects.
 
     In serial order, fold by fold and cnn1d before cnn2d, the trainings are the
-    jobs of one queue (see _run_jobs). With BLAS pinned to one thread, this
-    process and up to processes - 1 forked helper processes work through it,
-    every cnn2d job first: cnn2d trains about 2.5 times as long as cnn1d, and
-    longest first leaves the least idle time at the end (Graham, SIAM J. Appl.
-    Math. 1969). A helper is a process, not a thread, because a training step is
-    many small numpy calls that hold the GIL for much of the step: two threads
-    wait on each other, and how long depends on how soon the host wakes the
-    waiting one. The pin is set here only when no enclosing one holds it: inside
-    evaluate_loso's, the count is already one and is not set again (see
-    _one_blas_thread). Without a setter to pin BLAS, every job runs here in serial
-    order. Each training depends on its (kind, rows, seed) alone, so the models
-    are the same either way. A job copies its fold's rows of its own input when
-    it starts, so only the running jobs' copies are held at once.
+    jobs of one queue (see jobs.run_jobs), worked by this process and up to
+    `helpers` forked helper processes, every cnn2d job first: cnn2d trains about
+    2.5 times as long as cnn1d, and longest first leaves the least idle time at
+    the end (Graham, SIAM J. Appl. Math. 1969). A helper is a process, not a
+    thread, because a training step is many small numpy calls that hold the GIL
+    for much of the step: two threads wait on each other, and how long depends
+    on how soon the host wakes the waiting one. The caller holds the BLAS pin
+    and gives helpers only under it, so each helper starts with one BLAS thread.
+    Each training depends on its (kind, rows, seed) alone, so the models are the
+    same with any number of helpers. A job copies its fold's rows of its own
+    input when it starts, so only the running jobs' copies are held at once.
     """
     arrays = rows.x if isinstance(rows.x, tuple) else (rows.x,)
     inputs = dict(zip(method_spec(cfg.method).cnns, arrays))  # each CNN kind's input
@@ -344,9 +169,7 @@ def train_cnns(rows: Rows, folds: list, cfg: PipelineConfig, processes: int = 2)
         _, kind, keep, seed = jobs[i]
         return _train_cnn(kind, inputs[kind][keep], rows.labels[keep], cfg, seed)
 
-    with _one_blas_thread() as pinned:
-        models = _run_jobs(train, len(jobs), processes - 1 if pinned else 0,
-                           key=lambda i: jobs[i][1] != "cnn2d")
+    models = run_jobs(train, len(jobs), helpers, key=lambda i: jobs[i][1] != "cnn2d")
     trained = [{} for _ in folds]
     for (f, kind, *_), model in zip(jobs, models):
         trained[f][kind] = model
@@ -380,11 +203,11 @@ def hrv_matrix(windows, fs: float):
     """HRV feature rows of the windows, and which of them yielded one (the rest stay zero).
 
     Chunks of consecutive windows are the jobs of one queue that this process and
-    one forked helper work through (see _run_jobs). Each vector depends on its own
+    one forked helper work through (see jobs.run_jobs). Each vector depends on its own
     window alone, so the rows are the same whichever process computes them.
     """
     chunks = [windows[i:i + _HRV_CHUNK] for i in range(0, len(windows), _HRV_CHUNK)]
-    vectors = _run_jobs(lambda c: [hrv_vector(w, fs) for w in chunks[c]], len(chunks), 1)
+    vectors = run_jobs(lambda c: [hrv_vector(w, fs) for w in chunks[c]], len(chunks), 1)
     X = np.zeros((len(windows), len(FEATURE_NAMES)))
     valid = np.zeros(len(windows), dtype=bool)
     for i, vector in enumerate(v for chunk in vectors for v in chunk):
@@ -517,14 +340,15 @@ def fit_rows(rows: Rows, cfg: PipelineConfig, seed: int, cnns: dict | None = Non
     BLAS on one thread.
 
     cnns are the method's CNNs as train_cnns trained them on these rows and seed;
-    without them, train_cnns trains them here first.
+    without them, train_cnns trains them here first, with one helper if BLAS is
+    pinned.
     """
     if not rows.valid.any():
         raise PipelineError("hrv-features", ValueError("no window yielded enough beats"))
     kept = rows.kept()
-    with _one_blas_thread():
+    with one_blas_thread() as pinned:
         if cnns is None:
-            (cnns,) = train_cnns(rows, [(rows.valid, seed)], cfg)
+            (cnns,) = train_cnns(rows, [(rows.valid, seed)], cfg, int(pinned))
         return method_spec(cfg.method).fit(kept.x, kept.labels, cfg, seed, cnns)
 
 
@@ -567,17 +391,18 @@ def evaluate_loso(data: Dataset, cfg: PipelineConfig, fs: float, jobs: int = 1) 
     subjects = data.subjects
     if len(subjects) < 2:
         raise ValueError(f"LOSO needs at least 2 subjects, got {len(subjects)}")
-    with _one_blas_thread() as pinned:
+    with one_blas_thread() as pinned:
+        helpers = max(jobs, 2) - 1 if pinned else 0
         rows = featurize(data.windows, cfg, fs)
         owner = np.array([w.subject_id for w in data.windows])
         folds = [(owner != s, fold_seed(cfg.seed, s)) for s in subjects]  # training rows, seed
-        cnns = train_cnns(rows, folds, cfg, max(jobs, 2))
+        cnns = train_cnns(rows, folds, cfg, helpers)
 
         def score(f):
             mask = folds[f][0]
             return run_pipeline(subjects[f], rows.take(mask), rows.take(~mask), cfg, cnns[f])
 
-        metrics = _run_jobs(score, len(folds), max(jobs, 2) - 1 if pinned else 0)
+        metrics = run_jobs(score, len(folds), helpers)
     return RunResult(
         method=cfg.method,
         per_fold=tuple(zip(subjects, metrics)),

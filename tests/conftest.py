@@ -21,6 +21,7 @@ def pytest_terminal_summary(terminalreporter):
         for line in ACCEPTANCE_VERDICTS:
             terminalreporter.write_line(line)
 
+from ecgstress import jobs as jobs_module
 from ecgstress import pipeline
 from ecgstress.signal_core import (
     UNLABELED,
@@ -189,14 +190,14 @@ def small_dataset():
 @pytest.fixture(scope="session")
 def blas_count():
     """Getter of numpy's OpenBLAS thread count; None where there is none."""
-    threads = pipeline._blas_threads()
+    threads = jobs_module._blas_threads()
     return threads[0] if threads else lambda: None
 
 
 @pytest.fixture
 def blas_threads():
     """numpy's OpenBLAS thread count (get, set), at 2 for the test and restored after it."""
-    threads = pipeline._blas_threads()
+    threads = jobs_module._blas_threads()
     if threads is None:
         pytest.skip("numpy here loads no OpenBLAS with a thread setter")
     get, set_ = threads

@@ -3,10 +3,15 @@
 import base64
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ecgstress
 from ecgstress import bundle as bundle_io
 from ecgstress import neuralnet
 from ecgstress.bundle import BundleError, load_bundle, save_bundle
@@ -456,6 +461,32 @@ class TestTrainEvaluatePredict:
         # Two branches on the 72 training windows, then two on the 6 predicted ones
         assert seen == [(72, 1), (72, 1), (6, 2), (6, 2)]
         assert blas_threads[0]() == 2
+
+    @pytest.mark.parametrize("method, seconds, windows", [("fusion_weighted", 6.0, 6),
+                                                          ("svm_hrv", 64.0, 16)])
+    def test_predict_does_not_import_multiprocessing(self, tmp_path, method, seconds, windows):
+        """predict from a fusion bundle, or from an HRV bundle on at most one chunk of
+        hrv_matrix's queue, forks nothing, so a fresh process never imports
+        multiprocessing: its start-up does not pay for the job queue."""
+        data = write_data_dir(tmp_path / "data")
+        out = tmp_path / "bundle.json"
+        argv = ["train", "--data", str(data), "--out", str(out), "--method", method]
+        assert main([*argv, *FAST_ARGS]) == EXIT_OK
+        rec, _ = synth_ecg(0, seconds, 256.0, 999)
+        save_recording(rec, tmp_path / "new.csv", tmp_path / "new.meta.json")
+        script = ("import sys; from ecgstress.cli import main; code = main(sys.argv[1:]); "
+                  "print('multiprocessing' in sys.modules); sys.exit(code)")
+        signal = ["--signal", str(tmp_path / "new.csv"), "--meta", str(tmp_path / "new.meta.json")]
+        predicted = tmp_path / "predicted.csv"
+        done = subprocess.run(
+            [sys.executable, "-c", script, "predict", "--bundle", str(out), *signal,
+             "--out", str(predicted)],
+            env={**os.environ, "PYTHONPATH": str(Path(ecgstress.__file__).parents[1])},
+            capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == EXIT_OK, done.stderr
+        assert done.stdout == "False\n"
+        assert len(predicted.read_text().splitlines()) == 1 + windows
 
     def test_train_refuses_overwrite(self, tmp_path, capsys):
         data = write_data_dir(tmp_path / "data")

@@ -46,7 +46,7 @@ class TestFolds:
         """The rows of every fit_rows call, in fold order."""
         fits = Record(tmp_path / "fits")
 
-        def train_cnns(rows, folds, cfg, processes=2):
+        def train_cnns(rows, folds, cfg, helpers):
             queued.extend((rows.take(mask), seed) for mask, seed in folds)
             return [{} for _ in folds]
 

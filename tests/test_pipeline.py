@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from ecgstress import bundle, classifiers, fusion, neuralnet, pipeline
+from ecgstress import jobs as jobs_module
 from ecgstress.neuralnet import TrainConfig, TrainingError
 from ecgstress.pipeline import (
     METHODS,
@@ -218,7 +219,7 @@ class TestHrvMatrix:
         forked = [len(pids) for pids in helpers_started()]
         assert forked == [helpers] * (helpers > 0)
         with monkeypatch.context() as no_fork:
-            no_fork.setattr(pipeline, "_fork_context", lambda: None)
+            no_fork.setattr(jobs_module, "_fork_context", lambda: None)
             X_serial, valid_serial = hrv_matrix(windows, 256.0)
         assert [len(pids) for pids in helpers_started()] == forked
         assert X.tobytes() == X_serial.tobytes()
@@ -247,7 +248,7 @@ class TestHrvMatrix:
 
         monkeypatch.setattr(pipeline, "hrv_vector", vector)
         if not forks:
-            monkeypatch.setattr(pipeline, "_fork_context", lambda: None)
+            monkeypatch.setattr(jobs_module, "_fork_context", lambda: None)
         baseline = threading.active_count()
         with pytest.raises(ValueError, match="^no vector in chunk 1$"):
             hrv_matrix(windows, 256.0)
@@ -380,15 +381,15 @@ def helpers_started(monkeypatch, tmp_path):
     process ids of its helpers, each recorded as it starts. A queue's number is
     counted in this process before its helpers are forked, so they inherit it."""
     record, queues = Record(tmp_path / "helpers"), [0]
-    real_queue, real_main = pipeline._take_jobs_with_helpers, pipeline._helper_main
+    real_context, real_main = jobs_module._fork_context, jobs_module._helper_main
 
-    def take_jobs_with_helpers(*args):
+    def fork_context():
         queues[0] += 1
-        return real_queue(*args)
+        return real_context()
 
-    monkeypatch.setattr(pipeline, "_take_jobs_with_helpers", take_jobs_with_helpers)
+    monkeypatch.setattr(jobs_module, "_fork_context", fork_context)
     monkeypatch.setattr(
-        pipeline, "_helper_main", lambda *a: record.add(queues[0], os.getpid()) or real_main(*a)
+        jobs_module, "_helper_main", lambda *a: record.add(queues[0], os.getpid()) or real_main(*a)
     )
 
     def started():
@@ -481,7 +482,7 @@ class TestFusionBranches:
         rows = featurize(fold_windows(small_dataset, "subj0")[0], cfg, 256.0)
         concurrent = fit_rows(rows, cfg, 7)
         trainings.clear()
-        monkeypatch.setattr(pipeline, "_blas_threads", lambda: None)
+        monkeypatch.setattr(jobs_module, "_blas_threads", lambda: None)
         in_order = fit_rows(rows, cfg, 7)
         caller = os.getpid(), threading.get_ident()
         assert trainings() == [("cnn1d", 7, *caller, 2), ("cnn2d", 7, *caller, 2)]
@@ -619,13 +620,14 @@ class TestCnnQueue:
         assert sorted(s for s, _ in folds()) == list(data.subjects)
         assert {pid for _, pid in folds()} <= fold_queue | {os.getpid()}
 
-    @pytest.mark.parametrize("processes", [3, 4])
+    @pytest.mark.parametrize("helpers", [3, 4])
     def test_a_single_fit_forks_one_helper(self, small_dataset, trainings, helpers_started,
-                                           processes):
-        """A single fit's two jobs get one helper, however many processes it may use."""
+                                           helpers):
+        """A single fit's two jobs get one helper, however many helpers it may use."""
         cfg = fast_config("fusion_weighted")
         rows = featurize(fold_windows(small_dataset, "subj0")[0], cfg, 256.0)
-        pipeline.train_cnns(rows, [(rows.valid, 7)], cfg, processes)
+        with jobs_module.one_blas_thread():
+            pipeline.train_cnns(rows, [(rows.valid, 7)], cfg, helpers)
         assert [len(pids) for pids in helpers_started()] == [1]
         assert sorted(kind for kind, *_ in trainings()) == ["cnn1d", "cnn2d"]
         assert {blas for *_, blas in trainings()} == {1}
@@ -651,7 +653,7 @@ class TestCnnQueue:
         cfg = fast_config("fusion_weighted")
         queued = evaluate_loso(small_dataset, cfg, 256.0)
         trainings.clear()
-        monkeypatch.setattr(pipeline, "_blas_threads", lambda: None)
+        monkeypatch.setattr(jobs_module, "_blas_threads", lambda: None)
         serial = evaluate_loso(small_dataset, cfg, 256.0)
         caller = os.getpid(), threading.get_ident()
         assert trainings() == [
@@ -671,7 +673,7 @@ class TestCnnQueue:
             "train",
             lambda model, *args: started.append(model.input_shape) or stub(model, *args),
         )
-        monkeypatch.setattr(pipeline, "_blas_threads", lambda: None)
+        monkeypatch.setattr(jobs_module, "_blas_threads", lambda: None)
         with pytest.raises(PipelineError, match=f"cnn2d diverged in fold {seed}"):
             evaluate_loso(small_dataset, cfg, 256.0)
         assert [len(shape) for shape in started] == [2, 3]  # subj0's cnn1d, then its cnn2d
@@ -691,15 +693,16 @@ class TestCnnQueue:
         snippets = np.ones((300, 1, 4)) * folds[:, None, None]
         images = np.ones((300, 1, 3, 3)) * folds[:, None, None, None]
         rows = Rows((snippets, images), np.ones(300, dtype=bool), np.zeros(300, dtype=np.int64))
-        for processes in (2, 3):
+        for helpers in (1, 2):
             calls.clear()
-            trained = pipeline.train_cnns(
-                rows, [(folds == f, f) for f in folds], fast_config("fusion_avg"), processes
-            )
+            with jobs_module.one_blas_thread():
+                trained = pipeline.train_cnns(
+                    rows, [(folds == f, f) for f in folds], fast_config("fusion_avg"), helpers
+                )
             assert sorted((kind, f) for kind, f, _ in calls()) == sorted(
                 (kind, f) for f in range(300) for kind in ("cnn1d", "cnn2d")
             )
-            assert len({pid for *_, pid in calls()}) <= processes
+            assert len({pid for *_, pid in calls()}) <= helpers + 1
             for f, models in enumerate(trained):
                 assert list(models) == ["cnn1d", "cnn2d"]
                 (k1, s1, x1), (k2, s2, x2) = models.values()
@@ -730,7 +733,7 @@ def run_pipeline_at_one_blas_thread(*args):
     """pipeline.run_pipeline, failing where BLAS runs on more than one thread: every
     fold runs in the caller under the pin evaluate_loso holds, or in a helper forked
     while it holds."""
-    threads = pipeline._blas_threads()[0]()
+    threads = jobs_module._blas_threads()[0]()
     if threads != 1:
         raise AssertionError(f"fold ran with {threads} BLAS threads")
     return RUN_PIPELINE(*args)
@@ -754,7 +757,7 @@ class TestEvaluateLoso:
         data = dataset_for(method, small_dataset)
         cfg = fast_config(method)
         with monkeypatch.context() as no_fork:
-            no_fork.setattr(pipeline, "_fork_context", lambda: None)
+            no_fork.setattr(jobs_module, "_fork_context", lambda: None)
             serial = evaluate_loso(data, cfg, 256.0)
         folds = len(data.subjects)
         reference = [encoded(c) for c in fitted()]
@@ -842,7 +845,7 @@ class TestFoldQueue:
         a job before this process takes any: it was taken before the helper was forked."""
         caller, ran = os.getpid(), Record(tmp_path / "ran")
         helper_ran = multiprocessing.get_context("fork").Event()
-        real = pipeline._take_jobs
+        real = jobs_module._take_jobs
 
         def take_jobs(*args):
             if os.getpid() == caller:
@@ -854,8 +857,8 @@ class TestFoldQueue:
             if os.getpid() != caller:
                 helper_ran.set()
 
-        monkeypatch.setattr(pipeline, "_take_jobs", take_jobs)
-        pipeline._run_jobs(run, 3, 1, key=lambda i: -i)
+        monkeypatch.setattr(jobs_module, "_take_jobs", take_jobs)
+        jobs_module.run_jobs(run, 3, 1, key=lambda i: -i)
         assert [len(pids) for pids in helpers_started()] == [1]
         assert (2, os.getpid()) in ran()
         assert sorted(i for i, _ in ran()) == [0, 1, 2]
@@ -901,7 +904,7 @@ class TestBlasPin:
             record.add(os.getpid(), n)
             count[0] = n
 
-        monkeypatch.setattr(pipeline, "_blas_threads", lambda: (lambda: count[0], set_))
+        monkeypatch.setattr(jobs_module, "_blas_threads", lambda: (lambda: count[0], set_))
         record.count = count
         return record
 
@@ -920,9 +923,9 @@ class TestBlasPin:
             data = make_dataset(n_subjects=4, duration_s=12.0)
         else:
             data = make_dataset(n_subjects=4, duration_s=24.0, window_seconds=4.0)
-        real = pipeline._take_jobs_with_helpers
+        real = jobs_module._fork_context
         monkeypatch.setattr(
-            pipeline, "_take_jobs_with_helpers", lambda *a: sets.add(os.getpid(), "fork") or real(*a)
+            jobs_module, "_fork_context", lambda: sets.add(os.getpid(), "fork") or real()
         )
         baseline = threading.active_count()
         evaluate_loso(data, fast_config(method), 256.0, jobs=jobs)
@@ -939,11 +942,8 @@ class TestBlasPin:
         assert sets() == []
 
     def test_a_single_fit_sets_and_restores(self, sets, small_dataset):
-        """train_cnns and fit_rows, called outside a pin, each pin for themselves."""
+        """fit_rows, called outside a pin, pins for itself."""
         cfg = fast_config("fusion_weighted")
         rows = featurize(fold_windows(small_dataset, "subj0")[0], cfg, 256.0)
-        pipeline.train_cnns(rows, [(rows.valid, 7)], cfg)
-        assert sets() == [(os.getpid(), 1), (os.getpid(), 2)]
-        sets.clear()
         fit_rows(rows, cfg, 7)
         assert sets() == [(os.getpid(), 1), (os.getpid(), 2)]
