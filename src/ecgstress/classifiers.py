@@ -6,6 +6,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .signal_core import freeze
+
 STD_FLOOR = 1e-12
 
 
@@ -15,13 +17,8 @@ class StandardizationStats:
     std: np.ndarray
 
     def __post_init__(self):
-        mean = np.asarray(self.mean, dtype=np.float64)
-        std = np.asarray(self.std, dtype=np.float64)
-        mean.setflags(write=False)
-        std.setflags(write=False)
-        object.__setattr__(self, "mean", mean)
-        object.__setattr__(self, "std", std)
-        if np.any(std < STD_FLOOR):
+        freeze(self, "mean", "std")
+        if np.any(self.std < STD_FLOOR):
             raise ValueError(f"stds must be >= {STD_FLOOR}")
 
     def transform(self, X) -> np.ndarray:
@@ -46,19 +43,12 @@ class SvmModel:
     lam: float
 
     def __post_init__(self):
-        w = np.asarray(self.weights, dtype=np.float64)
-        b = np.asarray(self.biases, dtype=np.float64)
-        w.setflags(write=False)
-        b.setflags(write=False)
-        object.__setattr__(self, "weights", w)
-        object.__setattr__(self, "biases", b)
-        if w.shape[0] < 2 or w.shape[0] != len(b):
+        freeze(self, "weights", "biases")
+        if self.weights.shape[0] < 2 or self.weights.shape[0] != len(self.biases):
             raise ValueError("need one weight vector and bias per class (>= 2 classes)")
 
 
-def train_linear_svm(
-    X, y, lam=0.01, epochs=200, learning_rate=0.1
-) -> SvmModel | tuple[SvmModel, ...]:
+def train_linear_svm(X, y, lam=0.01, epochs=200) -> SvmModel | tuple[SvmModel, ...]:
     """One-vs-rest linear SVMs via deterministic full-batch subgradient descent.
 
     Minimizes (lam/2)||w||^2 + mean hinge loss per class. ``lam`` is one λ,
@@ -79,7 +69,7 @@ def train_linear_svm(
     W = np.zeros((X.shape[1], Y.shape[1]))
     b = np.zeros(Y.shape[1])
     for step in range(epochs):
-        lr = learning_rate / (1.0 + 0.01 * step)
+        lr = 0.1 / (1.0 + 0.01 * step)
         A = np.where(Y * (X @ W + b) < 1.0, Y, 0.0)  # active hinge terms
         W -= lr * (col_lam * W - X.T @ A / n)
         b -= lr * (-A.sum(axis=0) / n)

@@ -7,8 +7,6 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .signal_core import EcgRecording
-
 
 @dataclass(frozen=True)
 class SpectrogramParams:
@@ -27,13 +25,9 @@ class SpectrogramParams:
     def window(self) -> np.ndarray:
         return np.hanning(self.window_len)
 
-    @property
-    def freq_bins(self) -> int:
-        return self.window_len // 2 + 1
-
 
 def stft_spectrogram(samples, params: SpectrogramParams) -> np.ndarray:
-    """One-sided power spectrograms [..., freq_bins, frames] of signals [..., samples].
+    """One-sided power spectrograms [..., window_len // 2 + 1, frames] of signals [..., samples].
 
     Each entry is |DFT of the windowed frame|^2. Frame l covers samples
     [l*hop, l*hop + window_len); the frame count is
@@ -95,19 +89,19 @@ def lomb_scargle(times_s, values, freqs_hz) -> np.ndarray:
 
 _INTEGRATION_S = 0.150
 _REFRACTORY_S = 0.200
-MIN_DETECTION_S = 2.0  # the shortest recording detect_r_peaks takes
+MIN_DETECTION_S = 2.0  # the shortest signal, in seconds, detect_r_peaks takes
 
 
-def detect_r_peaks(rec: EcgRecording) -> list[int]:
-    """Detect R peaks via difference/square/integrate with an adaptive threshold.
+def detect_r_peaks(samples, fs: float) -> list[int]:
+    """Detect R peaks in finite samples taken at fs Hz via difference/square/integrate
+    with an adaptive threshold.
 
     Returns ascending sample indices; an empty list for flat or sub-threshold
     signals. Consecutive peaks are at least 200 ms apart.
     """
-    fs = rec.sample_rate_hz
-    if rec.duration_s < MIN_DETECTION_S:
-        raise ValueError(f"recording must be at least {MIN_DETECTION_S:g} seconds long")
-    x = rec.samples
+    x = np.asarray(samples, dtype=np.float64)
+    if len(x) / fs < MIN_DETECTION_S:
+        raise ValueError(f"signal must be at least {MIN_DETECTION_S:g} seconds long")
 
     deriv = np.empty_like(x)
     deriv[1:] = np.diff(x)

@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .signal_core import LabelTrack
+from .signal_core import LabelTrack, freeze
 
 # The scalar fields of Metrics, in their JSON key order
 SCORES = ("accuracy", "precision_macro", "recall_macro", "f1_macro")
@@ -22,9 +22,7 @@ class Metrics:
     confusion: np.ndarray
 
     def __post_init__(self):
-        confusion = np.asarray(self.confusion, dtype=np.int64)
-        confusion.setflags(write=False)
-        object.__setattr__(self, "confusion", confusion)
+        freeze(self, "confusion", dtype=np.int64)
         for name in SCORES:
             v = getattr(self, name)
             if not (0.0 <= v <= 1.0):

@@ -12,6 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .signal_core import freeze
+
 
 @dataclass(frozen=True)
 class FusionWeights:
@@ -20,14 +22,9 @@ class FusionWeights:
     sign_convention: str = "first-nonzero-nonnegative"
 
     def __post_init__(self):
-        w1 = np.asarray(self.w1, dtype=np.float64)
-        w2 = np.asarray(self.w2, dtype=np.float64)
-        w1.setflags(write=False)
-        w2.setflags(write=False)
-        object.__setattr__(self, "w1", w1)
-        object.__setattr__(self, "w2", w2)
-        for name, w in (("w1", w1), ("w2", w2)):
-            if abs(np.linalg.norm(w) - 1.0) > 1e-9:
+        freeze(self, "w1", "w2")
+        for name in ("w1", "w2"):
+            if abs(np.linalg.norm(getattr(self, name)) - 1.0) > 1e-9:
                 raise ValueError(f"{name} must be unit-norm")
 
 

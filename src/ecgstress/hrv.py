@@ -7,7 +7,7 @@ import logging
 import numpy as np
 
 from .dsp import MIN_DETECTION_S, detect_r_peaks, lomb_scargle, rr_intervals
-from .signal_core import EcgRecording, Task, Window
+from .signal_core import Window
 
 log = logging.getLogger(__name__)
 
@@ -85,18 +85,13 @@ def hrv_vector(window: Window, fs: float) -> np.ndarray | None:
     imputed. A window shorter than R-peak detection's minimum is a ValueError
     naming the setting that sets its length.
     """
-    rec = EcgRecording(
-        subject_id=window.subject_id,
-        sample_rate_hz=fs,
-        samples=window.samples,
-        task=Task.OTHER,
-    )
-    if rec.duration_s < MIN_DETECTION_S:
+    duration_s = len(window.samples) / fs
+    if duration_s < MIN_DETECTION_S:
         raise ValueError(
             f"hrv_window_seconds must be at least {MIN_DETECTION_S:g} (R-peak detection's "
-            f"minimum), got a {rec.duration_s:g}-s HRV window"
+            f"minimum), got a {duration_s:g}-s HRV window"
         )
-    peaks = detect_r_peaks(rec)
+    peaks = detect_r_peaks(window.samples, fs)
     # freq_features needs >= 3 intervals, i.e. >= 4 peaks
     if len(peaks) < 4:
         log.info(

@@ -166,6 +166,7 @@ def run_jobs(run: Callable, count: int, helpers: int, key: Callable | None = Non
     finally:
         for helper, receive in started:
             helper.join()
+            helper.close()  # its pipe ends, which a raised error's traceback would keep open
             receive.close()
     failed = [i for i in sorted(done) if not done[i][0]]
     if failed:

@@ -33,18 +33,20 @@ class AlignmentError(ValueError):
     """Raised when rater label tracks do not share a common segment grid."""
 
 
-def _read_only(values) -> np.ndarray:
-    """A read-only float64 array of values.
+def freeze(record, *names: str, dtype=np.float64) -> None:
+    """Hold each named field of the frozen dataclass `record` as a read-only array of dtype.
 
-    An array that is already read-only (a loaded recording, a window view) is
-    used as it is; a writeable array the caller still holds is copied, so the
-    caller's own array stays writeable.
+    An array that is already read-only (a loaded recording, a window view, a bundle
+    array) is kept as it is; a writeable array the caller still holds is copied, so
+    the caller's own array stays writeable.
     """
-    samples = np.asarray(values, dtype=np.float64)
-    if samples.flags.writeable and (samples is values or not samples.flags.owndata):
-        samples = samples.copy()
-    samples.setflags(write=False)
-    return samples
+    for name in names:
+        value = getattr(record, name)
+        array = np.asarray(value, dtype=dtype)
+        if array.flags.writeable and (array is value or not array.flags.owndata):
+            array = array.copy()
+        array.setflags(write=False)
+        object.__setattr__(record, name, array)
 
 
 @dataclass(frozen=True)
@@ -55,14 +57,13 @@ class EcgRecording:
     task: Task = Task.OTHER
 
     def __post_init__(self):
-        samples = _read_only(self.samples)
-        object.__setattr__(self, "samples", samples)
+        freeze(self, "samples")
         if not 0 < self.sample_rate_hz < math.inf:
             raise ValueError(f"sample rate must be finite and positive, got {self.sample_rate_hz}")
-        if samples.size == 0:
+        if self.samples.size == 0:
             raise ValueError("samples must be nonempty")
-        if not np.all(np.isfinite(samples)):
-            bad = int(np.flatnonzero(~np.isfinite(samples))[0])
+        if not np.all(np.isfinite(self.samples)):
+            bad = int(np.flatnonzero(~np.isfinite(self.samples))[0])
             raise ValueError(f"non-finite sample at index {bad}")
 
     @property
@@ -108,11 +109,10 @@ class Window:
     samples: np.ndarray
 
     def __post_init__(self):
-        samples = _read_only(self.samples)
-        object.__setattr__(self, "samples", samples)
+        freeze(self, "samples")
         if self.label not in (0, 1, 2):
             raise ValueError(f"window label must be 0, 1 or 2, got {self.label}")
-        if len(samples) != self.length_samples:
+        if len(self.samples) != self.length_samples:
             raise ValueError("samples length does not match length_samples")
 
 

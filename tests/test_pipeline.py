@@ -889,6 +889,22 @@ class TestFoldQueue:
         assert fold3_failed.is_set()
         assert len(helpers_started()[-1]) == min(max(jobs, 2) - 1, 3)  # the fold queue's
 
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="lists open descriptors")
+    def test_a_failed_queue_leaves_no_descriptor_open(self, helpers_started):
+        """Every pipe end of a forked queue whose job fails is closed when run_jobs
+        raises, though the error, held here, keeps the queue's frame alive."""
+
+        def run(i):
+            if i == 2:
+                raise ValueError("job 2 failed")
+
+        before = len(os.listdir("/proc/self/fd"))
+        with pytest.raises(ValueError, match="job 2 failed") as err:
+            jobs_module.run_jobs(run, 4, 1)
+        assert [len(pids) for pids in helpers_started()] == [1]
+        assert err.value.__traceback__ is not None  # held until the test returns
+        assert len(os.listdir("/proc/self/fd")) == before
+
 
 class TestBlasPin:
     """The OpenBLAS count is set once per run, in this process, and never in a helper:

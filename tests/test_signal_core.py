@@ -8,7 +8,10 @@ import numpy as np
 import pytest
 
 from ecgstress import signal_core
+from ecgstress.classifiers import StandardizationStats, SvmModel
 from ecgstress.cli import EXIT_OK, EXIT_USAGE, main
+from ecgstress.evaluation import Metrics
+from ecgstress.fusion import FusionWeights
 from ecgstress.signal_core import (
     UNLABELED,
     AlignmentError,
@@ -422,3 +425,47 @@ class TestTypeInvariants:
     def test_window_length_check(self):
         with pytest.raises(ValueError):
             Window("s", 0, 4, 1, np.zeros(3))
+
+
+# Each frozen record: (build it from its array fields, those fields as writeable arrays, dtype)
+RECORDS = {
+    "EcgRecording": (
+        lambda samples: EcgRecording("s", 256.0, samples), {"samples": np.arange(512.0)}, np.float64
+    ),
+    "Window": (
+        lambda samples: Window("s", 0, 4, 1, samples), {"samples": np.arange(4.0)}, np.float64
+    ),
+    "StandardizationStats": (
+        StandardizationStats, {"mean": np.arange(3.0), "std": np.ones(3)}, np.float64
+    ),
+    "SvmModel": (
+        lambda **arrays: SvmModel(**arrays, lam=0.1),
+        {"weights": np.arange(12.0).reshape(3, 4), "biases": np.arange(3.0)},
+        np.float64,
+    ),
+    "FusionWeights": (FusionWeights, {"w1": np.array([0.6, 0.8]), "w2": np.eye(3)[1]}, np.float64),
+    "Metrics": (
+        lambda confusion: Metrics(0.5, 0.5, 0.5, 0.5, confusion),
+        {"confusion": np.arange(9).reshape(3, 3)},
+        np.int64,
+    ),
+}
+
+
+class TestFreeze:
+    """Every frozen record holds read-only arrays of its dtype; a writeable array
+    passed in is copied, never frozen, and a read-only one is kept as it is."""
+
+    @pytest.mark.parametrize("record", RECORDS)
+    def test_arrays(self, record):
+        build, arrays, dtype = RECORDS[record]
+        arrays = {name: a.copy() for name, a in arrays.items()}
+        made = build(**arrays)
+        for name, a in arrays.items():
+            held = getattr(made, name)
+            assert a.flags.writeable and not np.shares_memory(held, a)
+            assert not held.flags.writeable and held.dtype == dtype
+            np.testing.assert_array_equal(held, a)
+        again = build(**{name: getattr(made, name) for name in arrays})
+        for name in arrays:
+            assert np.shares_memory(getattr(again, name), getattr(made, name))

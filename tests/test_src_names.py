@@ -1,8 +1,10 @@
 """`src/ecgstress` holds only what the program runs.
 
-A module-level function or class that no code in `src/ecgstress` names,
-apart from its own definition, is reached only from tests (or not at all):
-it belongs in `tests/`, such as `tests/oracles.py`, not in the package.
+A module-level function or class, or a method or property of a class, that no
+code in `src/ecgstress` names, apart from its own definition, is reached only
+from tests (or not at all): it belongs in `tests/`, such as `tests/oracles.py`,
+not in the package. Dunder methods are called by Python itself and are not
+checked.
 """
 
 import ast
@@ -12,7 +14,8 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "ecgstress"
 
 
 def unreferenced_definitions(src: Path) -> list[str]:
-    """`module.name` of each module-level def or class that src never names elsewhere."""
+    """`module.name` of each module-level def or class, and `module.Class.name` of each
+    def in a class body (dunders aside), that src never names elsewhere."""
     trees = {path.stem: ast.parse(path.read_text()) for path in sorted(src.glob("*.py"))}
     named = set()
     for tree in trees.values():
@@ -23,13 +26,21 @@ def unreferenced_definitions(src: Path) -> list[str]:
                 named.add(node.attr)
             elif isinstance(node, ast.alias):
                 named.add(node.name)
-    defined = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
-    return [
-        f"{module}.{node.name}"
-        for module, tree in trees.items()
-        for node in tree.body
-        if isinstance(node, defined) and node.name not in named
-    ]
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+    found = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (*functions, ast.ClassDef)) and node.name not in named:
+                found.append(f"{module}.{node.name}")
+            if isinstance(node, ast.ClassDef):
+                found += [
+                    f"{module}.{node.name}.{member.name}"
+                    for member in node.body
+                    if isinstance(member, functions)
+                    and not (member.name.startswith("__") and member.name.endswith("__"))
+                    and member.name not in named
+                ]
+    return found
 
 
 def test_every_definition_is_named_in_src():
@@ -41,5 +52,12 @@ def test_a_test_only_definition_is_found(tmp_path):
         "from .b import used\n\n\ndef run():\n    return used()\n\n\ndef run_again():\n    run()\n"
     )
     (tmp_path / "b.py").write_text("def used():\n    return 1\n\n\nclass Orphan:\n    pass\n")
-    assert unreferenced_definitions(tmp_path) == ["a.run_again", "b.Orphan"]
+    (tmp_path / "c.py").write_text(
+        "class Params:\n"
+        "    def __post_init__(self):\n        self.check()\n\n"
+        "    def check(self):\n        pass\n\n"
+        "    @property\n    def bins(self):\n        return 1\n\n\n"
+        "Params()\n"
+    )
+    assert unreferenced_definitions(tmp_path) == ["a.run_again", "b.Orphan", "c.Params.bins"]
 
