@@ -279,7 +279,8 @@ def cmd_evaluate(args) -> int:
 
 
 def predict_stream(loaded: dict, rec) -> list[tuple]:
-    """Per-window predictions: (start_s, level, p0, p1, p2) rows, one per window.
+    """Per-window predictions: (start_s, level, p0, p1, p2) rows, one per window,
+    start_s the window's first sample over the rate.
 
     A window that yields no prediction (an HRV window without enough beats)
     gives (start_s, -1, None, None, None).
@@ -301,10 +302,10 @@ def predict_stream(loaded: dict, rec) -> list[tuple]:
     rows = pipeline.featurize(windows, cfg, fs)
     proba = pipeline.predict_rows(loaded["components"], rows, cfg)
     return [
-        (i * window_s, int(np.argmax(p)), *(float(v) for v in p))
+        (w.start_sample / fs, int(np.argmax(p)), *(float(v) for v in p))
         if ok
-        else (i * window_s, NO_PREDICTION, None, None, None)
-        for i, (p, ok) in enumerate(zip(proba, rows.valid))
+        else (w.start_sample / fs, NO_PREDICTION, None, None, None)
+        for w, p, ok in zip(windows, proba, rows.valid)
     ]
 
 

@@ -143,8 +143,9 @@ def _train_cnn(kind: str, x, y, cfg: PipelineConfig, seed: int) -> neuralnet.Mod
 
 
 def train_cnns(rows: Rows, folds: list, cfg: PipelineConfig, helpers: int) -> list[dict]:
-    """{kind: trained CNN} of each (mask, seed) fold: the configured method's CNNs,
-    trained on the valid rows of `rows` that the fold's mask selects.
+    """{kind: trained CNN} of each (mask, seed) fold: one CNN per non-"hrv" input of
+    the configured method, trained on that input's array, on the valid rows of
+    `rows` that the fold's mask selects.
 
     In serial order, fold by fold and cnn1d before cnn2d, the trainings are the
     jobs of one queue (see jobs.run_jobs), worked by this process and up to
@@ -159,11 +160,10 @@ def train_cnns(rows: Rows, folds: list, cfg: PipelineConfig, helpers: int) -> li
     same with any number of helpers. A job copies its fold's rows of its own
     input when it starts, so only the running jobs' copies are held at once.
     """
-    arrays = rows.x if isinstance(rows.x, tuple) else (rows.x,)
-    inputs = dict(zip(method_spec(cfg.method).cnns, arrays))  # each CNN kind's input
+    inputs = dict(zip(method_spec(cfg.method).inputs, rows.x))
     # (fold, kind, the rows it trains on, seed) in serial order
     jobs = [(f, kind, mask & rows.valid, seed) for f, (mask, seed) in enumerate(folds)
-            for kind in inputs]
+            for kind in inputs if kind != "hrv"]
 
     def train(i):
         _, kind, keep, seed = jobs[i]
@@ -219,50 +219,38 @@ def hrv_matrix(windows, fs: float):
 class Method(NamedTuple):
     """How one method featurizes, trains, predicts and persists.
 
-    features(windows, cfg, fs) -> (rows, valid): one feature row per window (a
-    tuple of arrays for fusion), each depending on its own window alone, and
-    a mask that is False where the window yields no row (an HRV window
-    without enough beats).
-    cnns: the kinds of the CNNs the method trains, one per array of its rows in
-    their order; train_cnns trains them before fit.
-    fit(rows, labels, cfg, seed, cnns) -> components, trained on valid rows only,
+    inputs: the kinds of its feature rows, one array each in Rows.x, in this
+    order: "cnn1d" (raw snippets), "cnn2d" (spectrogram images) or "hrv" (HRV
+    rows). train_cnns trains one CNN of each non-"hrv" kind on its input's
+    array before fit.
+    fit(x, labels, cfg, seed, cnns) -> components, trained on valid rows only,
     given those CNNs as {kind: model}.
-    predict(components, rows, cfg) -> proba[N, classes] of valid rows.
+    predict(components, x, cfg) -> proba[N, classes] of valid rows.
     `components` are the keys predict reads, i.e. what a bundle must hold.
     """
 
-    window: str  # the PipelineConfig field holding this method's window length
+    inputs: tuple
     components: tuple
-    cnns: tuple
-    features: Callable
     fit: Callable
     predict: Callable
 
     def window_seconds(self, cfg: PipelineConfig) -> float:
-        return getattr(cfg, self.window)
+        return cfg.hrv_window_seconds if "hrv" in self.inputs else cfg.window_seconds
 
 
-def _every_window(to_rows) -> Callable:
-    """features() of a method for which every window yields a row."""
-    return lambda windows, cfg, fs: (to_rows(windows, cfg), np.ones(len(windows), dtype=bool))
-
-
-def _cnn_method(kind: str, to_tensor) -> Method:
+def _cnn_method(kind: str) -> Method:
     def fit(x, y, cfg, seed, cnns):
         return cnns
 
     def predict(components, x, cfg):
-        return neuralnet.predict_proba(components[kind], x)
+        return neuralnet.predict_proba(components[kind], x[0])
 
-    return Method("window_seconds", (kind,), (kind,), _every_window(to_tensor), fit, predict)
+    return Method((kind,), (kind,), fit, predict)
 
 
 def _fusion_method(weighted: bool) -> Method:
-    def to_rows(windows, cfg):
-        return windows_to_snippets(windows, cfg), windows_to_images(windows, cfg)
-
-    def fit(rows, y, cfg, seed, cnns):
-        snippets, images = rows
+    def fit(x, y, cfg, seed, cnns):
+        snippets, images = x
         f1 = neuralnet.extract_features(cnns["cnn1d"], snippets)
         f2 = neuralnet.extract_features(cnns["cnn2d"], images)
         weights = fusion.compute_fusion_weights(f1, f2) if weighted else None
@@ -270,35 +258,31 @@ def _fusion_method(weighted: bool) -> Method:
         parts = {**cnns, "fusion_weights": weights, "stats": stats}
         return {**parts, **_fit_svm(fused_std, y, cfg, seed)}
 
-    def predict(components, rows, cfg):
-        return _one_hot(fusion_predict(components, rows), cfg.class_count)
+    def predict(components, x, cfg):
+        return _one_hot(fusion_predict(components, x), cfg.class_count)
 
     weights = ("fusion_weights",) if weighted else ()
     components = ("cnn1d", "cnn2d", *weights, "stats", "svm")
-    cnns = ("cnn1d", "cnn2d")  # in the order of the rows (snippets, images)
-    return Method("window_seconds", components, cnns, _every_window(to_rows), fit, predict)
+    return Method(("cnn1d", "cnn2d"), components, fit, predict)
 
 
 def _hrv_method(key: str, fit_classifier, classify) -> Method:
-    def fit(X, y, cfg, seed, cnns):
-        X_std, stats = classifiers.standardize_fit(X)
+    def fit(x, y, cfg, seed, cnns):
+        X_std, stats = classifiers.standardize_fit(x[0])
         return {"stats": stats, **fit_classifier(X_std, y, cfg, seed)}
 
-    def predict(components, X, cfg):
-        labels = classify(components[key], components["stats"].transform(X))
+    def predict(components, x, cfg):
+        labels = classify(components[key], components["stats"].transform(x[0]))
         return _one_hot(labels, cfg.class_count)
 
-    def features(windows, cfg, fs):
-        return hrv_matrix(windows, fs)
-
-    return Method("hrv_window_seconds", ("stats", key), (), features, fit, predict)
+    return Method(("hrv",), ("stats", key), fit, predict)
 
 
 # Functions are looked up by module attribute at call time, so wrappers put
 # on those attributes (as tracing does) see every call made through the table.
 METHODS = {
-    "cnn1d": _cnn_method("cnn1d", lambda windows, cfg: windows_to_snippets(windows, cfg)),
-    "cnn2d": _cnn_method("cnn2d", lambda windows, cfg: windows_to_images(windows, cfg)),
+    "cnn1d": _cnn_method("cnn1d"),
+    "cnn2d": _cnn_method("cnn2d"),
     "fusion_weighted": _fusion_method(weighted=True),
     "fusion_avg": _fusion_method(weighted=False),
     "svm_hrv": _hrv_method("svm", _fit_svm, lambda svm, X: classifiers.svm_predict(svm, X)),
@@ -315,16 +299,16 @@ def method_spec(method: str) -> Method:
 
 
 class Rows(NamedTuple):
-    """The configured method's feature rows of some windows (see Method.features),
-    which windows yielded one, and the windows' labels."""
+    """Feature rows of some windows, one array per input of the configured method
+    in its order (see Method.inputs), which windows yielded a row, and the
+    windows' labels."""
 
-    x: np.ndarray | tuple
+    x: tuple
     valid: np.ndarray
     labels: np.ndarray
 
     def take(self, mask) -> Rows:
-        x = tuple(a[mask] for a in self.x) if isinstance(self.x, tuple) else self.x[mask]
-        return Rows(x, self.valid[mask], self.labels[mask])
+        return Rows(tuple(a[mask] for a in self.x), self.valid[mask], self.labels[mask])
 
     def kept(self) -> Rows:
         """The valid rows; the rows themselves, not a copy, when every row is valid."""
@@ -332,7 +316,18 @@ class Rows(NamedTuple):
 
 
 def featurize(windows, cfg: PipelineConfig, fs: float) -> Rows:
-    return Rows(*method_spec(cfg.method).features(windows, cfg, fs), labels_of(windows))
+    """Each input of the configured method featurized once; a window is valid unless
+    its HRV row could not be computed."""
+    x, valid = [], np.ones(len(windows), dtype=bool)
+    for kind in method_spec(cfg.method).inputs:
+        if kind == "hrv":
+            rows, valid = hrv_matrix(windows, fs)
+        elif kind == "cnn1d":
+            rows = windows_to_snippets(windows, cfg)
+        else:
+            rows = windows_to_images(windows, cfg)
+        x.append(rows)
+    return Rows(tuple(x), valid, labels_of(windows))
 
 
 def fit_rows(rows: Rows, cfg: PipelineConfig, seed: int, cnns: dict | None = None) -> dict:

@@ -139,6 +139,8 @@ def load_recording(signal_path, meta_path) -> EcgRecording:
         meta = json.loads(meta_path.read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise IngestionError(f"cannot read metadata {meta_path}: {exc}") from exc
+    if not isinstance(meta, dict):
+        raise IngestionError(f"metadata {meta_path} is not a JSON object")
     for key in ("subject_id", "sample_rate_hz", "task"):
         if key not in meta:
             raise IngestionError(f"metadata {meta_path} missing field '{key}'")
@@ -258,6 +260,8 @@ def load_label_track(path, rater_id: str | None = None) -> LabelTrack:
                 start_s, end_s = float(row[0]), float(row[1])
             except ValueError:
                 raise IngestionError(f"{path} row {row_num}: bad segment bounds") from None
+            if not (math.isfinite(start_s) and math.isfinite(end_s)):
+                raise IngestionError(f"{path} row {row_num}: segment bounds must be finite")
             if row[2] == "-":
                 level = UNLABELED
             else:

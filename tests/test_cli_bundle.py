@@ -327,6 +327,30 @@ class TestIngestAndLabel:
         assert_usage_error(code, capsys)
         assert not out.exists()
 
+    @pytest.mark.parametrize("text", ["5", "null", '"subject_id sample_rate_hz task"'])
+    def test_ingest_refuses_metadata_that_is_not_an_object(self, tmp_path, capsys, text):
+        rec, _ = synth_ecg(0, 4.0, 256.0, 1)
+        meta = tmp_path / "meta.json"
+        save_recording(rec, tmp_path / "sig.csv", meta)
+        meta.write_text(text)
+        code = main(["ingest", str(tmp_path / "sig.csv"), str(meta)])
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err == f"error: metadata {meta} is not a JSON object\n"
+
+    def test_label_refuses_non_finite_bounds(self, tmp_path, capsys):
+        """Two identical raters with a NaN segment: the file and row are named, not a
+        grid mismatch."""
+        paths = [tmp_path / f"r{i}.csv" for i in range(2)]
+        for path in paths:
+            path.write_text("start_s,end_s,level\n0.0,10.0,1\nnan,nan,-\n")
+        out = tmp_path / "consensus.csv"
+        code = main(["label", *map(str, paths), "--out", str(out)])
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err == (
+            f"error: {paths[0]} row 3: segment bounds must be finite\n"
+        )
+        assert not out.exists()
+
     def test_label_consensus_and_alpha(self, tmp_path, capsys):
         paths = []
         for track in make_rater_tracks():
@@ -487,6 +511,24 @@ class TestTrainEvaluatePredict:
         assert done.returncode == EXIT_OK, done.stderr
         assert done.stdout == "False\n"
         assert len(predicted.read_text().splitlines()) == 1 + windows
+
+    def test_predict_start_is_the_window_start(self, tmp_path, capsys):
+        """With a window of 179 samples (0.7 s at 256 Hz), each row's start_s is its
+        window's first sample over the rate, not its index times 0.7 s."""
+        data = write_data_dir(tmp_path / "data")
+        bundle = tmp_path / "bundle.json"
+        train = ["train", "--data", str(data), "--out", str(bundle), "--method", "cnn1d"]
+        assert main([*train, *FAST_ARGS, "--window-seconds", "0.7"]) == EXIT_OK
+        rec, _ = synth_ecg(0, 12.0, 256.0, 999)
+        save_recording(rec, tmp_path / "new.csv", tmp_path / "new.meta.json")
+        out = tmp_path / "stream.csv"
+        code = main(["predict", "--bundle", str(bundle), "--signal", str(tmp_path / "new.csv"),
+                     "--meta", str(tmp_path / "new.meta.json"), "--out", str(out)])
+        assert code == EXIT_OK
+        with open(out, newline="") as fh:
+            starts = [float(row[0]) for row in list(csv.reader(fh))[1:]]
+        assert starts == [i * 179 / 256.0 for i in range(12 * 256 // 179)]
+        assert starts[-1] == 11.1875
 
     def test_train_refuses_overwrite(self, tmp_path, capsys):
         data = write_data_dir(tmp_path / "data")
@@ -672,6 +714,17 @@ class TestTrainEvaluatePredict:
         meta.write_text(meta.read_text().replace("256.0", "Infinity"))
         code = main(["evaluate", "--data", str(data), "--method", "svm_hrv"])
         assert_usage_error(code, capsys)
+
+    @pytest.mark.parametrize("row", ["0.0,inf,0", "nan,12.0,0"])
+    def test_evaluate_refuses_non_finite_label_bounds(self, tmp_path, capsys, row):
+        data = write_data_dir(tmp_path / "data", n_subjects=2, duration_s=8.0)
+        labels = data / "subj1_lvl2.labels.csv"
+        labels.write_text(f"start_s,end_s,level\n{row}\n")
+        code = main(["evaluate", "--data", str(data), "--method", "svm_hrv"])
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err == (
+            f"error: {labels} row 2: segment bounds must be finite\n"
+        )
 
     def test_evaluate_single_subject_fails(self, tmp_path, capsys):
         data = write_data_dir(tmp_path / "data", n_subjects=1)

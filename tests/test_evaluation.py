@@ -76,7 +76,7 @@ class TestFolds:
         for subject, rows, (cnn_rows, _) in zip(data.subjects, trained_on(), queued):
             others = [w for w in data.windows if w.subject_id != subject]
             for fold_rows in (rows, cnn_rows):
-                np.testing.assert_array_equal(fold_rows.x[:, 0], [w.samples for w in others])
+                np.testing.assert_array_equal(fold_rows.x[0][:, 0], [w.samples for w in others])
                 np.testing.assert_array_equal(fold_rows.labels, [w.label for w in others])
 
     def test_split_counts(self, trained_on):

@@ -282,6 +282,40 @@ class TestHrvMatrix:
         assert str(through_helper.value) == str(direct.value)
 
 
+class TestInputs:
+    @pytest.mark.parametrize("method", list(METHODS))
+    def test_one_array_per_input(self, small_dataset, monkeypatch, method):
+        """featurize gives one array per input kind, in Method.inputs order, and each
+        train_cnns job trains on its own kind's array, on the fold's valid rows."""
+        cfg = fast_config(method)
+        windows = dataset_for(method, small_dataset).windows
+        rows = featurize(windows, cfg, 256.0)
+        of_kind = {
+            "cnn1d": lambda: windows_to_snippets(windows, cfg),
+            "cnn2d": lambda: windows_to_images(windows, cfg),
+            "hrv": lambda: hrv_matrix(windows, 256.0)[0],
+        }
+        inputs = METHODS[method].inputs
+        by_kind = {kind: of_kind[kind]() for kind in inputs}
+        assert type(rows.x) is tuple and len(rows.x) == len(inputs)
+        for kind, x in zip(inputs, rows.x):
+            np.testing.assert_array_equal(x, by_kind[kind])
+        trained = {}
+
+        def train_cnn(kind, x, y, cfg, seed):
+            trained[kind] = x, y
+            return kind
+
+        monkeypatch.setattr(pipeline, "_train_cnn", train_cnn)
+        mask = np.arange(len(windows)) % 2 == 0
+        (cnns,) = pipeline.train_cnns(rows, [(mask, 7)], cfg, 0)
+        kinds = [kind for kind in inputs if kind != "hrv"]
+        assert cnns == {kind: kind for kind in kinds} and sorted(trained) == sorted(kinds)
+        for kind, (x, y) in trained.items():
+            np.testing.assert_array_equal(x, by_kind[kind][mask & rows.valid])
+            np.testing.assert_array_equal(y, rows.labels[mask & rows.valid])
+
+
 class TestValidRows:
     """fit_rows and predict_rows pass the rows themselves when every row is valid."""
 
@@ -296,7 +330,7 @@ class TestValidRows:
 
         def predict(components, x, cfg):
             seen.append(x)
-            return np.ones((len(x[0] if isinstance(x, tuple) else x), cfg.class_count))
+            return np.ones((len(x[0]), cfg.class_count))
 
         spec = METHODS["svm_hrv"]
         monkeypatch.setitem(METHODS, "svm_hrv", spec._replace(fit=fit, predict=predict))
@@ -305,7 +339,7 @@ class TestValidRows:
     @pytest.mark.parametrize("paired", [False, True], ids=["matrix", "tuple"])
     def test_all_valid_rows_are_not_copied(self, seen, paired):
         x = np.arange(12.0).reshape(4, 3)
-        x = (x, x[:, :2]) if paired else x
+        x = (x, x[:, :2]) if paired else (x,)
         rows = Rows(x, np.ones(4, dtype=bool), np.zeros(4, dtype=np.int64))
         cfg = fast_config("svm_hrv")
         fit_rows(rows, cfg, 0)
@@ -315,12 +349,12 @@ class TestValidRows:
     def test_rows_that_are_not_valid_are_left_out(self, seen):
         x = np.arange(12.0).reshape(4, 3)
         valid = np.array([True, False, True, True])
-        rows = Rows(x, valid, np.zeros(4, dtype=np.int64))
+        rows = Rows((x,), valid, np.zeros(4, dtype=np.int64))
         cfg = fast_config("svm_hrv")
         fit_rows(rows, cfg, 0)
         proba = predict_rows({}, rows, cfg)
-        np.testing.assert_array_equal(seen[0], x[valid])
-        np.testing.assert_array_equal(seen[1], x[valid])
+        np.testing.assert_array_equal(seen[0], (x[valid],))
+        np.testing.assert_array_equal(seen[1], (x[valid],))
         np.testing.assert_array_equal(proba.any(axis=1), valid)
 
 
@@ -410,7 +444,7 @@ def sequential_fit(rows, cfg, seed):
     other, then its features extracted and its head fitted."""
     x, y = rows.x, rows.labels
     if cfg.method in ("cnn1d", "cnn2d"):
-        return {cfg.method: pipeline._train_cnn(cfg.method, x, y, cfg, seed)}
+        return {cfg.method: pipeline._train_cnn(cfg.method, x[0], y, cfg, seed)}
     snippets, images = x
     cnn1d = pipeline._train_cnn("cnn1d", snippets, y, cfg, seed)
     cnn2d = pipeline._train_cnn("cnn2d", images, y, cfg, seed)
@@ -503,7 +537,7 @@ class TestCnnQueue:
         assert no_helper_left(baseline)
         assert blas_threads[0]() == 2
         seeds = [fold_seed(cfg.seed, s) for s in small_dataset.subjects]
-        kinds = pipeline.METHODS[method].cnns
+        kinds = pipeline.METHODS[method].inputs
         seen = trainings()
         assert sorted((kind, seed) for kind, seed, *_ in seen) == sorted(
             (kind, seed) for seed in seeds for kind in kinds
@@ -614,7 +648,7 @@ class TestCnnQueue:
         cnn_queue, fold_queue = helpers_started()
         assert (len(cnn_queue), len(fold_queue)) == (helpers, helpers)
         seen = trainings()
-        assert len(seen) == subjects * len(METHODS[method].cnns)
+        assert len(seen) == subjects * len(METHODS[method].inputs)
         assert {pid for _, _, pid, *_ in seen} <= cnn_queue | {os.getpid()}
         assert {blas for *_, blas in seen} == {1}
         assert sorted(s for s, _ in folds()) == list(data.subjects)
