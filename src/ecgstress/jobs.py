@@ -3,8 +3,6 @@
 from __future__ import annotations
 
 import ctypes
-import mmap
-import os
 import signal
 from collections.abc import Callable
 from contextlib import contextmanager
@@ -23,37 +21,30 @@ _BLAS_THREAD_CALLS = (
 
 @cache
 def _blas_threads():
-    """(get, set) of the thread count of the OpenBLAS loaded in this process, or None.
+    """(get, set) of the thread count of numpy's OpenBLAS, or None.
 
-    Looked up once: numpy, imported above, has loaded its BLAS by the first call.
+    Looked up once, in numpy's own extension module: a symbol lookup there also
+    searches the libraries numpy links, its BLAS among them.
     """
     try:
-        with open("/proc/self/maps") as maps:
-            fields = [line.rstrip("\n").split(maxsplit=5) for line in maps]
+        lib = ctypes.CDLL(np._core._multiarray_umath.__file__)
     except OSError:
         return None
-    libraries = dict.fromkeys(
-        f[5] for f in fields if len(f) == 6 and "openblas" in os.path.basename(f[5]).lower()
-    )
-    for path in libraries:
-        try:
-            lib = ctypes.CDLL(path)
-        except OSError:
-            continue
-        for name in _BLAS_THREAD_CALLS:
-            get = getattr(lib, name.format("get"), None)
-            set_ = getattr(lib, name.format("set"), None)
-            if get is not None and set_ is not None:
-                get.argtypes, get.restype = [], ctypes.c_int
-                set_.argtypes, set_.restype = [ctypes.c_int], None
-                return get, set_
+    for name in _BLAS_THREAD_CALLS:
+        get = getattr(lib, name.format("get"), None)
+        set_ = getattr(lib, name.format("set"), None)
+        if get is not None and set_ is not None:
+            get.argtypes, get.restype = [], ctypes.c_int
+            set_.argtypes, set_.restype = [ctypes.c_int], None
+            return get, set_
     return None
 
 
 @contextmanager
-def one_blas_thread():
+def one_blas_thread(jobs: int = 1):
     """numpy's OpenBLAS on one thread inside the block, and its previous count restored
-    after; yields whether it could be set.
+    after; yields how many helpers each queue inside the block may fork:
+    max(jobs, 2) - 1, or 0 where the count cannot be set.
 
     The CNNs' GEMMs (9 to 144 columns) are too small to share among BLAS threads, so
     a second core pays only when it runs other work. The count is process-wide:
@@ -65,16 +56,17 @@ def one_blas_thread():
     """
     threads = _blas_threads()
     if threads is None:
-        yield False
+        yield 0
         return
+    helpers = max(jobs, 2) - 1
     get, set_ = threads
     before = get()
     if before == 1:
-        yield True
+        yield helpers
         return
     set_(1)
     try:
-        yield True
+        yield helpers
     finally:
         set_(before)
 
@@ -139,6 +131,8 @@ def run_jobs(run: Callable, count: int, helpers: int, key: Callable | None = Non
     context = _fork_context() if helpers > 0 else None
     if context is None:
         return [run(i) for i in range(count)]
+    import mmap  # here, so that runs that fork no helper do not load it
+
     order = sorted(range(count), key=key)
     state = np.ndarray(2, dtype=np.int64, buffer=mmap.mmap(-1, 16))  # shared with the helpers
     state[:] = 1, count

@@ -362,10 +362,6 @@ class Model:
         if softmax_idx is not None and self.feature_layer_index >= softmax_idx:
             raise BuildError("feature tap must come before the softmax layer")
 
-    @property
-    def feature_dim(self) -> int:
-        return self.shape_chain[self.feature_layer_index + 1][0]
-
     def parameters(self):
         return [p for layer in self.layers for p in layer.params()]
 

@@ -197,17 +197,22 @@ def fusion_predict(components: dict, rows) -> np.ndarray:
 # is long next to taking it from the queue, and the last job leaves one process
 # idle only briefly
 _HRV_CHUNK = 16
+# Fewest chunks for which the queue forks: a fresh `predict` of 5 chunks ran
+# faster without a helper in most pairs, one of 6 with it
+_MIN_FORK_CHUNKS = 6
 
 
-def hrv_matrix(windows, fs: float):
+def hrv_matrix(windows, fs: float, helpers: int = 1):
     """HRV feature rows of the windows, and which of them yielded one (the rest stay zero).
 
     Chunks of consecutive windows are the jobs of one queue that this process and
-    one forked helper work through (see jobs.run_jobs). Each vector depends on its own
-    window alone, so the rows are the same whichever process computes them.
+    up to `helpers` forked helpers work through (see jobs.run_jobs), or this process
+    alone under _MIN_FORK_CHUNKS chunks. Each vector depends on its own window
+    alone, so the rows are the same whichever process computes them.
     """
     chunks = [windows[i:i + _HRV_CHUNK] for i in range(0, len(windows), _HRV_CHUNK)]
-    vectors = run_jobs(lambda c: [hrv_vector(w, fs) for w in chunks[c]], len(chunks), 1)
+    helpers = helpers if len(chunks) >= _MIN_FORK_CHUNKS else 0
+    vectors = run_jobs(lambda c: [hrv_vector(w, fs) for w in chunks[c]], len(chunks), helpers)
     X = np.zeros((len(windows), len(FEATURE_NAMES)))
     valid = np.zeros(len(windows), dtype=bool)
     for i, vector in enumerate(v for chunk in vectors for v in chunk):
@@ -315,13 +320,13 @@ class Rows(NamedTuple):
         return self if self.valid.all() else self.take(self.valid)
 
 
-def featurize(windows, cfg: PipelineConfig, fs: float) -> Rows:
-    """Each input of the configured method featurized once; a window is valid unless
-    its HRV row could not be computed."""
+def featurize(windows, cfg: PipelineConfig, fs: float, helpers: int = 1) -> Rows:
+    """Each input of the configured method featurized once (HRV rows with up to
+    `helpers` forked helpers); a window is valid unless its HRV row could not be computed."""
     x, valid = [], np.ones(len(windows), dtype=bool)
     for kind in method_spec(cfg.method).inputs:
         if kind == "hrv":
-            rows, valid = hrv_matrix(windows, fs)
+            rows, valid = hrv_matrix(windows, fs, helpers)
         elif kind == "cnn1d":
             rows = windows_to_snippets(windows, cfg)
         else:
@@ -335,15 +340,14 @@ def fit_rows(rows: Rows, cfg: PipelineConfig, seed: int, cnns: dict | None = Non
     BLAS on one thread.
 
     cnns are the method's CNNs as train_cnns trained them on these rows and seed;
-    without them, train_cnns trains them here first, with one helper if BLAS is
-    pinned.
+    without them, train_cnns trains them here first, with the helpers the pin gives.
     """
     if not rows.valid.any():
         raise PipelineError("hrv-features", ValueError("no window yielded enough beats"))
     kept = rows.kept()
-    with one_blas_thread() as pinned:
+    with one_blas_thread() as helpers:
         if cnns is None:
-            (cnns,) = train_cnns(rows, [(rows.valid, seed)], cfg, int(pinned))
+            (cnns,) = train_cnns(rows, [(rows.valid, seed)], cfg, helpers)
         return method_spec(cfg.method).fit(kept.x, kept.labels, cfg, seed, cnns)
 
 
@@ -374,21 +378,20 @@ def evaluate_loso(data: Dataset, cfg: PipelineConfig, fs: float, jobs: int = 1) 
     """LOSO evaluation of the configured method: one fold per subject, in subject order.
 
     Every window is featurized once; each fold trains on the other subjects'
-    rows and is tested on its own subject's rows. Every fold's CNNs are trained
-    first, from one queue worked by at most max(jobs, 2) processes (see
-    train_cnns); then each fold, a job of a second such queue taken in subject
-    order, fits the rest of its method and is scored, and sends back only its
-    metrics. The results are the same as one process's, since each fold depends
-    on its rows, seed and CNNs alone. BLAS is set to one thread once, before
-    featurization, and stays there throughout; without a setter to pin it, every
-    fold runs here in subject order.
+    rows and is tested on its own subject's rows. HRV rows, then every fold's CNNs
+    (see train_cnns), are computed by a queue each; then each fold, a job of a
+    third queue taken in subject order, fits the rest of its method and is
+    scored, and sends back only its metrics. Every queue forks the helpers
+    one_blas_thread(jobs) gives. The results are the same as one process's, since
+    each fold depends on its rows, seed and CNNs alone. BLAS is set to one thread
+    once, before featurization, and stays there throughout; without a setter to
+    pin it, every job runs here in serial order.
     """
     subjects = data.subjects
     if len(subjects) < 2:
         raise ValueError(f"LOSO needs at least 2 subjects, got {len(subjects)}")
-    with one_blas_thread() as pinned:
-        helpers = max(jobs, 2) - 1 if pinned else 0
-        rows = featurize(data.windows, cfg, fs)
+    with one_blas_thread(jobs) as helpers:
+        rows = featurize(data.windows, cfg, fs, helpers)
         owner = np.array([w.subject_id for w in data.windows])
         folds = [(owner != s, fold_seed(cfg.seed, s)) for s in subjects]  # training rows, seed
         cnns = train_cnns(rows, folds, cfg, helpers)

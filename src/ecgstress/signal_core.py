@@ -271,7 +271,17 @@ def load_label_track(path, rater_id: str | None = None) -> LabelTrack:
                     raise IngestionError(f"{path} row {row_num}: bad level '{row[2]}'") from None
                 if level not in (0, 1, 2):
                     raise IngestionError(f"{path} row {row_num}: level must be 0, 1, 2 or '-'")
-            segments.append(LabelSegment(start_s, end_s, level))
+            try:
+                segment = LabelSegment(start_s, end_s, level)
+            except ValueError as exc:
+                raise IngestionError(f"{path} row {row_num}: {exc}") from None
+            if segments and start_s < segments[-1].end_s:
+                prev = segments[-1]
+                raise IngestionError(
+                    f"{path} row {row_num}: segments overlap or are unsorted: "
+                    f"[{prev.start_s}, {prev.end_s}) then [{start_s}, {end_s})"
+                )
+            segments.append(segment)
     return LabelTrack(rater_id=rater_id or path.stem, segments=tuple(segments))
 
 

@@ -10,8 +10,9 @@ synthetic dataset, from this tree's `src`:
 - `bundles/`: the `train` bundle of each method, with `created` blanked, and
   the run's stdout, stderr and exit code;
 - `predict/`: the CSV, stderr and exit code of `predict` with each bundle on
-  three held-out 20-s recordings (one per level) and a flat 9-s one, on which
-  every HRV window is skipped.
+  three held-out 20-s recordings (one per level), a 600-s one, on which the
+  HRV methods' queue forks, and a flat 9-s one, on which every HRV window is
+  skipped.
 
 Data: 3 subjects x 3 levels x 24 s from `oracles.synth_ecg` at 256 Hz; every run
 uses seed 3 and 3 epochs. Commands run with OUT_DIR as working directory and
@@ -50,6 +51,7 @@ def write_inputs(out: Path) -> list[str]:
             save_recording(rec, f"{stem}.csv", f"{stem}.meta.json")
             save_label_track(track, f"{stem}.labels.csv")
     held = {f"new_lvl{level}": synth_ecg(level, 20.0, FS, 900 + level)[0] for level in (0, 1, 2)}
+    held["long"] = synth_ecg(1, 600.0, FS, 903)[0]
     held["flat"] = EcgRecording(subject_id="flat", sample_rate_hz=FS, samples=np.zeros(9 * 256))
     for name, rec in held.items():
         save_recording(rec, out / "held" / f"{name}.csv", out / "held" / f"{name}.meta.json")

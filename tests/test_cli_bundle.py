@@ -71,6 +71,13 @@ def write_data_dir(root, n_subjects=2, duration_s=12.0, base_seed=100):
 
 FAST_ARGS = ["--epochs", "2", "--learning-rate", "0.02", "--seed", "1"]
 
+# Label rows that make a bad segment, and the error that names their file and row
+BAD_LABEL_ROWS = [
+    ("5.0,1.0,0\n", "row 2: end_s (1.0) must exceed start_s (5.0)"),
+    ("0.0,10.0,1\n5.0,12.0,1\n",
+     "row 3: segments overlap or are unsorted: [0.0, 10.0) then [5.0, 12.0)"),
+]
+
 
 def assert_usage_error(code, capsys):
     """Exit code 2 with a one-line `error:` message and no traceback."""
@@ -351,6 +358,17 @@ class TestIngestAndLabel:
         )
         assert not out.exists()
 
+    @pytest.mark.parametrize("rows, error", BAD_LABEL_ROWS)
+    def test_label_names_the_bad_segment_row(self, tmp_path, capsys, rows, error):
+        paths = [tmp_path / f"r{i}.csv" for i in range(2)]
+        for path in paths:
+            path.write_text(f"start_s,end_s,level\n{rows}")
+        out = tmp_path / "consensus.csv"
+        code = main(["label", *map(str, paths), "--out", str(out)])
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err == f"error: {paths[0]} {error}\n"
+        assert not out.exists()
+
     def test_label_consensus_and_alpha(self, tmp_path, capsys):
         paths = []
         for track in make_rater_tracks():
@@ -487,11 +505,13 @@ class TestTrainEvaluatePredict:
         assert blas_threads[0]() == 2
 
     @pytest.mark.parametrize("method, seconds, windows", [("fusion_weighted", 6.0, 6),
-                                                          ("svm_hrv", 64.0, 16)])
+                                                          ("svm_hrv", 64.0, 16),
+                                                          ("svm_hrv", 320.0, 80)])
     def test_predict_does_not_import_multiprocessing(self, tmp_path, method, seconds, windows):
-        """predict from a fusion bundle, or from an HRV bundle on at most one chunk of
-        hrv_matrix's queue, forks nothing, so a fresh process never imports
-        multiprocessing: its start-up does not pay for the job queue."""
+        """predict from a fusion bundle, or from an HRV bundle on fewer chunks of
+        hrv_matrix's queue than it forks for (one, and five), forks nothing, so a
+        fresh process imports neither multiprocessing nor mmap: its start-up does
+        not pay for the job queue."""
         data = write_data_dir(tmp_path / "data")
         out = tmp_path / "bundle.json"
         argv = ["train", "--data", str(data), "--out", str(out), "--method", method]
@@ -499,7 +519,8 @@ class TestTrainEvaluatePredict:
         rec, _ = synth_ecg(0, seconds, 256.0, 999)
         save_recording(rec, tmp_path / "new.csv", tmp_path / "new.meta.json")
         script = ("import sys; from ecgstress.cli import main; code = main(sys.argv[1:]); "
-                  "print('multiprocessing' in sys.modules); sys.exit(code)")
+                  "print('multiprocessing' in sys.modules, 'mmap' in sys.modules); "
+                  "sys.exit(code)")
         signal = ["--signal", str(tmp_path / "new.csv"), "--meta", str(tmp_path / "new.meta.json")]
         predicted = tmp_path / "predicted.csv"
         done = subprocess.run(
@@ -509,7 +530,7 @@ class TestTrainEvaluatePredict:
             capture_output=True, text=True, timeout=120,
         )
         assert done.returncode == EXIT_OK, done.stderr
-        assert done.stdout == "False\n"
+        assert done.stdout == "False False\n"
         assert len(predicted.read_text().splitlines()) == 1 + windows
 
     def test_predict_start_is_the_window_start(self, tmp_path, capsys):
@@ -725,6 +746,15 @@ class TestTrainEvaluatePredict:
         assert capsys.readouterr().err == (
             f"error: {labels} row 2: segment bounds must be finite\n"
         )
+
+    @pytest.mark.parametrize("rows, error", BAD_LABEL_ROWS)
+    def test_evaluate_names_the_bad_segment_row(self, tmp_path, capsys, rows, error):
+        data = write_data_dir(tmp_path / "data", n_subjects=2, duration_s=8.0)
+        labels = data / "subj1_lvl2.labels.csv"
+        labels.write_text(f"start_s,end_s,level\n{rows}")
+        code = main(["evaluate", "--data", str(data), "--method", "svm_hrv"])
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err == f"error: {labels} {error}\n"
 
     def test_evaluate_single_subject_fails(self, tmp_path, capsys):
         data = write_data_dir(tmp_path / "data", n_subjects=1)

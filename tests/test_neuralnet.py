@@ -55,7 +55,7 @@ class TestBuild:
 
     def test_cnn1d_feature_tap(self):
         model = build_cnn1d(feature_dim=32)
-        assert model.feature_dim == 32
+        assert model.shape_chain[model.feature_layer_index + 1][0] == 32
         x = np.random.default_rng(0).standard_normal((2, 1, 256))
         assert extract_features(model, x).shape == (2, 32)
 
@@ -67,7 +67,7 @@ class TestBuild:
         assert (16, 16, 6) in chain
         assert (32, 8, 3) in chain
         assert chain[-1] == (3,)
-        assert model.feature_dim == 32
+        assert model.shape_chain[model.feature_layer_index + 1][0] == 32
 
     def test_input_too_short(self):
         with pytest.raises(BuildError):

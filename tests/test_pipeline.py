@@ -213,6 +213,7 @@ class TestHrvMatrix:
         and one helper work through the queue; a single chunk runs here alone."""
         windows = self.windows_with_flat_ones()[:count]
         monkeypatch.setattr(pipeline, "_HRV_CHUNK", chunk)
+        monkeypatch.setattr(pipeline, "_MIN_FORK_CHUNKS", 2)
         baseline = threading.active_count()
         X, valid = hrv_matrix(windows, 256.0)
         assert no_helper_left(baseline)
@@ -226,6 +227,22 @@ class TestHrvMatrix:
         assert valid.tolist() == valid_serial.tolist()
         assert valid.tolist() == [i % 7 != 3 for i in range(count)]
         assert not X[~valid].any()
+
+    @pytest.mark.parametrize(
+        "count, helpers, forked", [(45, 1, []), (54, 1, [1]), (54, 2, [2]), (54, 0, [])]
+    )
+    def test_forks_from_the_least_chunk_count(self, helpers_started, monkeypatch, count,
+                                              helpers, forked):
+        """In chunks of 9 windows, 45 windows (5 chunks) run here alone, and 54 (6 chunks,
+        _MIN_FORK_CHUNKS) fork the helpers the caller gives, with the same rows."""
+        assert pipeline._MIN_FORK_CHUNKS == 6
+        windows = self.windows_with_flat_ones()[:count]
+        monkeypatch.setattr(pipeline, "_HRV_CHUNK", 9)
+        X, valid = hrv_matrix(windows, 256.0, helpers)
+        assert [len(pids) for pids in helpers_started()] == forked
+        X_alone, valid_alone = hrv_matrix(windows, 256.0, 0)
+        assert X.tobytes() == X_alone.tobytes()
+        assert valid.tolist() == valid_alone.tolist()
 
     @pytest.mark.parametrize("forks", [True, False])
     def test_first_error_in_window_order(self, monkeypatch, forks):
@@ -247,6 +264,7 @@ class TestHrvMatrix:
             return real(w, fs)
 
         monkeypatch.setattr(pipeline, "hrv_vector", vector)
+        monkeypatch.setattr(pipeline, "_MIN_FORK_CHUNKS", 2)
         if not forks:
             monkeypatch.setattr(jobs_module, "_fork_context", lambda: None)
         baseline = threading.active_count()
@@ -273,6 +291,7 @@ class TestHrvMatrix:
             return real(w, fs)
 
         monkeypatch.setattr(pipeline, "hrv_vector", vector)
+        monkeypatch.setattr(pipeline, "_MIN_FORK_CHUNKS", 2)
         baseline = threading.active_count()
         with pytest.raises(ValueError) as through_helper:
             hrv_matrix(windows, 256.0)
@@ -963,8 +982,8 @@ class TestBlasPin:
         [
             ("fusion_avg", 1, [1, 1]),  # the CNN queue, then the fold queue
             ("fusion_avg", 3, [2, 2]),
-            ("svm_hrv", 1, [1, 1]),  # hrv_matrix's queue, then the fold queue
-            ("svm_hrv", 3, [1, 2]),
+            ("svm_hrv", 1, [1, 1]),  # hrv_matrix's queue (of 5 chunks), then the fold queue
+            ("svm_hrv", 3, [2, 2]),
         ],
     )
     def test_one_set_per_run(self, sets, helpers_started, monkeypatch, method, jobs, forked):
@@ -973,6 +992,7 @@ class TestBlasPin:
             data = make_dataset(n_subjects=4, duration_s=12.0)
         else:
             data = make_dataset(n_subjects=4, duration_s=24.0, window_seconds=4.0)
+        monkeypatch.setattr(pipeline, "_MIN_FORK_CHUNKS", 2)
         real = jobs_module._fork_context
         monkeypatch.setattr(
             jobs_module, "_fork_context", lambda: sets.add(os.getpid(), "fork") or real()
@@ -983,6 +1003,28 @@ class TestBlasPin:
         assert [len(pids) for pids in helpers_started()] == forked
         caller = os.getpid()
         assert sets() == [(caller, 1), *[(caller, "fork")] * len(forked), (caller, 2)]
+
+    @pytest.mark.parametrize("count", [2, 1])
+    @pytest.mark.parametrize("jobs, helpers", [(1, 1), (2, 1), (3, 2)])
+    def test_helpers_of_the_pin(self, sets, count, jobs, helpers):
+        """The pin gives max(jobs, 2) - 1 helpers, whether it sets the count or finds
+        it at one already."""
+        sets.count[0] = count
+        with jobs_module.one_blas_thread(jobs) as given:
+            assert given == helpers
+        assert sets() == ([(os.getpid(), 1), (os.getpid(), 2)] if count == 2 else [])
+
+    @pytest.mark.parametrize("jobs", [1, 2, 3])
+    def test_no_helper_without_a_setter(self, monkeypatch, jobs):
+        monkeypatch.setattr(jobs_module, "_blas_threads", lambda: None)
+        with jobs_module.one_blas_thread(jobs) as helpers:
+            assert helpers == 0
+
+    def test_numpy_openblas_setter_is_found(self):
+        """Where numpy is built on OpenBLAS, its thread setter is found: were it not,
+        every test that needs the blas_threads fixture would be skipped."""
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+        assert "openblas" not in blas or jobs_module._blas_threads() is not None
 
     def test_a_count_at_one_is_left_alone(self, sets, helpers_started, small_dataset):
         """As under OPENBLAS_NUM_THREADS=1: no set at all, and the queues still fork."""
