@@ -9,6 +9,7 @@ import math
 import os
 from dataclasses import asdict, fields
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -105,7 +106,20 @@ CODECS = {
     "knn": _record(dict),
 }
 
-HEADER_KEYS = ("method", "window_seconds", "sample_rate_hz", "feature_dim", "spectrogram", "seed")
+
+class Bundle(NamedTuple):
+    """A trained pipeline: the header fields in the file's order, then its components."""
+
+    method: str
+    window_seconds: float
+    sample_rate_hz: float
+    feature_dim: int
+    spectrogram: SpectrogramParams
+    seed: int
+    components: dict  # component key -> trained component, the method's keys only
+
+
+HEADER_KEYS = Bundle._fields[:-1]
 
 
 def _check_header(doc: dict) -> None:
@@ -124,27 +138,12 @@ def _check_header(doc: dict) -> None:
             raise BundleError(f"bundle {key} must be an integer, got {doc[key]!r}")
 
 
-def save_bundle(
-    path,
-    method: str,
-    components: dict,
-    window_seconds: float,
-    sample_rate_hz: float,
-    feature_dim: int,
-    spectrogram: SpectrogramParams,
-    seed: int,
-) -> None:
+def save_bundle(path, bundle: Bundle) -> None:
     """Write the bundle through a temporary file, so a failed save leaves `path` as it was."""
-    doc = {
-        "format_version": FORMAT_VERSION,
-        "method": method,
-        "window_seconds": window_seconds,
-        "sample_rate_hz": sample_rate_hz,
-        "feature_dim": feature_dim,
-        "spectrogram": asdict(spectrogram),
-        "seed": seed,
-        "created": datetime.datetime.now(datetime.timezone.utc).isoformat(),
-    }
+    doc = {"format_version": FORMAT_VERSION, **bundle._asdict()}
+    components = doc.pop("components")
+    doc["spectrogram"] = asdict(bundle.spectrogram)
+    doc["created"] = datetime.datetime.now(datetime.timezone.utc).isoformat()
     for key, (encode, _) in CODECS.items():
         if components.get(key) is not None:
             doc[key] = encode(components[key])
@@ -158,8 +157,8 @@ def save_bundle(
         tmp.unlink(missing_ok=True)
 
 
-def load_bundle(path) -> dict:
-    """Load and validate a bundle; returns ready-to-use components plus metadata."""
+def load_bundle(path) -> Bundle:
+    """Load and validate a bundle; its components are ready to use."""
     non_finite = []  # NaN and ±Infinity tokens; save_bundle never writes them
 
     def note(token: str) -> float:
@@ -188,7 +187,7 @@ def load_bundle(path) -> dict:
         raise BundleError(f"{method} bundle lacks {', '.join(missing)}")
     try:
         components = {key: CODECS[key][1](doc[key], doc) for key in needed}
-        spectrogram = SpectrogramParams(**doc["spectrogram"])
+        doc["spectrogram"] = SpectrogramParams(**doc["spectrogram"])
     except BundleError:
         raise
     except (KeyError, TypeError, ValueError) as exc:
@@ -196,13 +195,7 @@ def load_bundle(path) -> dict:
     stats, svm = components.get("stats"), components.get("svm")
     if stats is not None and svm is not None and svm.weights.shape[1:] != stats.mean.shape:
         raise BundleError("SVM feature dimension does not match standardization stats")
-    return {
-        "method": method,
-        "window_seconds": doc["window_seconds"],
-        "sample_rate_hz": doc["sample_rate_hz"],
-        "feature_dim": doc["feature_dim"],
-        "spectrogram": spectrogram,
-        "seed": doc["seed"],
-        "created": doc.get("created"),
-        "components": components,
-    }
+    knn = components.get("knn")
+    if knn is not None and type(knn.get("k")) is not int:
+        raise BundleError(f"knn k must be an integer, got {knn.get('k')!r}")
+    return Bundle(*(doc[key] for key in HEADER_KEYS), components)

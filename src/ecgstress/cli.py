@@ -5,7 +5,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -90,7 +89,10 @@ def load_config_file(path) -> dict:
         key, value = (part.strip() for part in line.split("=", 1))
         if key not in SETTINGS:
             raise ValueError(f"{path} line {line_num}: unknown key '{key}'")
-        out[key] = SETTINGS[key][0](value)
+        try:
+            out[key] = SETTINGS[key][0](value)
+        except ValueError as exc:
+            raise ValueError(f"{path} line {line_num}: {key}: {exc}") from None
     return out
 
 
@@ -107,40 +109,11 @@ def build_pipeline_config(settings: dict) -> PipelineConfig:
                 group, _, name = dest.rpartition(".")
                 fields[group][name] = value
     cfg = PipelineConfig()
-    cfg = replace(
-        cfg,
-        **fields[""],
-        cnn_train=replace(cfg.cnn_train, **fields["cnn_train"]),
-        spectrogram=replace(cfg.spectrogram, **fields["spectrogram"]),
-    )
-    for ok, problem in (
-        (jobs >= 1, f"jobs must be at least 1, got {jobs}"),
-        (
-            0 < cfg.window_seconds < math.inf,
-            f"window_seconds must be finite and positive, got {cfg.window_seconds}",
-        ),
-        (
-            0 < cfg.hrv_window_seconds < math.inf,
-            f"hrv_window_seconds must be finite and positive, got {cfg.hrv_window_seconds}",
-        ),
-        (cfg.feature_dim >= 1, f"feature_dim must be at least 1, got {cfg.feature_dim}"),
-        (
-            all(0 < lam < math.inf for lam in cfg.svm_lambda_grid),
-            f"svm_lambda_grid values must be finite and positive, got {cfg.svm_lambda_grid}",
-        ),
-        (min(cfg.knn_k_grid) >= 1, f"knn_k_grid values must be at least 1, got {cfg.knn_k_grid}"),
-        (
-            cfg.corrupt_modality in (None, "raw", "spectrogram"),
-            f"corrupt_modality must be none, raw or spectrogram, got {cfg.corrupt_modality!r}",
-        ),
-        (
-            0 <= cfg.corrupt_noise_std < math.inf,
-            f"corrupt_noise_std must be finite and nonnegative, got {cfg.corrupt_noise_std}",
-        ),
-    ):
-        if not ok:
-            raise ValueError(problem)
-    return cfg
+    cnn_train = replace(cfg.cnn_train, **fields["cnn_train"])
+    spectrogram = replace(cfg.spectrogram, **fields["spectrogram"])
+    if jobs < 1:  # after the two records' own checks, before PipelineConfig's
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
+    return replace(cfg, **fields[""], cnn_train=cnn_train, spectrogram=spectrogram)
 
 
 def merge_settings(args) -> dict:
@@ -247,16 +220,10 @@ def cmd_train(args) -> int:
     # no subject (""); another seed would change every trained bundle
     rows = pipeline.featurize(data.windows, cfg, fs)
     components = pipeline.fit_rows(rows, cfg, pipeline.fold_seed(cfg.seed, ""))
-    bundle_io.save_bundle(
-        args.out,
-        method=cfg.method,
-        components=components,
-        window_seconds=window_s,
-        sample_rate_hz=fs,
-        feature_dim=cfg.feature_dim,
-        spectrogram=cfg.spectrogram,
-        seed=cfg.seed,
+    bundle = bundle_io.Bundle(
+        cfg.method, window_s, fs, cfg.feature_dim, cfg.spectrogram, cfg.seed, components
     )
+    bundle_io.save_bundle(args.out, bundle)
     print(f"bundle written to {args.out}")
     return EXIT_OK
 
@@ -278,15 +245,14 @@ def cmd_evaluate(args) -> int:
     return EXIT_OK
 
 
-def predict_stream(loaded: dict, rec) -> list[tuple]:
+def predict_stream(bundle: bundle_io.Bundle, rec) -> list[tuple]:
     """Per-window predictions: (start_s, level, p0, p1, p2) rows, one per window,
     start_s the window's first sample over the rate.
 
     A window that yields no prediction (an HRV window without enough beats)
     gives (start_s, -1, None, None, None).
     """
-    window_s = loaded["window_seconds"]
-    fs = loaded["sample_rate_hz"]
+    window_s, fs = bundle.window_seconds, bundle.sample_rate_hz
     if rec.sample_rate_hz != fs:
         raise ValueError(
             f"recording sample rate {rec.sample_rate_hz} does not match bundle rate {fs} "
@@ -298,9 +264,9 @@ def predict_stream(loaded: dict, rec) -> list[tuple]:
     if not windows:
         raise ValueError(f"recording shorter than one {window_s} s window")
     # Featurizing and predicting read only the method and the spectrogram settings
-    cfg = PipelineConfig(method=loaded["method"], spectrogram=loaded["spectrogram"])
+    cfg = PipelineConfig(method=bundle.method, spectrogram=bundle.spectrogram)
     rows = pipeline.featurize(windows, cfg, fs)
-    proba = pipeline.predict_rows(loaded["components"], rows, cfg)
+    proba = pipeline.predict_rows(bundle.components, rows, cfg)
     return [
         (w.start_sample / fs, int(np.argmax(p)), *(float(v) for v in p))
         if ok
@@ -312,9 +278,9 @@ def predict_stream(loaded: dict, rec) -> list[tuple]:
 def cmd_predict(args) -> int:
     if args.out:
         _guard_overwrite(args.out, force=True)
-    loaded = bundle_io.load_bundle(args.bundle)
+    bundle = bundle_io.load_bundle(args.bundle)
     rec = load_recording(args.signal, args.meta)
-    rows = predict_stream(loaded, rec)
+    rows = predict_stream(bundle, rec)
     out = open(args.out, "w", newline="") if args.out else sys.stdout
     try:
         writer = csv.writer(out)

@@ -15,6 +15,10 @@ class SpectrogramParams:
     window_fn: str = "hanning"
 
     def __post_init__(self):
+        if type(self.window_len) is not int or type(self.hop) is not int:
+            raise ValueError(
+                f"window_len and hop must be integers, got {self.window_len!r} and {self.hop!r}"
+            )
         if self.window_len <= 0 or self.hop <= 0:
             raise ValueError("window_len and hop must be positive")
         if self.hop > self.window_len:

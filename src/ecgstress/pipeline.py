@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import zlib
 from collections.abc import Callable
 from dataclasses import dataclass, field, asdict
@@ -46,11 +47,27 @@ class PipelineConfig:
     corrupt_modality: str | None = None  # None, "raw" or "spectrogram"
     corrupt_noise_std: float = 0.0
 
-    def snapshot(self) -> dict:
-        d = asdict(self)
-        d["svm_lambda_grid"] = list(self.svm_lambda_grid)
-        d["knn_k_grid"] = list(self.knn_k_grid)
-        return d
+    def __post_init__(self):
+        for name in ("window_seconds", "hrv_window_seconds"):
+            value = getattr(self, name)
+            if not 0 < value < math.inf:
+                raise ValueError(f"{name} must be finite and positive, got {value}")
+        if self.feature_dim < 1:
+            raise ValueError(f"feature_dim must be at least 1, got {self.feature_dim}")
+        grid = self.svm_lambda_grid
+        if not all(0 < lam < math.inf for lam in grid):
+            raise ValueError(f"svm_lambda_grid values must be finite and positive, got {grid}")
+        if min(self.knn_k_grid) < 1:
+            raise ValueError(f"knn_k_grid values must be at least 1, got {self.knn_k_grid}")
+        if self.corrupt_modality not in (None, "raw", "spectrogram"):
+            raise ValueError(
+                "corrupt_modality must be none, raw or spectrogram, "
+                f"got {self.corrupt_modality!r}"
+            )
+        if not 0 <= self.corrupt_noise_std < math.inf:
+            raise ValueError(
+                f"corrupt_noise_std must be finite and nonnegative, got {self.corrupt_noise_std}"
+            )
 
 
 def fold_seed(global_seed: int, subject_id: str) -> int:
@@ -406,5 +423,5 @@ def evaluate_loso(data: Dataset, cfg: PipelineConfig, fs: float, jobs: int = 1) 
         per_fold=tuple(zip(subjects, metrics)),
         mean=mean_metrics(metrics),
         seed=cfg.seed,
-        config_snapshot=cfg.snapshot(),
+        config_snapshot=asdict(cfg),
     )

@@ -78,6 +78,8 @@ class LabelSegment:
     level: int  # 0, 1, 2 or UNLABELED
 
     def __post_init__(self):
+        if self.start_s < 0:
+            raise ValueError(f"start_s ({self.start_s}) must be nonnegative")
         if self.end_s <= self.start_s:
             raise ValueError(f"end_s ({self.end_s}) must exceed start_s ({self.start_s})")
         if self.level not in (0, 1, 2, UNLABELED):

@@ -17,7 +17,9 @@ synthetic dataset, from this tree's `src`:
 Data: 3 subjects x 3 levels x 24 s from `oracles.synth_ecg` at 256 Hz; every run
 uses seed 3 and 3 epochs. Commands run with OUT_DIR as working directory and
 relative paths, so the outputs of two trees are byte-identical exactly when
-`diff -r parent_out change_out` prints nothing.
+`diff -r parent_out change_out` prints nothing. Every command should exit 0:
+if one does not, the script still writes the whole set, then names the stems
+of those commands and exits 1.
 """
 
 import json
@@ -58,7 +60,7 @@ def write_inputs(out: Path) -> list[str]:
     return list(held)
 
 
-def run(out: Path, stem: str, *args: str) -> None:
+def run(out: Path, stem: str, *args: str) -> int:
     """Run `ecgstress args` in out; keep its stdout, stderr and exit code beside stem."""
     env = {**os.environ, "PYTHONPATH": str(TESTS.parent / "src")}
     done = subprocess.run([sys.executable, "-m", "ecgstress.cli", *args], cwd=out, env=env,
@@ -66,34 +68,44 @@ def run(out: Path, stem: str, *args: str) -> None:
     (out / f"{stem}.stdout").write_text(done.stdout)
     (out / f"{stem}.stderr").write_text(done.stderr)
     (out / f"{stem}.exit").write_text(f"{done.returncode}\n")
+    return done.returncode
 
 
-def main(out: Path) -> None:
+def main(out: Path) -> int:
     out.mkdir(parents=True)
     held = write_inputs(out)
     for sub in ("evaluate", "bundles", "predict"):
         (out / sub).mkdir()
+    failed = []
+
+    def check(stem: str, *args: str) -> None:
+        if run(out, stem, *args) != 0:
+            failed.append(stem)
+
     for method in METHODS:
         for jobs in (1, 2, 3):
             stem = f"evaluate/{method}.jobs{jobs}"
-            run(out, stem, "evaluate", "--data", "data", "--method", method, *RUN_ARGS,
-                "--jobs", str(jobs), "--out", f"{stem}.json", "--report-out", f"{stem}.md")
+            check(stem, "evaluate", "--data", "data", "--method", method, *RUN_ARGS,
+                  "--jobs", str(jobs), "--out", f"{stem}.json", "--report-out", f"{stem}.md")
         bundle = out / "bundles" / f"{method}.json"
-        run(out, f"bundles/{method}", "train", "--data", "data", "--method", method, *RUN_ARGS,
-            "--out", f"bundles/{method}.json")
+        check(f"bundles/{method}", "train", "--data", "data", "--method", method, *RUN_ARGS,
+              "--out", f"bundles/{method}.json")
         if bundle.exists():
             doc = json.loads(bundle.read_text())
             doc["created"] = ""
             bundle.write_text(json.dumps(doc))
         for name in held:
             stem = f"predict/{method}.{name}"
-            run(out, stem, "predict", "--bundle", f"bundles/{method}.json",
-                "--signal", f"held/{name}.csv", "--meta", f"held/{name}.meta.json",
-                "--out", f"{stem}.csv")
+            check(stem, "predict", "--bundle", f"bundles/{method}.json",
+                  "--signal", f"held/{name}.csv", "--meta", f"held/{name}.meta.json",
+                  "--out", f"{stem}.csv")
     print(f"check set: {sum(1 for p in out.rglob('*') if p.is_file())} files in {out}")
+    if failed:
+        print(f"exited non-zero: {', '.join(failed)}", file=sys.stderr)
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":
     if len(sys.argv) != 2:
         sys.exit(f"usage: python {sys.argv[0]} OUT_DIR")
-    main(Path(sys.argv[1]))
+    sys.exit(main(Path(sys.argv[1])))

@@ -353,7 +353,7 @@ def test_09_no_leakage_taint(fitted):
 
 def test_10_determinism_and_persistence(tmp_path):
     """Identical seeded runs agree; save/load/predict round-trips, < 1 min."""
-    from ecgstress.bundle import load_bundle, save_bundle
+    from ecgstress.bundle import Bundle, load_bundle, save_bundle
     from ecgstress.pipeline import fusion_predict
 
     start = time.perf_counter()
@@ -373,21 +373,11 @@ def test_10_determinism_and_persistence(tmp_path):
     comps = fit_rows(featurize(data.windows, fcfg, 256.0), fcfg, fold_seed(fcfg.seed, ""))
     path = tmp_path / "bundle.json"
     save_bundle(
-        path,
-        method=fcfg.method,
-        components=comps,
-        window_seconds=1.0,
-        sample_rate_hz=256.0,
-        feature_dim=fcfg.feature_dim,
-        spectrogram=fcfg.spectrogram,
-        seed=fcfg.seed,
+        path, Bundle(fcfg.method, 1.0, 256.0, fcfg.feature_dim, fcfg.spectrogram, fcfg.seed, comps)
     )
     loaded = load_bundle(path)
     rows = featurize(data.windows[:12], fcfg, 256.0).x
-    ok = ok and np.array_equal(
-        fusion_predict(comps, rows),
-        fusion_predict(loaded["components"], rows),
-    )
+    ok = ok and np.array_equal(fusion_predict(comps, rows), fusion_predict(loaded.components, rows))
     elapsed = time.perf_counter() - start
     ok = ok and elapsed < 60.0
     _verdict(f"acceptance-10 determinism and persistence ({elapsed:.0f}s)", ok)

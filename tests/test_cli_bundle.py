@@ -14,7 +14,7 @@ import pytest
 import ecgstress
 from ecgstress import bundle as bundle_io
 from ecgstress import neuralnet
-from ecgstress.bundle import BundleError, load_bundle, save_bundle
+from ecgstress.bundle import Bundle, BundleError, load_bundle, save_bundle
 from ecgstress.cli import (
     EXIT_OK,
     EXIT_USAGE,
@@ -76,6 +76,8 @@ BAD_LABEL_ROWS = [
     ("5.0,1.0,0\n", "row 2: end_s (1.0) must exceed start_s (5.0)"),
     ("0.0,10.0,1\n5.0,12.0,1\n",
      "row 3: segments overlap or are unsorted: [0.0, 10.0) then [5.0, 12.0)"),
+    ("-3.0,-1.0,2\n", "row 2: start_s (-3.0) must be nonnegative"),
+    ("-1.0,5.0,1\n", "row 2: start_s (-1.0) must be nonnegative"),
 ]
 
 
@@ -116,6 +118,21 @@ class TestConfigHandling:
             main(["evaluate", "--data", str(tmp_path), "--knn-k-grid", ""])
         assert exit_info.value.code == EXIT_USAGE
         assert "--knn-k-grid" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "line, error",
+        [
+            ("epochs = abc", "epochs: invalid literal for int() with base 10: 'abc'"),
+            ("svm_lambda_grid = ,", "svm_lambda_grid: empty list ','"),
+        ],
+        ids=["int", "grid"],
+    )
+    def test_bad_value_names_file_and_line(self, tmp_path, capsys, line, error):
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text(f"# comment\nmethod = svm_hrv\n{line}\n")
+        code = main(["evaluate", "--data", str(tmp_path), "--config", str(cfg_file)])
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err == f"error: {cfg_file} line 3: {error}\n"
 
     def test_build_pipeline_config(self):
         cfg = build_pipeline_config(
@@ -258,7 +275,7 @@ class TestSettingValues:
         out = tmp_path / "b.json"
         argv = ["train", "--data", str(data), "--out", str(out), "--config", str(cfg_file)]
         assert main(argv) == EXIT_OK
-        assert bundle_io.load_bundle(out)["method"] == "svm_hrv"
+        assert bundle_io.load_bundle(out).method == "svm_hrv"
         cfg_file.write_text("method = svm_hrv\njobs = 0\n")
         assert_usage_error(main([*argv, "--force"]), capsys)
 
@@ -752,9 +769,11 @@ class TestTrainEvaluatePredict:
         data = write_data_dir(tmp_path / "data", n_subjects=2, duration_s=8.0)
         labels = data / "subj1_lvl2.labels.csv"
         labels.write_text(f"start_s,end_s,level\n{rows}")
-        code = main(["evaluate", "--data", str(data), "--method", "svm_hrv"])
+        out = tmp_path / "result.json"
+        code = main(["evaluate", "--data", str(data), "--method", "svm_hrv", "--out", str(out)])
         assert code == EXIT_USAGE
         assert capsys.readouterr().err == f"error: {labels} {error}\n"
+        assert not out.exists()
 
     def test_evaluate_single_subject_fails(self, tmp_path, capsys):
         data = write_data_dir(tmp_path / "data", n_subjects=1)
@@ -868,33 +887,19 @@ class TestBundle:
         comps, cfg = self._components(small_dataset)
         path = tmp_path / "bundle.json"
         save_bundle(
-            path,
-            method=cfg.method,
-            components=comps,
-            window_seconds=1.0,
-            sample_rate_hz=256.0,
-            feature_dim=cfg.feature_dim,
-            spectrogram=cfg.spectrogram,
-            seed=cfg.seed,
+            path, Bundle(cfg.method, 1.0, 256.0, cfg.feature_dim, cfg.spectrogram, cfg.seed, comps)
         )
         loaded = load_bundle(path)
         rows = featurize(small_dataset.windows[:10], cfg, 256.0).x
         before = fusion_predict(comps, rows)
-        after = fusion_predict(loaded["components"], rows)
+        after = fusion_predict(loaded.components, rows)
         np.testing.assert_array_equal(before, after)
 
     def test_predict_stream_row_count(self, tmp_path, small_dataset):
         comps, cfg = self._components(small_dataset)
         path = tmp_path / "bundle.json"
         save_bundle(
-            path,
-            method=cfg.method,
-            components=comps,
-            window_seconds=1.0,
-            sample_rate_hz=256.0,
-            feature_dim=cfg.feature_dim,
-            spectrogram=cfg.spectrogram,
-            seed=cfg.seed,
+            path, Bundle(cfg.method, 1.0, 256.0, cfg.feature_dim, cfg.spectrogram, cfg.seed, comps)
         )
         loaded = load_bundle(path)
         rec, _ = synth_ecg(0, 7.5, 256.0, 55)
@@ -920,14 +925,7 @@ class TestBundle:
         comps, cfg = self._components(small_dataset)
         path = tmp_path / "bundle.json"
         save_bundle(
-            path,
-            method=cfg.method,
-            components=comps,
-            window_seconds=1.0,
-            sample_rate_hz=256.0,
-            feature_dim=cfg.feature_dim,
-            spectrogram=cfg.spectrogram,
-            seed=cfg.seed,
+            path, Bundle(cfg.method, 1.0, 256.0, cfg.feature_dim, cfg.spectrogram, cfg.seed, comps)
         )
         doc = json.loads(path.read_text())
         doc["cnn1d"]["params"][0] = [[0.0]]
@@ -945,13 +943,7 @@ class TestBundle:
         with pytest.raises(TypeError):
             save_bundle(
                 path,
-                method="svm_hrv",
-                components={"svm": unserializable},
-                window_seconds=4.0,
-                sample_rate_hz=256.0,
-                feature_dim=32,
-                spectrogram=SpectrogramParams(),
-                seed=0,
+                Bundle("svm_hrv", 4.0, 256.0, 32, SpectrogramParams(), 0, {"svm": unserializable}),
             )
         assert path.read_text() == '{"previous": true}'
         assert list(tmp_path.iterdir()) == [path]
@@ -977,14 +969,7 @@ class TestBundle:
         bad_svm = SvmModel(weights=weights, biases=np.zeros(3), lam=lam)
         with pytest.raises(ValueError, match=message):
             save_bundle(
-                path,
-                method="svm_hrv",
-                components={"svm": bad_svm},
-                window_seconds=4.0,
-                sample_rate_hz=256.0,
-                feature_dim=32,
-                spectrogram=SpectrogramParams(),
-                seed=0,
+                path, Bundle("svm_hrv", 4.0, 256.0, 32, SpectrogramParams(), 0, {"svm": bad_svm})
             )
         assert path.read_text() == '{"previous": true}'
         assert list(tmp_path.iterdir()) == [path]
@@ -1002,16 +987,22 @@ class TestBundle:
         )
         comps = fit_rows(featurize(data.windows, cfg, 256.0), cfg, fold_seed(cfg.seed, ""))
         save_bundle(
-            path,
-            method=method,
-            components=comps,
-            window_seconds=window_s,
-            sample_rate_hz=256.0,
-            feature_dim=cfg.feature_dim,
-            spectrogram=cfg.spectrogram,
-            seed=cfg.seed,
+            path, Bundle(method, window_s, 256.0, cfg.feature_dim, cfg.spectrogram, cfg.seed, comps)
         )
         return comps, cfg, data
+
+    @pytest.mark.parametrize("method", sorted(METHODS))
+    def test_load_returns_the_saved_bundle(self, tmp_path, small_dataset, method):
+        path, again = tmp_path / "bundle.json", tmp_path / "again.json"
+        _, cfg, _ = self._saved(path, small_dataset, method)
+        loaded = load_bundle(path)
+        window_s = METHODS[method].window_seconds(cfg)
+        header = (method, window_s, 256.0, cfg.feature_dim, cfg.spectrogram, cfg.seed)
+        assert loaded[:-1] == header
+        assert tuple(loaded.components) == METHODS[method].components
+        save_bundle(again, loaded)
+        texts = [json.dumps({**json.loads(p.read_text()), "created": ""}) for p in (path, again)]
+        assert texts[0] == texts[1]
 
     @pytest.mark.parametrize("method", sorted(METHODS))
     def test_bundle_predicts_like_memory(self, tmp_path, small_dataset, method):
@@ -1023,7 +1014,7 @@ class TestBundle:
         windows = [*data.windows[::5], flat]
         rows, loaded_rows = featurize(windows, cfg, 256.0), featurize(windows, cfg, 256.0)
         proba, valid = predict_rows(comps, rows, cfg), rows.valid
-        loaded_proba = predict_rows(loaded["components"], loaded_rows, cfg)
+        loaded_proba = predict_rows(loaded.components, loaded_rows, cfg)
         loaded_valid = loaded_rows.valid
         np.testing.assert_array_equal(proba, loaded_proba)
         np.testing.assert_array_equal(valid, loaded_valid)
@@ -1036,7 +1027,7 @@ class TestBundle:
         doc = json.loads(path.read_text())
         assert doc["format_version"] == 2
         old.write_text(json.dumps(bundle_as_v1(doc), allow_nan=False))
-        loaded, loaded_v1 = load_bundle(path)["components"], load_bundle(old)["components"]
+        loaded, loaded_v1 = load_bundle(path).components, load_bundle(old).components
         assert exact_arrays(loaded) == exact_arrays({k: comps[k] for k in loaded})
         assert exact_arrays(loaded_v1) == exact_arrays(loaded)
         rec, _ = synth_ecg(1, 12.0, 256.0, 21)
@@ -1091,6 +1082,16 @@ def svm_bundle_v2(**weights) -> dict:
         "method": "svm_hrv",
         "stats": {"mean": packed([0.0]), "std": packed([1.0])},
         "svm": {"weights": packed([[0.5]] * 3, **weights), "biases": packed([0.0] * 3), "lam": 0.1},
+    }
+
+
+def knn_bundle(k) -> dict:
+    """A format-1 knn_hrv bundle of one training row whose knn.k is k."""
+    return {
+        **BUNDLE_HEADER,
+        "method": "knn_hrv",
+        "stats": {"mean": [0.0], "std": [1.0]},
+        "knn": {"train_X": [[0.0]], "train_y": [0], "k": k},
     }
 
 
@@ -1175,12 +1176,28 @@ class TestBundleValidation:
                 },
                 "SVM feature dimension",
             ),
+            (
+                {**svm_bundle_v2(), "spectrogram": {"window_len": 64.5, "hop": 16}},
+                r"window_len and hop must be integers, got 64\.5 and 16",
+            ),
+            (
+                {**svm_bundle_v2(), "spectrogram": {"window_len": 64, "hop": 16.0}},
+                r"window_len and hop must be integers, got 64 and 16\.0",
+            ),
+            (
+                {**svm_bundle_v2(), "spectrogram": {"window_len": True, "hop": True}},
+                "window_len and hop must be integers, got True and True",
+            ),
+            (knn_bundle(2.5), r"knn k must be an integer, got 2\.5"),
+            (knn_bundle("3"), "knn k must be an integer, got '3'"),
+            (knn_bundle(True), "knn k must be an integer, got True"),
         ],
         ids=[
             "truncated", "unknown-method", "missing-component", "malformed-section", "not-a-dict",
             "version-bool", "version-float",
             "method-list", "window-str", "window-null", "window-negative", "rate-bool",
             "rate-infinite", "feature-dim-float", "seed-bool", "seed-str", "weights-nan", "weights-1d",
+            "window-len-float", "hop-float", "window-len-hop-bool", "k-float", "k-str", "k-bool",
         ],
     )
     def test_predict_rejects_bad_bundle(self, tmp_path, capsys, doc, message):
@@ -1226,7 +1243,7 @@ class TestBundleValidation:
     def test_well_formed_v2_section_loads(self, tmp_path):
         path = tmp_path / "bundle.json"
         path.write_text(json.dumps(svm_bundle_v2()))
-        svm = load_bundle(path)["components"]["svm"]
+        svm = load_bundle(path).components["svm"]
         np.testing.assert_array_equal(svm.weights, [[0.5]] * 3)
         assert svm.weights.dtype == np.float64
 

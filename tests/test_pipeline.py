@@ -30,6 +30,7 @@ from ecgstress.pipeline import (
     windows_to_images,
     windows_to_snippets,
 )
+from ecgstress.cli import build_pipeline_config
 from ecgstress.evaluation import METHOD_DISPLAY, RunResult, compute_metrics
 from ecgstress.signal_core import Window
 
@@ -71,6 +72,40 @@ def encoded(components) -> str:
     sections = {k: enc(components[k]) for k, (enc, _) in bundle.CODECS.items()
                 if components.get(k) is not None}
     return json.dumps([sections, components.get("svm_lambda")])
+
+
+class TestPipelineConfig:
+    @pytest.mark.parametrize(
+        "name, value, message",
+        [
+            ("window_seconds", float("inf"), "window_seconds must be finite and positive, got inf"),
+            ("hrv_window_seconds", 0.0, "hrv_window_seconds must be finite and positive, got 0.0"),
+            ("feature_dim", 0, "feature_dim must be at least 1, got 0"),
+            (
+                "svm_lambda_grid",
+                (0.1, float("nan")),
+                "svm_lambda_grid values must be finite and positive, got (0.1, nan)",
+            ),
+            ("knn_k_grid", (3, -1), "knn_k_grid values must be at least 1, got (3, -1)"),
+            (
+                "corrupt_modality",
+                "bogus",
+                "corrupt_modality must be none, raw or spectrogram, got 'bogus'",
+            ),
+            (
+                "corrupt_noise_std",
+                -0.5,
+                "corrupt_noise_std must be finite and nonnegative, got -0.5",
+            ),
+        ],
+    )
+    def test_refuses_a_value_that_cannot_run(self, name, value, message):
+        """The library refuses the value with the message the CLI prints after `error: `."""
+        with pytest.raises(ValueError) as from_library:
+            PipelineConfig(**{name: value})
+        with pytest.raises(ValueError) as from_settings:
+            build_pipeline_config({name: value})
+        assert str(from_library.value) == str(from_settings.value) == message
 
 
 class TestSeeding:

@@ -226,6 +226,8 @@ class TestLabelTracks:
             LabelSegment(5, 5, 0)
         with pytest.raises(ValueError):
             LabelSegment(0, 10, 3)
+        with pytest.raises(ValueError, match=r"start_s \(-3.0\) must be nonnegative"):
+            LabelSegment(-3.0, -1.0, 2)
 
     def test_overlapping_segments_rejected(self):
         with pytest.raises(ValueError, match="overlap"):

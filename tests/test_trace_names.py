@@ -51,16 +51,9 @@ def test_traced_pipeline_names_are_reached(small_dataset, tmp_path):
     hrv_data = make_dataset(n_subjects=2, duration_s=24.0, window_seconds=4.0)
     rows = pipeline.featurize(small_dataset.windows, fusion_cfg, 256.0)
     path = tmp_path / "bundle.json"
-    bundle.save_bundle(
-        path,
-        method=fusion_cfg.method,
-        components=pipeline.fit_rows(rows, fusion_cfg, pipeline.fold_seed(fusion_cfg.seed, "")),
-        window_seconds=1.0,
-        sample_rate_hz=256.0,
-        feature_dim=fusion_cfg.feature_dim,
-        spectrogram=fusion_cfg.spectrogram,
-        seed=fusion_cfg.seed,
-    )
+    comps = pipeline.fit_rows(rows, fusion_cfg, pipeline.fold_seed(fusion_cfg.seed, ""))
+    bundle.save_bundle(path, bundle.Bundle(fusion_cfg.method, 1.0, 256.0, fusion_cfg.feature_dim,
+                                           fusion_cfg.spectrogram, fusion_cfg.seed, comps))
     loaded = bundle.load_bundle(path)
     rec, _ = synth_ecg(1, 3.0, 256.0, 7)
     tracer = TRACING["Tracer"]()
