@@ -17,7 +17,9 @@ from . import neuralnet
 from .classifiers import StandardizationStats, SvmModel
 from .dsp import SpectrogramParams
 from .fusion import FusionWeights
+from .hrv import FEATURE_NAMES
 from .pipeline import METHODS
+from .signal_core import LEVELS
 
 FORMAT_VERSION = 2  # version 1 stored arrays as nested JSON lists; it still loads
 
@@ -121,6 +123,16 @@ class Bundle(NamedTuple):
 
 HEADER_KEYS = Bundle._fields[:-1]
 
+# Fields that bundles stored until they became constants, with their one value: such a
+# bundle still loads, and any other value is refused
+_RETIRED = {"spectrogram": ("window_fn", "hanning"),
+            "fusion_weights": ("sign_convention", "first-nonzero-nonnegative")}
+# The arrays that run over the features on their last axis: (section, field, axes)
+_FEATURE_ARRAYS = (
+    ("stats", "mean", 1), ("stats", "std", 1), ("svm", "weights", 2), ("knn", "train_X", 2),
+    ("fusion_weights", "w1", 1), ("fusion_weights", "w2", 1),
+)
+
 
 def _check_header(doc: dict) -> None:
     """Raise BundleError unless the header fields have the types predict needs.
@@ -136,6 +148,48 @@ def _check_header(doc: dict) -> None:
     for key in ("feature_dim", "seed"):
         if type(doc[key]) is not int:
             raise BundleError(f"bundle {key} must be an integer, got {doc[key]!r}")
+    if doc["feature_dim"] < 1:
+        raise BundleError(f"bundle feature_dim must be at least 1, got {doc['feature_dim']}")
+
+
+def _check_shapes(components: dict, method: str, width: int, path) -> None:
+    """Raise BundleError unless each array that runs over the features is `width` wide,
+    and the SVM scores at most one class per level."""
+    for key, name, ndim in _FEATURE_ARRAYS:
+        if key in components:
+            section = components[key]
+            shape = np.shape(section[name] if key == "knn" else getattr(section, name))
+            if len(shape) != ndim or shape[-1] != width:
+                want = f"({width},)" if ndim == 1 else f"(rows, {width})"
+                raise BundleError(
+                    f"bundle {path}: {key}.{name} must have shape {want} for the {width} {method} "
+                    f"features, got {shape}"
+                )
+    svm = components.get("svm")
+    if svm is not None and (len(svm.weights) > len(LEVELS) or svm.biases.ndim != 1):
+        raise BundleError(
+            f"bundle {path}: svm must hold one weight row and one bias per class, at most "
+            f"{len(LEVELS)}, got shapes {svm.weights.shape} and {svm.biases.shape}"
+        )
+
+
+def _check_knn(knn: dict, path) -> None:
+    """Raise BundleError unless the knn section is what classifiers.knn_predict_batch reads."""
+    if set(knn) != {"train_X", "train_y", "k"}:
+        raise BundleError(f"bundle {path}: knn must hold train_X, train_y and k, got {sorted(knn)}")
+    train_X, train_y, k = np.asarray(knn["train_X"]), np.asarray(knn["train_y"]), knn["k"]
+    if train_X.ndim != 2:
+        raise BundleError(f"bundle {path}: knn train_X must be 2-D, got shape {train_X.shape}")
+    one_per_row = train_y.dtype.kind == "i" and train_y.shape == (len(train_X),)
+    if not (one_per_row and np.isin(train_y, LEVELS).all()):
+        raise BundleError(
+            f"bundle {path}: knn train_y must hold one level of {LEVELS} per train_X row "
+            f"({len(train_X)}), got {train_y.dtype} of shape {train_y.shape}"
+        )
+    if type(k) is not int:
+        raise BundleError(f"bundle {path}: knn k must be an integer, got {k!r}")
+    if not 1 <= k <= len(train_X):
+        raise BundleError(f"bundle {path}: knn k must be in [1, {len(train_X)}], got {k}")
 
 
 def save_bundle(path, bundle: Bundle) -> None:
@@ -185,6 +239,15 @@ def load_bundle(path) -> Bundle:
     missing = [key for key in needed if key not in doc]
     if missing:
         raise BundleError(f"{method} bundle lacks {', '.join(missing)}")
+    for key in ("spectrogram", *needed):
+        if not isinstance(doc[key], dict):
+            raise BundleError(
+                f"bundle {path}: {key} must be a JSON object, got {type(doc[key]).__name__}"
+            )
+    for key, (name, value) in _RETIRED.items():
+        stored = doc[key].pop(name, value) if isinstance(doc.get(key), dict) else value
+        if stored != value:
+            raise BundleError(f"bundle {path}: {key}.{name} must be {value!r}, got {stored!r}")
     try:
         components = {key: CODECS[key][1](doc[key], doc) for key in needed}
         doc["spectrogram"] = SpectrogramParams(**doc["spectrogram"])
@@ -192,10 +255,9 @@ def load_bundle(path) -> Bundle:
         raise
     except (KeyError, TypeError, ValueError) as exc:
         raise BundleError(f"malformed bundle {path}: {exc!r}") from exc
-    stats, svm = components.get("stats"), components.get("svm")
-    if stats is not None and svm is not None and svm.weights.shape[1:] != stats.mean.shape:
-        raise BundleError("SVM feature dimension does not match standardization stats")
-    knn = components.get("knn")
-    if knn is not None and type(knn.get("k")) is not int:
-        raise BundleError(f"knn k must be an integer, got {knn.get('k')!r}")
+    if "knn" in components:
+        _check_knn(components["knn"], path)
+    # The features are the HRV vector's, or the fused CNN features
+    width = len(FEATURE_NAMES) if "hrv" in METHODS[method].inputs else doc["feature_dim"]
+    _check_shapes(components, method, width, path)
     return Bundle(*(doc[key] for key in HEADER_KEYS), components)

@@ -22,6 +22,7 @@ from .evaluation import (
 )
 from .pipeline import PipelineConfig
 from .signal_core import (
+    LEVELS,
     Dataset,
     IngestionError,
     LabelSegment,
@@ -209,7 +210,7 @@ def _config_and_data(args):
     """Settings, their PipelineConfig, and the data cut into the method's windows."""
     settings = merge_settings(args)
     cfg = build_pipeline_config(settings)
-    window_s = pipeline.method_spec(cfg.method).window_seconds(cfg)
+    window_s = pipeline.METHODS[cfg.method].window_seconds(cfg)
     return settings, cfg, window_s, *load_data_dir(args.data, window_s)
 
 
@@ -270,7 +271,7 @@ def predict_stream(bundle: bundle_io.Bundle, rec) -> list[tuple]:
     return [
         (w.start_sample / fs, int(np.argmax(p)), *(float(v) for v in p))
         if ok
-        else (w.start_sample / fs, NO_PREDICTION, None, None, None)
+        else (w.start_sample / fs, NO_PREDICTION, *(None for _ in LEVELS))
         for w, p, ok in zip(windows, proba, rows.valid)
     ]
 
@@ -284,7 +285,7 @@ def cmd_predict(args) -> int:
     out = open(args.out, "w", newline="") if args.out else sys.stdout
     try:
         writer = csv.writer(out)
-        writer.writerow(["start_s", "level", "prob0", "prob1", "prob2"])
+        writer.writerow(["start_s", "level", *(f"prob{level}" for level in LEVELS)])
         for row in rows:
             writer.writerow(row)
     finally:

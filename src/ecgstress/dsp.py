@@ -12,7 +12,6 @@ from numpy.lib.stride_tricks import sliding_window_view
 class SpectrogramParams:
     window_len: int = 64
     hop: int = 16
-    window_fn: str = "hanning"
 
     def __post_init__(self):
         if type(self.window_len) is not int or type(self.hop) is not int:
@@ -23,17 +22,12 @@ class SpectrogramParams:
             raise ValueError("window_len and hop must be positive")
         if self.hop > self.window_len:
             raise ValueError(f"hop ({self.hop}) must not exceed window_len ({self.window_len})")
-        if self.window_fn != "hanning":
-            raise ValueError(f"unsupported window function '{self.window_fn}'")
-
-    def window(self) -> np.ndarray:
-        return np.hanning(self.window_len)
 
 
 def stft_spectrogram(samples, params: SpectrogramParams) -> np.ndarray:
     """One-sided power spectrograms [..., window_len // 2 + 1, frames] of signals [..., samples].
 
-    Each entry is |DFT of the windowed frame|^2. Frame l covers samples
+    Each entry is |DFT of the Hann-windowed frame|^2. Frame l covers samples
     [l*hop, l*hop + window_len); the frame count is
     floor((samples - window_len) / hop) + 1.
     """
@@ -41,7 +35,7 @@ def stft_spectrogram(samples, params: SpectrogramParams) -> np.ndarray:
     M, hop = params.window_len, params.hop
     if x.shape[-1] < M:
         raise ValueError(f"input length {x.shape[-1]} is shorter than window_len {M}")
-    frames = sliding_window_view(x, M, axis=-1)[..., ::hop, :] * params.window()
+    frames = sliding_window_view(x, M, axis=-1)[..., ::hop, :] * np.hanning(M)
     power = np.abs(np.fft.rfft(frames, axis=-1)) ** 2
     return np.ascontiguousarray(np.swapaxes(power, -1, -2))
 

@@ -19,7 +19,6 @@ from .signal_core import freeze
 class FusionWeights:
     w1: np.ndarray
     w2: np.ndarray
-    sign_convention: str = "first-nonzero-nonnegative"
 
     def __post_init__(self):
         freeze(self, "w1", "w2")

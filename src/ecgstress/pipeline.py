@@ -16,7 +16,7 @@ from .evaluation import Metrics, RunResult, compute_metrics, mean_metrics
 from .hrv import FEATURE_NAMES, hrv_vector
 from .jobs import one_blas_thread, run_jobs
 from .neuralnet import TrainConfig
-from .signal_core import Dataset
+from .signal_core import LEVELS, Dataset
 
 
 class PipelineError(RuntimeError):
@@ -39,10 +39,8 @@ class PipelineConfig:
     spectrogram: SpectrogramParams = field(default_factory=SpectrogramParams)
     cnn_train: TrainConfig = field(default_factory=lambda: TrainConfig(epochs=30))
     svm_lambda_grid: tuple = (1e-3, 1e-2, 1e-1, 1.0)
-    svm_epochs: int = 200
     knn_k_grid: tuple = (1, 3, 5, 7)
     seed: int = 0
-    class_count: int = 3
     # Asymmetric-noise ablation: corrupt one modality with seeded noise
     corrupt_modality: str | None = None  # None, "raw" or "spectrogram"
     corrupt_noise_std: float = 0.0
@@ -68,6 +66,8 @@ class PipelineConfig:
             raise ValueError(
                 f"corrupt_noise_std must be finite and nonnegative, got {self.corrupt_noise_std}"
             )
+        if self.method not in METHODS:
+            raise ValueError(f"unknown method '{self.method}'")
 
 
 def fold_seed(global_seed: int, subject_id: str) -> int:
@@ -125,10 +125,10 @@ def _fit_svm(X, y, cfg: PipelineConfig, seed: int) -> dict:
     grid = tuple(cfg.svm_lambda_grid)
     best_lam = grid[0]
     if len(np.unique(y[tr])) >= 2 and len(va) > 0:
-        models = classifiers.train_linear_svm(X[tr], y[tr], lam=grid, epochs=cfg.svm_epochs)
+        models = classifiers.train_linear_svm(X[tr], y[tr], lam=grid)
         scores = [float(np.mean(classifiers.svm_predict(m, X[va]) == y[va])) for m in models]
         best_lam = grid[scores.index(max(scores))]  # the first best on a tie
-    model = classifiers.train_linear_svm(X, y, lam=best_lam, epochs=cfg.svm_epochs)
+    model = classifiers.train_linear_svm(X, y, lam=best_lam)
     return {"svm": model, "svm_lambda": best_lam}
 
 
@@ -177,7 +177,7 @@ def train_cnns(rows: Rows, folds: list, cfg: PipelineConfig, helpers: int) -> li
     same with any number of helpers. A job copies its fold's rows of its own
     input when it starts, so only the running jobs' copies are held at once.
     """
-    inputs = dict(zip(method_spec(cfg.method).inputs, rows.x))
+    inputs = dict(zip(METHODS[cfg.method].inputs, rows.x))
     # (fold, kind, the rows it trains on, seed) in serial order
     jobs = [(f, kind, mask & rows.valid, seed) for f, (mask, seed) in enumerate(folds)
             for kind in inputs if kind != "hrv"]
@@ -193,8 +193,8 @@ def train_cnns(rows: Rows, folds: list, cfg: PipelineConfig, helpers: int) -> li
     return trained
 
 
-def _one_hot(labels, class_count: int) -> np.ndarray:
-    return np.eye(class_count)[labels]
+def _one_hot(labels) -> np.ndarray:
+    return np.eye(len(LEVELS))[labels]
 
 
 def _fuse(f1, f2, weights) -> np.ndarray:
@@ -247,7 +247,7 @@ class Method(NamedTuple):
     array before fit.
     fit(x, labels, cfg, seed, cnns) -> components, trained on valid rows only,
     given those CNNs as {kind: model}.
-    predict(components, x, cfg) -> proba[N, classes] of valid rows.
+    predict(components, x) -> proba[N, len(LEVELS)] of valid rows.
     `components` are the keys predict reads, i.e. what a bundle must hold.
     """
 
@@ -264,7 +264,7 @@ def _cnn_method(kind: str) -> Method:
     def fit(x, y, cfg, seed, cnns):
         return cnns
 
-    def predict(components, x, cfg):
+    def predict(components, x):
         return neuralnet.predict_proba(components[kind], x[0])
 
     return Method((kind,), (kind,), fit, predict)
@@ -280,8 +280,8 @@ def _fusion_method(weighted: bool) -> Method:
         parts = {**cnns, "fusion_weights": weights, "stats": stats}
         return {**parts, **_fit_svm(fused_std, y, cfg, seed)}
 
-    def predict(components, x, cfg):
-        return _one_hot(fusion_predict(components, x), cfg.class_count)
+    def predict(components, x):
+        return _one_hot(fusion_predict(components, x))
 
     weights = ("fusion_weights",) if weighted else ()
     components = ("cnn1d", "cnn2d", *weights, "stats", "svm")
@@ -293,9 +293,8 @@ def _hrv_method(key: str, fit_classifier, classify) -> Method:
         X_std, stats = classifiers.standardize_fit(x[0])
         return {"stats": stats, **fit_classifier(X_std, y, cfg, seed)}
 
-    def predict(components, x, cfg):
-        labels = classify(components[key], components["stats"].transform(x[0]))
-        return _one_hot(labels, cfg.class_count)
+    def predict(components, x):
+        return _one_hot(classify(components[key], components["stats"].transform(x[0])))
 
     return Method(("hrv",), ("stats", key), fit, predict)
 
@@ -312,12 +311,6 @@ METHODS = {
         "knn", _fit_knn, lambda knn, X: classifiers.knn_predict_batch(X=X, **knn)
     ),
 }
-
-
-def method_spec(method: str) -> Method:
-    if method not in METHODS:
-        raise ValueError(f"unknown method '{method}'")
-    return METHODS[method]
 
 
 class Rows(NamedTuple):
@@ -341,7 +334,7 @@ def featurize(windows, cfg: PipelineConfig, fs: float, helpers: int = 1) -> Rows
     """Each input of the configured method featurized once (HRV rows with up to
     `helpers` forked helpers); a window is valid unless its HRV row could not be computed."""
     x, valid = [], np.ones(len(windows), dtype=bool)
-    for kind in method_spec(cfg.method).inputs:
+    for kind in METHODS[cfg.method].inputs:
         if kind == "hrv":
             rows, valid = hrv_matrix(windows, fs, helpers)
         elif kind == "cnn1d":
@@ -365,15 +358,14 @@ def fit_rows(rows: Rows, cfg: PipelineConfig, seed: int, cnns: dict | None = Non
     with one_blas_thread() as helpers:
         if cnns is None:
             (cnns,) = train_cnns(rows, [(rows.valid, seed)], cfg, helpers)
-        return method_spec(cfg.method).fit(kept.x, kept.labels, cfg, seed, cnns)
+        return METHODS[cfg.method].fit(kept.x, kept.labels, cfg, seed, cnns)
 
 
 def predict_rows(components: dict, rows: Rows, cfg: PipelineConfig) -> np.ndarray:
-    """proba[N, classes] of the rows; a row that is not valid holds no prediction (zeros)."""
-    proba = np.zeros((len(rows.valid), cfg.class_count))
+    """proba[N, len(LEVELS)] of the rows; a row that is not valid holds no prediction (zeros)."""
+    proba = np.zeros((len(rows.valid), len(LEVELS)))
     if rows.valid.any():
-        predict = method_spec(cfg.method).predict
-        proba[rows.valid] = predict(components, rows.kept().x, cfg)
+        proba[rows.valid] = METHODS[cfg.method].predict(components, rows.kept().x)
     return proba
 
 
@@ -388,7 +380,7 @@ def run_pipeline(
     if not test.valid.any():
         raise PipelineError("predict", ValueError("no test window yielded a prediction"))
     proba = predict_rows(components, test, cfg)[test.valid]
-    return compute_metrics(np.argmax(proba, axis=1), test.labels[test.valid], cfg.class_count)
+    return compute_metrics(np.argmax(proba, axis=1), test.labels[test.valid], len(LEVELS))
 
 
 def evaluate_loso(data: Dataset, cfg: PipelineConfig, fs: float, jobs: int = 1) -> RunResult:

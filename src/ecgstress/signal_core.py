@@ -14,6 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
+LEVELS = 0, 1, 2  # the three stress levels a window can hold
 UNLABELED = -1
 
 
@@ -75,14 +76,14 @@ class EcgRecording:
 class LabelSegment:
     start_s: float
     end_s: float
-    level: int  # 0, 1, 2 or UNLABELED
+    level: int  # one of LEVELS or UNLABELED
 
     def __post_init__(self):
         if self.start_s < 0:
             raise ValueError(f"start_s ({self.start_s}) must be nonnegative")
         if self.end_s <= self.start_s:
             raise ValueError(f"end_s ({self.end_s}) must exceed start_s ({self.start_s})")
-        if self.level not in (0, 1, 2, UNLABELED):
+        if self.level not in (*LEVELS, UNLABELED):
             raise ValueError(f"level must be 0, 1, 2 or UNLABELED, got {self.level}")
 
 
@@ -112,7 +113,7 @@ class Window:
 
     def __post_init__(self):
         freeze(self, "samples")
-        if self.label not in (0, 1, 2):
+        if self.label not in LEVELS:
             raise ValueError(f"window label must be 0, 1 or 2, got {self.label}")
         if len(self.samples) != self.length_samples:
             raise ValueError("samples length does not match length_samples")
@@ -271,7 +272,7 @@ def load_label_track(path, rater_id: str | None = None) -> LabelTrack:
                     level = int(row[2])
                 except ValueError:
                     raise IngestionError(f"{path} row {row_num}: bad level '{row[2]}'") from None
-                if level not in (0, 1, 2):
+                if level not in LEVELS:
                     raise IngestionError(f"{path} row {row_num}: level must be 0, 1, 2 or '-'")
             try:
                 segment = LabelSegment(start_s, end_s, level)

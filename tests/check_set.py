@@ -17,9 +17,11 @@ synthetic dataset, from this tree's `src`:
 Data: 3 subjects x 3 levels x 24 s from `oracles.synth_ecg` at 256 Hz; every run
 uses seed 3 and 3 epochs. Commands run with OUT_DIR as working directory and
 relative paths, so the outputs of two trees are byte-identical exactly when
-`diff -r parent_out change_out` prints nothing. Every command should exit 0:
-if one does not, the script still writes the whole set, then names the stems
-of those commands and exits 1.
+`diff -r parent_out change_out` prints nothing. Every command should exit 0,
+and each method's `evaluate` outputs (JSON, report, stdout, stderr and exit
+code) should be byte-identical at every `--jobs`: if not, the script still
+writes the whole set, then names the stems of the commands that failed or
+differ from `--jobs 1`, and exits 1.
 """
 
 import json
@@ -39,6 +41,7 @@ from oracles import save_recording, synth_ecg  # noqa: E402
 
 FS = 256.0
 RUN_ARGS = ["--seed", "3", "--epochs", "3"]
+JOBS = (1, 2, 3)
 
 
 def write_inputs(out: Path) -> list[str]:
@@ -71,6 +74,12 @@ def run(out: Path, stem: str, *args: str) -> int:
     return done.returncode
 
 
+def evaluate_outputs(out: Path, stem: str) -> list:
+    """The bytes of each output an `evaluate` run keeps beside stem; None for one it lacks."""
+    paths = (out / f"{stem}{suffix}" for suffix in (".json", ".md", ".stdout", ".stderr", ".exit"))
+    return [path.read_bytes() if path.exists() else None for path in paths]
+
+
 def main(out: Path) -> int:
     out.mkdir(parents=True)
     held = write_inputs(out)
@@ -83,7 +92,7 @@ def main(out: Path) -> int:
             failed.append(stem)
 
     for method in METHODS:
-        for jobs in (1, 2, 3):
+        for jobs in JOBS:
             stem = f"evaluate/{method}.jobs{jobs}"
             check(stem, "evaluate", "--data", "data", "--method", method, *RUN_ARGS,
                   "--jobs", str(jobs), "--out", f"{stem}.json", "--report-out", f"{stem}.md")
@@ -99,10 +108,17 @@ def main(out: Path) -> int:
             check(stem, "predict", "--bundle", f"bundles/{method}.json",
                   "--signal", f"held/{name}.csv", "--meta", f"held/{name}.meta.json",
                   "--out", f"{stem}.csv")
+    differ = []
+    for method in METHODS:
+        first = evaluate_outputs(out, f"evaluate/{method}.jobs{JOBS[0]}")
+        differ += [stem for stem in (f"evaluate/{method}.jobs{jobs}" for jobs in JOBS[1:])
+                   if evaluate_outputs(out, stem) != first]
     print(f"check set: {sum(1 for p in out.rglob('*') if p.is_file())} files in {out}")
     if failed:
         print(f"exited non-zero: {', '.join(failed)}", file=sys.stderr)
-    return 1 if failed else 0
+    if differ:
+        print(f"outputs differ from --jobs {JOBS[0]}: {', '.join(differ)}", file=sys.stderr)
+    return 1 if failed or differ else 0
 
 
 if __name__ == "__main__":

@@ -264,7 +264,7 @@ def frame_stft(samples, params) -> np.ndarray:
     x = np.asarray(samples, dtype=np.float64)
     M, hop = params.window_len, params.hop
     n_frames = (len(x) - M) // hop + 1
-    w = params.window()
+    w = np.hanning(M)
     frames = np.stack([x[l * hop : l * hop + M] * w for l in range(n_frames)])
     return (np.abs(np.fft.rfft(frames, axis=1)) ** 2).T
 

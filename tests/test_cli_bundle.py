@@ -1030,17 +1030,47 @@ class TestBundle:
         loaded, loaded_v1 = load_bundle(path).components, load_bundle(old).components
         assert exact_arrays(loaded) == exact_arrays({k: comps[k] for k in loaded})
         assert exact_arrays(loaded_v1) == exact_arrays(loaded)
-        rec, _ = synth_ecg(1, 12.0, 256.0, 21)
-        save_recording(rec, tmp_path / "sig.csv", tmp_path / "sig.meta.json")
-        outputs = []
-        for bundle_path in (path, old):
-            out = tmp_path / f"{bundle_path.stem}.csv"
-            argv = ["predict", "--bundle", str(bundle_path), "--signal", str(tmp_path / "sig.csv"),
-                    "--meta", str(tmp_path / "sig.meta.json"), "--out", str(out)]
-            assert main(argv) == EXIT_OK
-            outputs.append((out.read_bytes(), capsys.readouterr()))
+        outputs = predictions(tmp_path, capsys, path, old)
         assert outputs[0] == outputs[1]
         assert len(outputs[0][0].splitlines()) > 1
+
+    @pytest.mark.parametrize("method", sorted(METHODS))
+    def test_bundle_with_retired_fields(self, tmp_path, capsys, small_dataset, method):
+        """A bundle as written while the Hann window and the eigenvector sign rule were
+        stored (spectrogram.window_fn, fusion_weights.sign_convention) predicts the same
+        rows; another value of either field is refused."""
+        path, old = tmp_path / "new.json", tmp_path / "old.json"
+        self._saved(path, small_dataset, method)
+        doc = json.loads(path.read_text())
+        assert "window_fn" not in doc["spectrogram"]
+        doc["spectrogram"]["window_fn"] = "hanning"
+        if "fusion_weights" in doc:
+            assert set(doc["fusion_weights"]) == {"w1", "w2"}
+            doc["fusion_weights"]["sign_convention"] = "first-nonzero-nonnegative"
+        old.write_text(json.dumps(doc))
+        outputs = predictions(tmp_path, capsys, path, old)
+        assert outputs[0] == outputs[1]
+        assert len(outputs[0][0].splitlines()) > 1
+        bad = {**doc, "spectrogram": {**doc["spectrogram"], "window_fn": "boxcar"}}
+        assert_predict_refuses(tmp_path, capsys, bad, "spectrogram.window_fn must be 'hanning'")
+        if "fusion_weights" in doc:
+            sign = {**doc["fusion_weights"], "sign_convention": "largest-nonnegative"}
+            assert_predict_refuses(tmp_path, capsys, {**doc, "fusion_weights": sign},
+                                   "fusion_weights.sign_convention must be 'first-nonzero-")
+
+
+def predictions(tmp_path, capsys, *bundles) -> list:
+    """(CSV bytes, captured output) of `predict` with each bundle on one 12-s recording."""
+    rec, _ = synth_ecg(1, 12.0, 256.0, 21)
+    save_recording(rec, tmp_path / "sig.csv", tmp_path / "sig.meta.json")
+    outputs = []
+    for bundle_path in bundles:
+        out = tmp_path / f"{bundle_path.stem}.csv"
+        argv = ["predict", "--bundle", str(bundle_path), "--signal", str(tmp_path / "sig.csv"),
+                "--meta", str(tmp_path / "sig.meta.json"), "--out", str(out)]
+        assert main(argv) == EXIT_OK
+        outputs.append((out.read_bytes(), capsys.readouterr()))
+    return outputs
 
 
 def exact_arrays(components) -> dict:
@@ -1075,23 +1105,58 @@ BUNDLE_HEADER = {
 
 
 def svm_bundle_v2(**weights) -> dict:
-    """A format-2 svm_hrv bundle whose svm.weights object has the given fields replaced."""
+    """A format-2 svm_hrv bundle whose svm.weights object has the given fields replaced.
+
+    Its stats are 9 wide, one per HRV feature, and its weights 1 wide unless replaced.
+    """
     return {
         **BUNDLE_HEADER,
         "format_version": 2,
         "method": "svm_hrv",
-        "stats": {"mean": packed([0.0]), "std": packed([1.0])},
+        "stats": {"mean": packed([0.0] * 9), "std": packed([1.0] * 9)},
         "svm": {"weights": packed([[0.5]] * 3, **weights), "biases": packed([0.0] * 3), "lam": 0.1},
     }
 
 
-def knn_bundle(k) -> dict:
-    """A format-1 knn_hrv bundle of one training row whose knn.k is k."""
+def svm_bundle(**sections) -> dict:
+    """A format-1 svm_hrv bundle that predicts, with the given sections replaced."""
+    return {
+        **BUNDLE_HEADER,
+        "method": "svm_hrv",
+        "stats": {"mean": [0.0] * 9, "std": [1.0] * 9},
+        "svm": {"weights": [[0.5] * 9] * 3, "biases": [0.0] * 3, "lam": 0.1},
+        **sections,
+    }
+
+
+def knn_bundle(k, train_y=(0,), rows=None, width=1) -> dict:
+    """A format-1 knn_hrv bundle of `rows` training rows (one per label unless given),
+    `width` features wide, whose knn.k is k."""
     return {
         **BUNDLE_HEADER,
         "method": "knn_hrv",
-        "stats": {"mean": [0.0], "std": [1.0]},
-        "knn": {"train_X": [[0.0]], "train_y": [0], "k": k},
+        "stats": {"mean": [0.0] * width, "std": [1.0] * width},
+        "knn": {"train_X": [[0.0] * width] * (rows or len(train_y)), "train_y": list(train_y),
+                "k": k},
+    }
+
+
+def fusion_bundle(**weights) -> dict:
+    """A format-2 fusion_weighted bundle of untrained CNNs with 4 features, whose
+    fusion_weights section has the given fields replaced."""
+    cnn1d = neuralnet.build_cnn1d(256, feature_dim=4, seed=0)
+    cnn2d = neuralnet.build_cnn2d((33, 13), feature_dim=4, seed=0)
+    return {
+        **BUNDLE_HEADER,
+        "format_version": 2,
+        "method": "fusion_weighted",
+        "window_seconds": 1.0,
+        "feature_dim": 4,
+        "cnn1d": bundle_io.CODECS["cnn1d"][0](cnn1d),
+        "cnn2d": bundle_io.CODECS["cnn2d"][0](cnn2d),
+        "fusion_weights": {"w1": packed([0.5] * 4), "w2": packed([0.5] * 4), **weights},
+        "stats": {"mean": packed([0.0] * 4), "std": packed([1.0] * 4)},
+        "svm": {"weights": packed([[0.5] * 4] * 3), "biases": packed([0.0] * 3), "lam": 0.1},
     }
 
 
@@ -1112,6 +1177,7 @@ def assert_predict_refuses(tmp_path, capsys, doc, message):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and "Traceback" not in captured.err
+    assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
 
 
 class TestBundleValidation:
@@ -1168,13 +1234,8 @@ class TestBundleValidation:
                 "non-finite constant NaN",
             ),
             (
-                {
-                    **BUNDLE_HEADER,
-                    "method": "svm_hrv",
-                    "stats": {"mean": [0.0], "std": [1.0]},
-                    "svm": {"weights": [0.5] * 3, "biases": [0.0] * 3, "lam": 0.1},
-                },
-                "SVM feature dimension",
+                svm_bundle(svm={"weights": [0.5] * 3, "biases": [0.0] * 3, "lam": 0.1}),
+                r"svm\.weights must have shape \(rows, 9\) for the 9 svm_hrv features, got \(3,\)",
             ),
             (
                 {**svm_bundle_v2(), "spectrogram": {"window_len": 64.5, "hop": 16}},
@@ -1191,6 +1252,79 @@ class TestBundleValidation:
             (knn_bundle(2.5), r"knn k must be an integer, got 2\.5"),
             (knn_bundle("3"), "knn k must be an integer, got '3'"),
             (knn_bundle(True), "knn k must be an integer, got True"),
+            (
+                knn_bundle(1, [7, 7, 7], width=9),
+                r"knn train_y must hold one level of \(0, 1, 2\) per train_X row \(3\)",
+            ),
+            (
+                knn_bundle(1, [0], rows=54, width=9),
+                r"knn train_y must hold one level of \(0, 1, 2\) per train_X row \(54\)",
+            ),
+            (knn_bundle(1, [-1, -1, -1], width=9), "knn train_y must hold one level"),
+            (knn_bundle(1, [0.0, 1.0], width=9), "knn train_y must hold one level"),
+            (knn_bundle(1, [[0], [1]], width=9), "knn train_y must hold one level"),
+            (
+                {**knn_bundle(1, width=9), "knn": {"train_X": [0.0] * 9, "train_y": [0], "k": 1}},
+                r"knn train_X must be 2-D, got shape \(9,\)",
+            ),
+            (
+                {**knn_bundle(1, width=9), "knn": {"train_X": [[0.0] * 9], "train_y": [0]}},
+                r"knn must hold train_X, train_y and k, got \['train_X', 'train_y'\]",
+            ),
+            (knn_bundle(0, [0] * 54, width=9), r"bundle .+: knn k must be in \[1, 54\], got 0"),
+            (knn_bundle(99, [0] * 54, width=9), r"bundle .+: knn k must be in \[1, 54\], got 99"),
+            (
+                {**BUNDLE_HEADER, "method": "cnn1d", "window_seconds": 1.0, "feature_dim": 0},
+                "bundle feature_dim must be at least 1, got 0",
+            ),
+            (
+                svm_bundle(
+                    stats={"mean": [0.0] * 5, "std": [1.0] * 5},
+                    svm={"weights": [[0.5] * 5] * 3, "biases": [0.0] * 3, "lam": 0.1},
+                ),
+                r"bundle .+: stats\.mean must have shape \(9,\) for the 9 svm_hrv features, "
+                r"got \(5,\)",
+            ),
+            (
+                svm_bundle(stats={"mean": [0.0] * 9, "std": [[1.0] * 3] * 3}),
+                r"stats\.std must have shape \(9,\) for the 9 svm_hrv features, got \(3, 3\)",
+            ),
+            (
+                {**knn_bundle(1, width=9), "knn": {"train_X": [[0.0] * 5], "train_y": [0], "k": 1}},
+                r"knn\.train_X must have shape \(rows, 9\) for the 9 knn_hrv features, "
+                r"got \(1, 5\)",
+            ),
+            (
+                fusion_bundle(w1=packed([0.2**0.5] * 5)),
+                r"fusion_weights\.w1 must have shape \(4,\) for the 4 fusion_weighted features",
+            ),
+            (
+                fusion_bundle(w2=packed([[0.5] * 4])),
+                r"fusion_weights\.w2 must have shape \(4,\) .+, got \(1, 4\)",
+            ),
+            (
+                svm_bundle(svm={"weights": [[0.5] * 9] * 4, "biases": [0.0] * 4, "lam": 0.1}),
+                r"svm must hold one weight row and one bias per class, at most 3, "
+                r"got shapes \(4, 9\) and \(4,\)",
+            ),
+            (
+                svm_bundle(
+                    svm={"weights": [[0.5] * 9] * 3, "biases": [[0.0, 1.0]] * 3, "lam": 0.1}
+                ),
+                "svm must hold one weight row and one bias per class",
+            ),
+            (svm_bundle(stats=[1, 2]), r"bundle .+: stats must be a JSON object, got list"),
+            (svm_bundle(svm="weights"), r"bundle .+: svm must be a JSON object, got str"),
+            (svm_bundle(spectrogram=[64, 16]), "spectrogram must be a JSON object, got list"),
+            (
+                svm_bundle(spectrogram={"window_len": 64, "hop": 16, "window_fn": "boxcar"}),
+                r"bundle .+: spectrogram\.window_fn must be 'hanning', got 'boxcar'",
+            ),
+            (
+                fusion_bundle(sign_convention="first-nonzero-nonpositive"),
+                r"fusion_weights\.sign_convention must be 'first-nonzero-nonnegative', "
+                r"got 'first-nonzero-nonpositive'",
+            ),
         ],
         ids=[
             "truncated", "unknown-method", "missing-component", "malformed-section", "not-a-dict",
@@ -1198,6 +1332,11 @@ class TestBundleValidation:
             "method-list", "window-str", "window-null", "window-negative", "rate-bool",
             "rate-infinite", "feature-dim-float", "seed-bool", "seed-str", "weights-nan", "weights-1d",
             "window-len-float", "hop-float", "window-len-hop-bool", "k-float", "k-str", "k-bool",
+            "knn-labels-out-of-range", "knn-labels-short", "knn-labels-negative",
+            "knn-labels-float", "knn-labels-2d", "knn-train-x-1d", "knn-keys", "k-zero", "k-large",
+            "feature-dim-zero", "svm-5-wide", "std-3x3", "knn-train-x-5-wide", "w1-5-wide",
+            "w2-2d", "svm-4-classes", "svm-biases-2d", "stats-list", "svm-str",
+            "spectrogram-list", "window-fn-boxcar", "sign-convention-other",
         ],
     )
     def test_predict_rejects_bad_bundle(self, tmp_path, capsys, doc, message):
@@ -1211,7 +1350,7 @@ class TestBundleValidation:
             ({"b64": "*" + THREE_WEIGHTS_B64[1:]}, "Only base64 data"),
             ({"b64": THREE_WEIGHTS_B64 + "\n"}, "Only base64 data"),
             ({"shape": [3, 2]}, r"shape \[3, 2\] holds 24 bytes"),
-            ({"shape": [3]}, "SVM feature dimension"),
+            ({"shape": [3]}, r"svm\.weights must have shape \(rows, 9\) .+, got \(3,\)"),
             ({"dtype": ">f8"}, "unknown array dtype '>f8'"),
             ({"dtype": "<f4"}, "unknown array dtype '<f4'"),
             ({"dtype": "object"}, "unknown array dtype 'object'"),
@@ -1242,10 +1381,27 @@ class TestBundleValidation:
 
     def test_well_formed_v2_section_loads(self, tmp_path):
         path = tmp_path / "bundle.json"
-        path.write_text(json.dumps(svm_bundle_v2()))
+        path.write_text(json.dumps(svm_bundle_v2(**packed([[0.5] * 9] * 3))))
         svm = load_bundle(path).components["svm"]
-        np.testing.assert_array_equal(svm.weights, [[0.5]] * 3)
+        np.testing.assert_array_equal(svm.weights, [[0.5] * 9] * 3)
         assert svm.weights.dtype == np.float64
+
+    @pytest.mark.parametrize(
+        "doc",
+        [svm_bundle(), knn_bundle(1, [0, 1, 2], width=9), knn_bundle(3, [2] * 3, width=9),
+         fusion_bundle()],
+        ids=["svm", "knn-k-1", "knn-k-rows", "fusion"],
+    )
+    def test_hand_written_bundle_predicts(self, tmp_path, capsys, doc):
+        """The bundles the refusal cases above alter, each in one respect, load and predict."""
+        path = tmp_path / "bundle.json"
+        path.write_text(json.dumps(doc))
+        rec, _ = synth_ecg(0, 8.0, 256.0, 3)
+        save_recording(rec, tmp_path / "sig.csv", tmp_path / "sig.meta.json")
+        argv = ["predict", "--bundle", str(path), "--signal", str(tmp_path / "sig.csv"),
+                "--meta", str(tmp_path / "sig.meta.json")]
+        assert main(argv) == EXIT_OK
+        assert capsys.readouterr().out.startswith("start_s,level,prob0,prob1,prob2\r\n")
 
     def test_predict_rejects_cnn_tensor_of_wrong_shape(self, tmp_path, capsys):
         model = neuralnet.build_cnn1d(256, feature_dim=32, seed=0)

@@ -27,7 +27,8 @@ class TestSpectrogramParams:
             SpectrogramParams(window_len=8, hop=16)
 
     def test_unknown_window_fn(self):
-        with pytest.raises(ValueError):
+        """The window is always Hann: no parameter chooses another."""
+        with pytest.raises(TypeError):
             SpectrogramParams(window_fn="boxcar")
 
 

@@ -15,6 +15,7 @@ from ecgstress.evaluation import (
 )
 from ecgstress.pipeline import PipelineConfig, evaluate_loso
 from ecgstress.signal_core import (
+    LEVELS,
     UNLABELED,
     Dataset,
     LabelSegment,
@@ -55,7 +56,7 @@ class TestFolds:
             return {}
 
         def predict_rows(components, rows, cfg):
-            return np.eye(cfg.class_count)[rows.labels]
+            return np.eye(len(LEVELS))[rows.labels]
 
         monkeypatch.setattr(pipeline, "train_cnns", train_cnns)
         monkeypatch.setattr(pipeline, "fit_rows", fit_rows)

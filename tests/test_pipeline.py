@@ -32,7 +32,7 @@ from ecgstress.pipeline import (
 )
 from ecgstress.cli import build_pipeline_config
 from ecgstress.evaluation import METHOD_DISPLAY, RunResult, compute_metrics
-from ecgstress.signal_core import Window
+from ecgstress.signal_core import LEVELS, Window
 
 from conftest import Record, make_dataset, taint
 
@@ -97,6 +97,7 @@ class TestPipelineConfig:
                 -0.5,
                 "corrupt_noise_std must be finite and nonnegative, got -0.5",
             ),
+            ("method", "bogus", "unknown method 'bogus'"),
         ],
     )
     def test_refuses_a_value_that_cannot_run(self, name, value, message):
@@ -106,6 +107,12 @@ class TestPipelineConfig:
         with pytest.raises(ValueError) as from_settings:
             build_pipeline_config({name: value})
         assert str(from_library.value) == str(from_settings.value) == message
+
+    def test_method_is_checked_last(self):
+        """With the method and another value bad, the other value's error comes first."""
+        for key in ("feature_dim", "jobs"):
+            with pytest.raises(ValueError, match=f"^{key} must be at least 1, got 0$"):
+                build_pipeline_config({"method": "bogus", key: 0})
 
 
 class TestSeeding:
@@ -179,7 +186,7 @@ class TestGridSearch:
     def test_svm_lambda(self, monkeypatch):
         trained = []
 
-        def train(X, y, lam, epochs):
+        def train(X, y, lam):
             # A grid gives one model per λ, a single λ one model; a model is its λ here
             trained.append(lam)
             return tuple(lam) if np.ndim(lam) else lam
@@ -382,9 +389,9 @@ class TestValidRows:
             seen.append(x)
             return {}
 
-        def predict(components, x, cfg):
+        def predict(components, x):
             seen.append(x)
-            return np.ones((len(x[0]), cfg.class_count))
+            return np.ones((len(x[0]), len(LEVELS)))
 
         spec = METHODS["svm_hrv"]
         monkeypatch.setitem(METHODS, "svm_hrv", spec._replace(fit=fit, predict=predict))
@@ -607,7 +614,7 @@ class TestCnnQueue:
             train, test = (featurize(w, cfg, 256.0) for w in fold_windows(small_dataset, subject))
             components = sequential_fit(train, cfg, seed)
             proba = predict_rows(components, test, cfg)
-            metrics = compute_metrics(np.argmax(proba, axis=1), test.labels, cfg.class_count)
+            metrics = compute_metrics(np.argmax(proba, axis=1), test.labels, len(LEVELS))
             reference.append((encoded(components), subject, metrics.to_dict()))
         assert [(encoded(c), s, m.to_dict()) for c, (s, m) in zip(fitted(), result.per_fold)] == (
             reference

@@ -8,7 +8,11 @@ checked.
 """
 
 import ast
+import dataclasses
 from pathlib import Path
+
+from ecgstress.cli import SETTINGS
+from ecgstress.pipeline import PipelineConfig
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "ecgstress"
 
@@ -61,3 +65,24 @@ def test_a_test_only_definition_is_found(tmp_path):
     )
     assert unreferenced_definitions(tmp_path) == ["a.run_again", "b.Orphan", "c.Params.bins"]
 
+
+
+def leaf_fields(record, prefix: str = "") -> list[str]:
+    """`name` of each field of a dataclass instance, `name.inner` for each field of a
+    dataclass held in one."""
+    found = []
+    for f in dataclasses.fields(record):
+        value = getattr(record, f.name)
+        if dataclasses.is_dataclass(value):
+            found += leaf_fields(value, f"{prefix}{f.name}.")
+        else:
+            found.append(prefix + f.name)
+    return found
+
+
+def test_every_config_field_is_a_setting():
+    """A field of PipelineConfig that no setting reaches holds one value for every run:
+    it is a constant, not a field."""
+    destinations = {dest for _, dests in SETTINGS.values() for dest in dests}
+    unset = [name for name in leaf_fields(PipelineConfig()) if name not in destinations]
+    assert unset == []
