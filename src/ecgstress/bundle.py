@@ -42,21 +42,25 @@ def _pack(a: np.ndarray) -> dict:
     return {"dtype": dtype, "shape": list(a.shape), "b64": base64.b64encode(data).decode("ascii")}
 
 
-def _array(value) -> np.ndarray:
-    """The array of a version-1 nested list or of a _pack object; the latter must be finite."""
+def _array(value, name: str) -> np.ndarray:
+    """The array of field `name`, a version-1 nested list of integers or floats or a
+    _pack object; the latter must be finite."""
     if isinstance(value, list):
-        return np.asarray(value)
+        arr = np.asarray(value)
+        if arr.dtype.kind not in _DTYPES:  # as the dtype check below: no strings or bools
+            raise BundleError(f"{name} must hold integers or floats, got {arr.dtype} values")
+        return arr
     dtype, shape = value["dtype"], value["shape"]
     if dtype not in _DTYPES.values():
-        raise BundleError(f"unknown array dtype {dtype!r}")
+        raise BundleError(f"{name}: unknown array dtype {dtype!r}")
     if not isinstance(shape, list) or any(type(n) is not int or n < 0 for n in shape):
-        raise BundleError(f"array shape must be a list of sizes, got {shape!r}")
+        raise BundleError(f"{name}: array shape must be a list of sizes, got {shape!r}")
     data = base64.b64decode(value["b64"], validate=True)
     if len(data) != 8 * math.prod(shape):
-        raise BundleError(f"array of shape {shape} holds {len(data)} bytes")
+        raise BundleError(f"{name}: array of shape {shape} holds {len(data)} bytes")
     arr = np.frombuffer(data, dtype=dtype).reshape(shape)
     if not np.isfinite(arr).all():
-        raise BundleError("bundle array holds a non-finite value")
+        raise BundleError(f"{name}: array holds a non-finite value")
     return arr
 
 
@@ -67,15 +71,19 @@ def _cnn(build, shape_key: str, shape_of):
         params = [_pack(a) for a in model.parameters()]
         return {shape_key: shape_of(model.input_shape), "params": params}
 
-    def decode(section: dict, doc: dict):
+    def decode(doc: dict, key: str):
+        section = doc[key]
         model = build(section[shape_key], feature_dim=doc["feature_dim"], seed=doc["seed"])
         params, stored = model.parameters(), section["params"]
         if len(params) != len(stored):
-            raise BundleError(f"expected {len(params)} parameter tensors, found {len(stored)}")
-        for p, values in zip(params, stored):
-            arr = _array(values)
+            raise BundleError(
+                f"{key}: expected {len(params)} parameter tensors, found {len(stored)}"
+            )
+        for i, (p, values) in enumerate(zip(params, stored)):
+            name = f"{key}.params[{i}]"
+            arr = _array(values, name)
             if arr.shape != p.shape:
-                raise BundleError(f"parameter shape {arr.shape} does not match model {p.shape}")
+                raise BundleError(f"{name}: shape {arr.shape} does not match model {p.shape}")
             p[...] = arr
         return model
 
@@ -90,14 +98,14 @@ def _record(cls):
             value = {f.name: getattr(value, f.name) for f in fields(value)}
         return {k: _pack(v) if isinstance(v, np.ndarray) else v for k, v in value.items()}
 
-    def decode(section: dict, doc: dict):
-        return cls(**{k: _array(v) if isinstance(v, (list, dict)) else v
-                      for k, v in section.items()})
+    def decode(doc: dict, key: str):
+        return cls(**{k: _array(v, f"{key}.{k}") if isinstance(v, (list, dict)) else v
+                      for k, v in doc[key].items()})
 
     return encode, decode
 
 
-# Component key -> (encode(component), decode(section, doc)). A bundle holds one
+# Component key -> (encode(component), decode(doc, key)). A bundle holds one
 # section per component, under the component's key and in this order.
 CODECS = {
     "cnn1d": _cnn(neuralnet.build_cnn1d, "input_len", lambda shape: shape[1]),
@@ -171,6 +179,27 @@ def _check_shapes(components: dict, method: str, width: int, path) -> None:
             f"bundle {path}: svm must hold one weight row and one bias per class, at most "
             f"{len(LEVELS)}, got shapes {svm.weights.shape} and {svm.biases.shape}"
         )
+
+
+def _check_cnn_inputs(components: dict, doc: dict, path) -> None:
+    """Raise BundleError unless each CNN takes the input that the header's window gives:
+    its samples, or the spectrogram of them (see dsp.stft_spectrogram)."""
+    wlen = round(doc["window_seconds"] * doc["sample_rate_hz"])
+    window = f"{wlen}-sample windows ({doc['window_seconds']:g} s at {doc['sample_rate_hz']:g} Hz)"
+    if "cnn1d" in components:
+        (got,) = components["cnn1d"].input_shape[1:]
+        if got != wlen:
+            raise BundleError(f"bundle {path}: cnn1d.input_len must be {wlen} for {window}, "
+                              f"got {got}")
+    if "cnn2d" in components:
+        spec = doc["spectrogram"]
+        want = [spec.window_len // 2 + 1, (wlen - spec.window_len) // spec.hop + 1]
+        got = list(components["cnn2d"].input_shape[1:])
+        if got != want:
+            raise BundleError(
+                f"bundle {path}: cnn2d.input_shape must be {want} for {window} and "
+                f"spectrogram window_len {spec.window_len} and hop {spec.hop}, got {got}"
+            )
 
 
 def _check_knn(knn: dict, path) -> None:
@@ -249,12 +278,13 @@ def load_bundle(path) -> Bundle:
         if stored != value:
             raise BundleError(f"bundle {path}: {key}.{name} must be {value!r}, got {stored!r}")
     try:
-        components = {key: CODECS[key][1](doc[key], doc) for key in needed}
+        components = {key: CODECS[key][1](doc, key) for key in needed}
         doc["spectrogram"] = SpectrogramParams(**doc["spectrogram"])
-    except BundleError:
-        raise
+    except BundleError as exc:
+        raise BundleError(f"bundle {path}: {exc}") from None
     except (KeyError, TypeError, ValueError) as exc:
         raise BundleError(f"malformed bundle {path}: {exc!r}") from exc
+    _check_cnn_inputs(components, doc, path)
     if "knn" in components:
         _check_knn(components["knn"], path)
     # The features are the HRV vector's, or the fused CNN features

@@ -20,6 +20,7 @@ from .evaluation import (
     krippendorff_alpha,
     render_report,
 )
+from .jobs import one_blas_thread
 from .pipeline import PipelineConfig
 from .signal_core import (
     LEVELS,
@@ -266,8 +267,12 @@ def predict_stream(bundle: bundle_io.Bundle, rec) -> list[tuple]:
         raise ValueError(f"recording shorter than one {window_s} s window")
     # Featurizing and predicting read only the method and the spectrogram settings
     cfg = PipelineConfig(method=bundle.method, spectrogram=bundle.spectrogram)
-    rows = pipeline.featurize(windows, cfg, fs)
-    proba = pipeline.predict_rows(bundle.components, rows, cfg)
+    # One BLAS thread, as in evaluate_loso: the CNN forward's GEMMs are too skinny to share,
+    # and a second thread's buffers cost about 14 MB of peak memory on a 2-core host. The
+    # HRV queue forks under the pin, so its helper starts at one thread too
+    with one_blas_thread() as helpers:
+        rows = pipeline.featurize(windows, cfg, fs, helpers)
+        proba = pipeline.predict_rows(bundle.components, rows, cfg)
     return [
         (w.start_sample / fs, int(np.argmax(p)), *(float(v) for v in p))
         if ok

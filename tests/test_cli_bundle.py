@@ -501,8 +501,8 @@ class TestTrainEvaluatePredict:
 
     def test_train_extracts_on_one_blas_thread(self, tmp_path, capsys, monkeypatch,
                                                blas_threads):
-        """train fits on one BLAS thread; predict leaves the count as it finds it, since
-        its one large forward per recording gains from a second BLAS thread."""
+        """train fits, and predict runs its forwards, on one BLAS thread, and each puts
+        the count back as it found it: the GEMMs of one forward are too skinny to share."""
         seen, real = [], neuralnet.extract_features
         monkeypatch.setattr(
             neuralnet,
@@ -518,7 +518,7 @@ class TestTrainEvaluatePredict:
         signal = ["--signal", str(tmp_path / "new.csv"), "--meta", str(tmp_path / "new.meta.json")]
         assert main(["predict", "--bundle", str(out), *signal]) == EXIT_OK
         # Two branches on the 72 training windows, then two on the 6 predicted ones
-        assert seen == [(72, 1), (72, 1), (6, 2), (6, 2)]
+        assert seen == [(72, 1), (72, 1), (6, 1), (6, 1)]
         assert blas_threads[0]() == 2
 
     @pytest.mark.parametrize("method, seconds, windows", [("fusion_weighted", 6.0, 6),
@@ -1160,6 +1160,17 @@ def fusion_bundle(**weights) -> dict:
     }
 
 
+def cnn_bundle(method, input_shape=None, **header) -> dict:
+    """A format-2 bundle of method cnn1d or cnn2d, an untrained CNN with 4 features
+    for 1-s windows at 256 Hz (or built for input_shape), with header fields replaced."""
+    if method == "cnn1d":
+        model = neuralnet.build_cnn1d(input_shape or 256, feature_dim=4, seed=0)
+    else:
+        model = neuralnet.build_cnn2d(input_shape or (33, 13), feature_dim=4, seed=0)
+    return {**BUNDLE_HEADER, "format_version": 2, "method": method, "window_seconds": 1.0,
+            "feature_dim": 4, method: bundle_io.CODECS[method][0](model), **header}
+
+
 THREE_WEIGHTS_B64 = packed([[0.5]] * 3)["b64"]
 
 
@@ -1325,6 +1336,25 @@ class TestBundleValidation:
                 r"fusion_weights\.sign_convention must be 'first-nonzero-nonnegative', "
                 r"got 'first-nonzero-nonpositive'",
             ),
+            (
+                cnn_bundle("cnn1d", window_seconds=0.5),
+                r"bundle .+: cnn1d\.input_len must be 128 for 128-sample windows "
+                r"\(0\.5 s at 256 Hz\), got 256",
+            ),
+            (
+                cnn_bundle("cnn2d", spectrogram={"window_len": 64, "hop": 8}),
+                r"bundle .+: cnn2d\.input_shape must be \[33, 25\] for 256-sample windows .+ "
+                r"window_len 64 and hop 8, got \[33, 13\]",
+            ),
+            (
+                {**knn_bundle(1, width=9),
+                 "knn": {"train_X": [["a"] * 9], "train_y": [0], "k": 1}},
+                r"bundle .+: knn\.train_X must hold integers or floats, got <U1 values",
+            ),
+            (
+                svm_bundle(svm={"weights": [[True] * 9] * 3, "biases": [0.0] * 3, "lam": 0.1}),
+                r"bundle .+: svm\.weights must hold integers or floats, got bool values",
+            ),
         ],
         ids=[
             "truncated", "unknown-method", "missing-component", "malformed-section", "not-a-dict",
@@ -1337,6 +1367,7 @@ class TestBundleValidation:
             "feature-dim-zero", "svm-5-wide", "std-3x3", "knn-train-x-5-wide", "w1-5-wide",
             "w2-2d", "svm-4-classes", "svm-biases-2d", "stats-list", "svm-str",
             "spectrogram-list", "window-fn-boxcar", "sign-convention-other",
+            "cnn1d-window-0.5", "cnn2d-hop-8", "v1-knn-train-x-str", "v1-svm-weights-bool",
         ],
     )
     def test_predict_rejects_bad_bundle(self, tmp_path, capsys, doc, message):
@@ -1402,6 +1433,27 @@ class TestBundleValidation:
                 "--meta", str(tmp_path / "sig.meta.json")]
         assert main(argv) == EXIT_OK
         assert capsys.readouterr().out.startswith("start_s,level,prob0,prob1,prob2\r\n")
+
+    @pytest.mark.parametrize(
+        "doc",
+        [cnn_bundle("cnn1d"), cnn_bundle("cnn1d", 128, window_seconds=0.5), cnn_bundle("cnn2d"),
+         cnn_bundle("cnn2d", (33, 25), spectrogram={"window_len": 64, "hop": 8}),
+         svm_bundle(svm={"weights": [[1] * 9] * 3, "biases": [0] * 3, "lam": 0.1})],
+        ids=["cnn1d", "cnn1d-window-0.5", "cnn2d", "cnn2d-hop-8", "v1-svm-int"],
+    )
+    def test_bundle_of_matching_shapes_predicts(self, tmp_path, capsys, doc):
+        """A CNN built for the window that the header implies, and version-1 integer
+        weights, load and predict."""
+        path = tmp_path / "bundle.json"
+        path.write_text(json.dumps(doc))
+        rec, _ = synth_ecg(0, 8.0, 256.0, 3)
+        save_recording(rec, tmp_path / "sig.csv", tmp_path / "sig.meta.json")
+        argv = ["predict", "--bundle", str(path), "--signal", str(tmp_path / "sig.csv"),
+                "--meta", str(tmp_path / "sig.meta.json")]
+        assert main(argv) == EXIT_OK
+        rows = capsys.readouterr().out.splitlines()
+        assert rows[0] == "start_s,level,prob0,prob1,prob2"
+        assert len(rows) == 1 + 8 / doc["window_seconds"]
 
     def test_predict_rejects_cnn_tensor_of_wrong_shape(self, tmp_path, capsys):
         model = neuralnet.build_cnn1d(256, feature_dim=32, seed=0)

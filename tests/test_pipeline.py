@@ -30,11 +30,12 @@ from ecgstress.pipeline import (
     windows_to_images,
     windows_to_snippets,
 )
-from ecgstress.cli import build_pipeline_config
+from ecgstress.cli import build_pipeline_config, predict_stream
 from ecgstress.evaluation import METHOD_DISPLAY, RunResult, compute_metrics
 from ecgstress.signal_core import LEVELS, Window
 
 from conftest import Record, make_dataset, taint
+from oracles import synth_ecg
 
 FAST_TRAIN = TrainConfig(epochs=2, learning_rate=0.02, batch_size=32)
 
@@ -1081,3 +1082,50 @@ class TestBlasPin:
         rows = featurize(fold_windows(small_dataset, "subj0")[0], cfg, 256.0)
         fit_rows(rows, cfg, 7)
         assert sets() == [(os.getpid(), 1), (os.getpid(), 2)]
+
+    def _predict(self, sets, monkeypatch, method, seconds, reads=False):
+        """predict_stream of a `seconds`-long recording from a bundle of `method` trained
+        here; from the prediction on, sets records each fork of a queue as
+        (process id, "fork"), and with `reads` each read of the count as (process id, "get")."""
+        cfg = fast_config(method)
+        window_s = METHODS[method].window_seconds(cfg)
+        data = make_dataset(n_subjects=2, duration_s=12.0 * window_s, window_seconds=window_s)
+        components = fit_rows(featurize(data.windows, cfg, 256.0), cfg, 7)
+        trained = bundle.Bundle(method, window_s, 256.0, cfg.feature_dim, cfg.spectrogram,
+                                cfg.seed, components)
+        real = jobs_module._fork_context
+        monkeypatch.setattr(
+            jobs_module, "_fork_context", lambda: sets.add(os.getpid(), "fork") or real()
+        )
+        if reads:
+            get, set_ = jobs_module._blas_threads()
+            monkeypatch.setattr(jobs_module, "_blas_threads",
+                                lambda: (lambda: sets.add(os.getpid(), "get") or get(), set_))
+        rec, _ = synth_ecg(1, seconds, 256.0, 5)
+        sets.clear()
+        return predict_stream(trained, rec)
+
+    def test_predict_sets_and_restores(self, sets, monkeypatch):
+        """predict's CNN forwards run on one thread, set once and restored after."""
+        rows = self._predict(sets, monkeypatch, "fusion_avg", 6.0)
+        assert len(rows) == 6
+        assert sets() == [(os.getpid(), 1), (os.getpid(), 2)]
+
+    def test_predict_forks_after_the_set(self, sets, monkeypatch):
+        """An HRV bundle's queue, on _MIN_FORK_CHUNKS chunks, forks under the pin, so
+        its helper starts at one thread and calls no setter."""
+        monkeypatch.setattr(pipeline, "_MIN_FORK_CHUNKS", 2)
+        rows = self._predict(sets, monkeypatch, "svm_hrv", 4.0 * (pipeline._HRV_CHUNK + 1))
+        assert len(rows) == pipeline._HRV_CHUNK + 1  # two chunks
+        caller = os.getpid()
+        assert sets() == [(caller, 1), (caller, "fork"), (caller, 2)]
+
+    @pytest.mark.parametrize("method", ["fusion_avg", "svm_hrv"])
+    def test_predict_leaves_a_count_at_one(self, sets, monkeypatch, method):
+        """As under OPENBLAS_NUM_THREADS=1 or in a helper: the pin reads the count once
+        and sets nothing, and an HRV bundle's queue still forks."""
+        monkeypatch.setattr(pipeline, "_MIN_FORK_CHUNKS", 2)
+        sets.count[0] = 1
+        self._predict(sets, monkeypatch, method, 4.0 * (pipeline._HRV_CHUNK + 1), reads=True)
+        caller = os.getpid()
+        assert sets() == [(caller, "get"), *([(caller, "fork")] if method == "svm_hrv" else [])]
